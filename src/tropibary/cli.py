@@ -295,7 +295,13 @@ def _cmd_ext(args) -> dict:
 
 def _cmd_member(args) -> dict:
     poly = codecs.polytope_from_json(codecs.read_document(args.polytope, "polytope"))
-    point = codecs.vector_from_json(json.loads(args.point))
+    try:
+        coords = json.loads(args.point)
+    except json.JSONDecodeError as exc:
+        raise BadInput(f"--point is not JSON: {exc}") from None
+    if not isinstance(coords, list):
+        raise BadInput("--point must be a JSON array of coordinates")
+    point = codecs.vector_from_json(coords)
     coeffs = hull_membership(poly, point)
     return {
         "subcommand": "member",

@@ -32,6 +32,10 @@ class TropScalar:
             self._kind = value._kind
             self._q = value._q
             return
+        if type(value) is Fraction:
+            self._kind = _FINITE
+            self._q = value
+            return
         if isinstance(value, bool) or isinstance(value, float):
             raise BadInput(f"refusing inexact scalar input {value!r}; pass int, Fraction, or 'p/q' string")
         if isinstance(value, str):
@@ -44,7 +48,10 @@ class TropScalar:
                 self._kind = _TOP
                 self._q = Fraction(0)
                 return
-            value = Fraction(text)
+            try:
+                value = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                raise BadInput(f"{value!r} is not a rational or -inf") from None
         if isinstance(value, (int, Fraction)):
             self._kind = _FINITE
             self._q = Fraction(value)
@@ -87,25 +94,37 @@ class TropScalar:
     def _key(self):
         return (self._kind, self._q)
 
+    # The order is that of _key(): kind first (-inf < finite < +inf), then
+    # the rational.  Both infinities carry _q == 0, so equal kinds can
+    # always fall through to comparing _q.
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropScalar):
             return NotImplemented
-        return self._key() == other._key()
+        return self._kind == other._kind and self._q == other._q
 
     def __hash__(self) -> int:
         return hash(self._key())
 
     def __lt__(self, other: "TropScalar") -> bool:
-        return self._key() < other._key()
+        if self._kind != other._kind:
+            return self._kind < other._kind
+        return self._q < other._q
 
     def __le__(self, other: "TropScalar") -> bool:
-        return self._key() <= other._key()
+        if self._kind != other._kind:
+            return self._kind < other._kind
+        return self._q <= other._q
 
     def __gt__(self, other: "TropScalar") -> bool:
-        return self._key() > other._key()
+        if self._kind != other._kind:
+            return self._kind > other._kind
+        return self._q > other._q
 
     def __ge__(self, other: "TropScalar") -> bool:
-        return self._key() >= other._key()
+        if self._kind != other._kind:
+            return self._kind > other._kind
+        return self._q >= other._q
 
     def __repr__(self) -> str:
         return f"TropScalar({str(self)!r})"
@@ -123,6 +142,18 @@ class TropScalar:
         if self._kind == _TOP:
             return float("inf")
         return float(self._q)
+
+
+def _finite(q: Fraction) -> TropScalar:
+    """Finite scalar from a value already known to be a `Fraction`.
+
+    Skips the input checks and the copy of `TropScalar(q)`; only for
+    values the library computed itself.
+    """
+    s = object.__new__(TropScalar)
+    s._kind = _FINITE
+    s._q = q
+    return s
 
 
 NEG_INF = TropScalar.bottom()
@@ -149,12 +180,17 @@ def oplus_all(items: Iterable[TropScalar]) -> TropScalar:
 
 
 def odot(a: TropScalar, b: TropScalar) -> TropScalar:
-    """Semiring multiplication: numeric +.  -inf absorbs everything."""
-    if a.is_bottom or b.is_bottom:
+    """Semiring multiplication: numeric +.  -inf absorbs everything.
+
+    Because odot distributes over oplus, a measure applied to a max-plus
+    affine function equals that function at the measure's barycenter
+    (see `measures.measure_dist`, which relies on this).
+    """
+    if a._kind == _FINITE and b._kind == _FINITE:
+        return _finite(a._q + b._q)
+    if a._kind == _BOTTOM or b._kind == _BOTTOM:
         return NEG_INF
-    if a.is_top or b.is_top:
-        return POS_INF
-    return TropScalar(a._q + b._q)
+    return POS_INF
 
 
 def residual(a: TropScalar, b: TropScalar) -> TropScalar:
@@ -170,7 +206,7 @@ def residual(a: TropScalar, b: TropScalar) -> TropScalar:
         return POS_INF
     if a.is_bottom:
         return NEG_INF
-    return TropScalar(a._q - b._q)
+    return _finite(a._q - b._q)
 
 
 def trop_min(a: TropScalar, b: TropScalar) -> TropScalar:

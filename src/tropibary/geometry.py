@@ -253,6 +253,10 @@ class Certificate:
         return Certificate(doc["claim"], doc["params"], doc["data"], doc["verdict"])
 
     def recheck(self) -> bool:
+        """Rebuild from the stored parameters and compare; a certificate
+        that sampled nothing certifies nothing and never passes."""
+        if self.params.get("samples", 1) < 1:
+            return False
         fresh = _REBUILDERS[self.claim](**self.params)
         return (
             fresh.verdict == self.verdict
@@ -288,6 +292,8 @@ def certify_id_oplus_not_open(i: int, samples: int = 10000, seed: int = 7) -> Ce
     """
     if i < 1:
         raise BadInput("the sequence index must be >= 1")
+    if samples < 1:
+        raise BadInput("a certificate needs at least one sample")
     space = id_space()
     phi = separating_table(space)
     eps = Fraction(-1, i)
@@ -394,6 +400,8 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     """
     if i < 1:
         raise BadInput("the sequence index must be >= 1")
+    if samples < 1:
+        raise BadInput("a certificate needs at least one sample")
     hull = y_polytope()
     a = TropVector([-2, -1])
     b = TropVector([-1, -2])

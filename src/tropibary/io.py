@@ -31,11 +31,20 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text())
 
 
+@lru_cache(maxsize=None)
+def _validator(name: str):
+    """One validator per schema, the schema itself checked once."""
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_document(doc: object, schema_name: str):
-    try:
-        jsonschema.validate(doc, load_schema(schema_name))
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{schema_name}: {exc.message} at {exc.json_path}") from None
+    # best_match picks the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    if exc is not None:
+        raise SchemaError(f"{schema_name}: {exc.message} at {exc.json_path}")
 
 
 def read_document(path: str, schema_name: str) -> dict:

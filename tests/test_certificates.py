@@ -78,6 +78,13 @@ class TestYBetaCertificate:
             certify_y_beta_not_open(0)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("certify", [certify_id_oplus_not_open, certify_y_beta_not_open])
+def test_certificates_need_a_sample(certify, samples):
+    with pytest.raises(BadInput, match="at least one sample"):
+        certify(2, samples=samples, seed=7)
+
+
 class TestRecheck:
     def test_recheck_replays_from_params(self):
         cert = certify_id_oplus_not_open(3, samples=40, seed=9)
@@ -94,6 +101,12 @@ class TestRecheck:
     def test_tampered_verdict_fails(self):
         cert = certify_y_beta_not_open(2, samples=15, seed=7)
         cert.verdict = not cert.verdict
+        assert not cert.recheck()
+
+    @pytest.mark.parametrize("certify", [certify_id_oplus_not_open, certify_y_beta_not_open])
+    def test_empty_certificate_fails(self, certify):
+        cert = certify(2, samples=1, seed=7)
+        cert.params["samples"] = 0
         assert not cert.recheck()
 
     def test_tampered_exhibit_fails(self):

@@ -79,6 +79,22 @@ def docs(tmp_path):
             "measure": atoms((["-2", "-1"], "0"), (["-1", "-2"], "0")),
         },
         "tgt_beta": {"point": ["-9/10", "-99/100"]},
+        # schema-valid documents holding a scalar that is no rational
+        "m_zero_den": {"space": SPACE, **atoms(("a", "0"), ("b", "1/0"))},
+        "table_zero_den": {"space": SPACE, "values": ["0", "1/0"]},
+        "pm_zero_den": atoms((["-1", "1/0"], "0")),
+        "poly_zero_den": {"generators": [["-1", "1/0"], ["0", "-2"]]},
+        "cover_zero_den": {"elements": [{"kind": "box", "low": ["-2", "-2"], "high": ["0", "1/0"]}]},
+        "inst_int_zero_den": {
+            "kind": "interval",
+            "bounds": ["-2", "0"],
+            "x": "1/0",
+            "y": "-3/2",
+            "params": {"t": "-1/2", "p": "0"},
+        },
+        "tgt_int_zero_den": {"scalar": "1/0"},
+        "tgt_beta_zero_den": {"point": ["1/0", "-1"]},
+        "pm_mixed_dim": atoms((["0"], "0"), (["-1", "0"], "0")),
     }
     return {name: write(tmp_path / f"{name}.json", doc) for name, doc in paths.items()}
 
@@ -269,6 +285,48 @@ class TestVerifyCommand:
         third = run(capsys, "verify", "--suite", "measures", "--scale", "tiny")
         fourth = run(capsys, "verify", "--suite", "measures", "--scale", "tiny")
         assert third[1] == fourth[1]
+
+
+# Malformed input for every subcommand that reads scalars or JSON; "@name"
+# stands for the path of docs[name].
+MALFORMED = [
+    ("combine", "--first", "@m", "--second", "@m2", "--t", "abc", "--p", "0"),
+    ("combine", "--first", "@m", "--second", "@m2", "--t", "1/0", "--p", "0"),
+    ("combine", "--first", "@m", "--second", "@m2", "--t", "0", "--p", "nan"),
+    ("combine", "--first", "@m_zero_den", "--second", "@m2", "--t", "0", "--p", "0"),
+    ("eval", "--measure", "@m_zero_den", "--table", "@table"),
+    ("eval", "--measure", "@m", "--table", "@table_zero_den"),
+    ("pushforward", "--map", "@map", "--measure", "@m_zero_den"),
+    ("barycenter", "@pm_zero_den"),
+    ("barycenter", "@pm_mixed_dim"),
+    ("barycenter", "@pm", "--in-polytope", "@poly_zero_den"),
+    ("lift", "s", "--instance", "@inst_int_zero_den", "--target", "@tgt_int"),
+    ("lift", "s", "--instance", "@inst_int", "--target", "@tgt_int_zero_den"),
+    ("lift", "beta", "--instance", "@inst_beta", "--target", "@tgt_beta_zero_den"),
+    ("approx", "--measure", "@pm", "--cover", "@cover_zero_den"),
+    ("ext", "--polytope", "@poly_zero_den"),
+    ("member", "--polytope", "@poly", "--point", '["nan", "0"]'),
+    ("member", "--polytope", "@poly", "--point", "notjson"),
+    ("member", "--polytope", "@poly", "--point", '["1/0", "0"]'),
+    ("member", "--polytope", "@poly", "--point", "5"),
+    ("member", "--polytope", "@poly", "--point", "null"),
+    ("member", "--polytope", "@poly_zero_den", "--point", "[0, 0]"),
+    ("counterexample", "id-oplus", "--i", "2", "--samples", "0"),
+    ("counterexample", "y-beta", "--i", "2", "--samples", "0"),
+    ("counterexample", "y-beta", "--i", "abc"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_is_one_error_line(capsys, docs, argv):
+    argv = [docs[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert lines[-1].startswith("elapsed:")
+    assert sum(line.startswith("error:") for line in lines) == 1, err
 
 
 class TestFailures:

@@ -50,6 +50,11 @@ class TestScalarConstruction:
         with pytest.raises(BadInput):
             scalar(float("nan"))
 
+    @pytest.mark.parametrize("text", ["abc", "1/0", "nan", "Infinity", ""])
+    def test_refuses_malformed_strings(self, text):
+        with pytest.raises(BadInput):
+            TropScalar(text)
+
     def test_scalar_is_idempotent_on_scalars(self):
         s = TropScalar("-1/3")
         assert scalar(s) is s
@@ -189,3 +194,44 @@ class TestPointCombination:
         y = vector(["0", "-2"])
         assert s_point(x, y, ConvexParams("0", "-inf")) == x
         assert s_point(x, y, ConvexParams("-inf", "0")) == y
+
+
+# Reference order: kind first (-inf < finite < +inf), then the rational.
+KINDED = {"-inf": (-1, 0), "+inf": (1, 0)}
+SAMPLE_TEXTS = ["-inf", "-1", "-1/2", "0", "1/3", "+inf"]
+
+
+def kind_q(text):
+    return KINDED[text] if text in KINDED else (0, Fraction(text))
+
+
+@pytest.mark.parametrize("x", SAMPLE_TEXTS)
+@pytest.mark.parametrize("y", SAMPLE_TEXTS)
+def test_kernel_matches_kind_q_definition(x, y):
+    a, b = TropScalar(x), TropScalar(y)
+    ka, kb = kind_q(x), kind_q(y)
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb)
+    if a == b:
+        assert hash(a) == hash(b)
+    if ka[0] == -1 or kb[0] == -1:
+        expect = NEG_INF
+    elif ka[0] == 1 or kb[0] == 1:
+        expect = POS_INF
+    else:
+        expect = TropScalar(ka[1] + kb[1])
+    assert odot(a, b) == expect
+    if ka[0] == 1 or kb[0] == 1:
+        with pytest.raises(BadInput):
+            residual(a, b)
+        return
+    if kb[0] == -1:
+        expect = POS_INF
+    elif ka[0] == -1:
+        expect = NEG_INF
+    else:
+        expect = TropScalar(ka[1] - kb[1])
+    got = residual(a, b)
+    assert got == expect
+    assert got.is_finite == expect.is_finite
+    if got.is_finite:
+        assert type(got.q) is Fraction and str(got) == str(expect.q)

@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tropibary.core import NEG_INF, ZERO, ConvexParams, TropScalar, TropVector, oplus, odot
-from tropibary.errors import BadInput, NotNormalized, SpaceMismatch
+from tropibary import measures
+from tropibary.barycenter import barycenter_point
+from tropibary.core import NEG_INF, ZERO, ConvexParams, TropScalar, TropVector, oplus, odot, rho
+from tropibary.errors import BadInput, DimensionMismatch, NotNormalized, SpaceMismatch
 from tropibary.measures import (
     DensityTable,
     FiniteSpace,
@@ -13,6 +16,7 @@ from tropibary.measures import (
     IdemMeasure,
     SpaceMap,
     combine,
+    default_tests_for_points,
     default_tests_for_space,
     eval_measure,
     map_atoms,
@@ -62,6 +66,10 @@ class TestCanonicalForm:
     def test_mixed_atom_kinds_rejected(self):
         with pytest.raises(BadInput):
             IdemMeasure([(TropVector(("0",)), "0"), (0, "0")])
+
+    def test_mixed_point_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            IdemMeasure([(TropVector(("0",)), "0"), (TropVector(("-1", "0")), "0")])
 
     def test_dirac(self, three_space):
         d = IdemMeasure.dirac(1, space=three_space)
@@ -197,6 +205,59 @@ class TestMeasureDist:
         assert math.isclose(
             measure_dist(mu, nu, tests=tests), measure_dist(nu, mu, tests=tests)
         )
+
+
+eighths = st.integers(min_value=-16, max_value=16).map(lambda k: Fraction(k, 8))
+
+
+def point_measures(dim: int):
+    atom = st.tuples(st.lists(eighths, min_size=dim, max_size=dim).map(TropVector), eighths)
+    return st.lists(atom, min_size=1, max_size=8).map(lambda pairs: IdemMeasure(pairs, renormalize=True))
+
+
+point_measure_pairs = st.integers(min_value=1, max_value=4).flatmap(
+    lambda dim: st.tuples(point_measures(dim), point_measures(dim))
+)
+
+
+def pm(*atoms):
+    return IdemMeasure([(TropVector(p), w) for p, w in atoms])
+
+
+class TestBarycenterFactoredDist:
+    """measure_dist evaluates affine tests at the barycenter; the answer
+    must equal the atom-by-atom evaluation of a freshly built family."""
+
+    @given(point_measure_pairs)
+    @example((pm(((-1,), 0)), pm(((-1,), 0))))
+    @example((pm(((0,), 0), ((-2,), "-1/8")), pm(((-1,), 0))))
+    # same barycenter (-1,-1): only the non-affine min test tells them apart
+    @example((pm(((-2, -1), 0), ((-1, -2), 0)), pm(((-1, -1), 0))))
+    @example(
+        (
+            pm(*[((k, -k, "1/8", -2), f"-{k}/8") for k in range(8)]),
+            pm(((0, 0, 0, 0), 0), ((-2, 2, "-1/2", "3/8"), "-3/4")),
+        )
+    )
+    def test_matches_atom_by_atom_evaluation(self, pair):
+        mu, nu = pair
+        dim = mu.atoms[0][0].dim
+        fresh = measures._point_tests.__wrapped__(dim, 32, 0)
+        expected = max(rho(mu(phi), nu(phi)) for phi in fresh)
+        assert measure_dist(mu, nu) == expected
+        for m in (mu, nu):
+            beta = barycenter_point(m)
+            for phi in fresh:
+                if phi.affine is not None:
+                    assert m(phi) == phi(beta)
+
+    def test_default_families_are_fresh_lists(self, plane_space):
+        tests = default_tests_for_points(2)
+        tests.clear()
+        assert len(default_tests_for_points(2)) == 2 + 1 + 32
+        tables = default_tests_for_space(plane_space)
+        tables.pop()
+        assert len(default_tests_for_space(plane_space)) == 3 + 2
 
 
 class TestFunctionTable:
