@@ -253,16 +253,24 @@ class Certificate:
         return Certificate(doc["claim"], doc["params"], doc["data"], doc["verdict"])
 
     def recheck(self) -> bool:
-        """Rebuild from the stored parameters and compare; a certificate
-        that sampled nothing certifies nothing and never passes."""
-        if self.params.get("samples", 1) < 1:
+        """Rebuild from the stored parameters and compare.  A certificate
+        that no certifier could have made (an unknown claim, parameters
+        other than the integers i, samples and seed) never passes, and
+        neither does one that sampled nothing, since it certifies nothing."""
+        rebuild = _REBUILDERS.get(self.claim)
+        params = self.params
+        if (
+            rebuild is None
+            or set(params) != {"i", "samples", "seed"}
+            or not all(type(v) is int for v in params.values())
+            or params["samples"] < 1
+        ):
             return False
-        fresh = _REBUILDERS[self.claim](**self.params)
-        return (
-            fresh.verdict == self.verdict
-            and fresh.data["digest"] == self.data["digest"]
-            and fresh.data == self.data
-        )
+        try:
+            fresh = rebuild(**params)
+        except BadInput:
+            return False
+        return fresh.verdict == self.verdict and fresh.data == self.data
 
 
 def id_space() -> FiniteSpace:

@@ -1,18 +1,33 @@
-"""JSON codecs and schema validation for every file the CLI touches.
+"""JSON codecs and schema checks for every file the CLI touches.
 
 Scalars travel as exact strings ("p/q", decimal, or "-inf"); floats are
 never written, so files round-trip losslessly.  Every document we emit
 carries "version": 1; on input the version is optional but, when
-present, must match.  Schemas live next to this module under schema/
-and are enforced with jsonschema before any value is decoded.
+present, must match.
+
+Schemas live next to this module under schema/ and are checked before
+any value is decoded.  Each schema is compiled once into a predicate of
+nested closures that accepts valid documents fast; only a document it
+rejects goes to jsonschema, which words the error and has the final say.
+So the predicate must never accept what jsonschema rejects, and every
+error message is jsonschema's.  The compiler knows the draft 2020-12
+keywords the shipped schemas use: type, const, pattern, minimum,
+properties, required, additionalProperties (false only), items,
+minItems, maxItems, oneOf, anyOf and local "#/$defs/..." $ref; $schema,
+title and $defs carry no constraint and are skipped.  Any other keyword
+in a part of a schema that checks documents raises ValueError when the
+schema is compiled, so a schema that gains one fails loudly instead of
+being checked less.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from functools import lru_cache
 from importlib import resources
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import jsonschema
 
@@ -40,21 +55,198 @@ def _validator(name: str):
     return cls(schema)
 
 
+@lru_cache(maxsize=None)
+def _acceptor(name: str) -> Callable[[object], bool]:
+    """One compiled predicate per schema, built after check_schema."""
+    _validator(name)
+    return _compile(load_schema(name))
+
+
 def validate_document(doc: object, schema_name: str):
+    if _acceptor(schema_name)(doc):
+        return
     # best_match picks the error jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    try:
+        exc = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    except RecursionError:  # the message quotes the value, and repr recursed
+        raise SchemaError(f"{schema_name}: a value nests too deeply") from None
     if exc is not None:
         raise SchemaError(f"{schema_name}: {exc.message} at {exc.json_path}")
 
 
+# -- compiled acceptance check ---------------------------------------------------
+#
+# Each keyword's check passes values it does not apply to, as in JSON
+# Schema: "items" constrains only arrays, "pattern" only strings, and so on.
+
+_KEYWORDS = frozenset(
+    {
+        "type", "const", "pattern", "minimum", "properties", "required",
+        "additionalProperties", "items", "minItems", "maxItems", "oneOf", "anyOf", "$ref",
+        "$schema", "title", "$defs",  # no constraint: skipped
+    }
+)
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    # an integer is any number with no fractional part, 1.0 too, but no bool
+    "integer": lambda v: (
+        v.is_integer() if isinstance(v, float) else isinstance(v, int) and not isinstance(v, bool)
+    ),
+}
+
+
+def _compile(root: dict) -> Callable[[object], bool]:
+    defs = root.get("$defs", {})
+    compiled: dict = {}
+
+    def resolve(ref: str) -> Callable[[object], bool]:
+        name = ref.removeprefix("#/$defs/")
+        if name == ref or name not in defs:
+            raise ValueError(f"no compiled check for $ref {ref!r}")
+        if name not in compiled:
+            compiled[name] = node(defs[name])
+        return compiled[name]
+
+    def node(schema) -> Callable[[object], bool]:
+        if not isinstance(schema, dict):
+            raise ValueError(f"no compiled check for schema {schema!r}")
+        unknown = schema.keys() - _KEYWORDS
+        if unknown:
+            raise ValueError(f"no compiled check for keywords {sorted(unknown)}")
+        checks = []
+        if "type" in schema:
+            kind = schema["type"]
+            if not isinstance(kind, str) or kind not in _TYPES:
+                raise ValueError(f"no compiled check for type {kind!r}")
+            checks.append(_TYPES[kind])
+        if "const" in schema:
+            checks.append(_const(schema["const"]))
+        if "pattern" in schema:
+            checks.append(_pattern(re.compile(schema["pattern"]).search))
+        if "minimum" in schema:
+            checks.append(_minimum(schema["minimum"]))
+        if schema.keys() & {"properties", "required", "additionalProperties"}:
+            closed = "additionalProperties" in schema
+            if closed and schema["additionalProperties"] is not False:
+                raise ValueError("no compiled check for additionalProperties other than false")
+            props = {k: node(sub) for k, sub in schema.get("properties", {}).items()}
+            checks.append(_object(props, tuple(schema.get("required", ())), closed))
+        if schema.keys() & {"items", "minItems", "maxItems"}:
+            item = node(schema["items"]) if "items" in schema else None
+            checks.append(_array(item, schema.get("minItems", 0), schema.get("maxItems", math.inf)))
+        if "oneOf" in schema:
+            checks.append(_one_of(tuple(node(sub) for sub in schema["oneOf"])))
+        if "anyOf" in schema:
+            checks.append(_any_of(tuple(node(sub) for sub in schema["anyOf"])))
+        if "$ref" in schema:
+            checks.append(resolve(schema["$ref"]))
+        return _all_of(tuple(checks))
+
+    return node(root)
+
+
+def _all_of(checks: tuple) -> Callable[[object], bool]:
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(v):
+        for c in checks:
+            if not c(v):
+                return False
+        return True
+
+    return check
+
+
+def _one_of(branches: tuple) -> Callable[[object], bool]:
+    def check(v):
+        passed = False
+        for b in branches:
+            if b(v):
+                if passed:
+                    return False
+                passed = True
+        return passed
+
+    return check
+
+
+def _any_of(branches: tuple) -> Callable[[object], bool]:
+    return lambda v: any(b(v) for b in branches)
+
+
+def _const(c) -> Callable[[object], bool]:
+    # JSON equality: 1 == 1.0, but True is not 1
+    if isinstance(c, str):
+        return lambda v: v == c
+    if type(c) is int:
+        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v == c
+    raise ValueError(f"no compiled check for const {c!r}")
+
+
+def _pattern(search) -> Callable[[object], bool]:
+    # search, not fullmatch: "$" also matches before a final newline
+    return lambda v: not isinstance(v, str) or search(v) is not None
+
+
+def _minimum(m) -> Callable[[object], bool]:
+    if type(m) not in (int, float):
+        raise ValueError(f"no compiled check for minimum {m!r}")
+    return lambda v: not isinstance(v, (int, float)) or isinstance(v, bool) or not v < m
+
+
+def _object(props: dict, required: tuple, closed: bool) -> Callable[[object], bool]:
+    names = props.keys()
+    pairs = tuple(props.items())
+
+    def check(v):
+        if not isinstance(v, dict):
+            return True
+        for k in required:
+            if k not in v:
+                return False
+        if closed and not names >= v.keys():
+            return False
+        for k, c in pairs:
+            if k in v and not c(v[k]):
+                return False
+        return True
+
+    return check
+
+
+def _array(item, lo: int, hi) -> Callable[[object], bool]:
+    def check(v):
+        if not isinstance(v, list):
+            return True
+        if not lo <= len(v) <= hi:
+            return False
+        if item is not None:
+            for x in v:
+                if not item(x):
+                    return False
+        return True
+
+    return check
+
+
 def read_document(path: str, schema_name: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} nests too deeply to read") from None
     validate_document(doc, schema_name)
     return doc
 

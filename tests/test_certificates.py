@@ -109,6 +109,22 @@ class TestRecheck:
         cert.params["samples"] = 0
         assert not cert.recheck()
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: doc.update(claim="z-not-open"),
+            lambda doc: doc["params"].update(extra=1),
+            lambda doc: doc["params"].update(samples="30"),
+            lambda doc: doc["data"].pop("digest"),
+        ],
+        ids=["unknown claim", "extra param", "string samples", "no digest"],
+    )
+    def test_unrebuildable_certificate_fails(self, tamper):
+        doc = json.loads(dump_document(certificate_to_json(certify_id_oplus_not_open(2, samples=30, seed=7))))
+        tamper(doc)
+        validate_document(doc, "certificate")
+        assert not certificate_from_json(doc).recheck()
+
     def test_tampered_exhibit_fails(self):
         cert = certify_id_oplus_not_open(2, samples=30, seed=7)
         cert.data["exhibits"][0]["alpha_phi"] = "0"

@@ -21,82 +21,117 @@ def write(path, doc):
     return str(path)
 
 
+def atoms(*pairs):
+    return {"atoms": [{"at": at, "w": w} for at, w in pairs]}
+
+
+DOCUMENTS = {
+    "m": {"version": 1, "space": SPACE, **atoms(("a", "0"), ("b", "-1/2"))},
+    "m2": {"space": SPACE, **atoms(("a", "-1"), ("b", "0"))},
+    "table": {"version": 1, "space": SPACE, "values": ["0", "1"]},
+    "map": {"source": SPACE, "target": {"labels": ["u"]}, "table": [0, 0]},
+    "pm": atoms((["-1", "0"], "0"), (["0", "-2"], "-1/4")),
+    "poly": {"generators": [["-1", "0"], ["0", "-2"], ["0", "0"]]},
+    "cover1": {"elements": [{"kind": "box", "low": ["-2", "-2"], "high": ["0", "0"]}]},
+    "cover2": {
+        "elements": [
+            {"kind": "box", "low": ["-2", "-2"], "high": ["-1", "0"]},
+            {"kind": "box", "low": ["-1", "-2"], "high": ["0", "0"]},
+        ]
+    },
+    "mu4": atoms(
+        (["-2", "-1"], "0"),
+        (["-3/2", "-3/4"], "-1/4"),
+        (["-1/2", "-1/2"], "-1/2"),
+        (["-1/4", "-1"], "-1"),
+    ),
+    "inst_meas": {
+        "kind": "combination-measures",
+        "space": SPACE,
+        "first": atoms(("a", "-1"), ("b", "0")),
+        "second": atoms(("a", "0"), ("b", "-2")),
+        "params": {"t": "0", "p": "0"},
+    },
+    "tgt_meas": {"measure": atoms(("a", "0"), ("b", "-1/2"))},
+    "inst_int": {
+        "kind": "interval",
+        "bounds": ["-2", "0"],
+        "x": "-1",
+        "y": "-3/2",
+        "params": {"t": "-1/2", "p": "0"},
+    },
+    "tgt_int": {"scalar": "-7/5"},
+    "tgt_int_bad": {"scalar": "-1/4"},
+    "inst_box": {
+        "kind": "box",
+        "low": ["-2", "-2"],
+        "high": ["0", "0"],
+        "x": ["-1", "-1"],
+        "y": ["-9/20", "-9/20"],
+        "params": {"t": "-1/10", "p": "0"},
+    },
+    "tgt_box": {"point": ["-9/20", "-9/20"]},
+    "inst_beta": {
+        "kind": "barycenter-box",
+        "low": ["-2", "-2"],
+        "high": ["0", "0"],
+        "measure": atoms((["-2", "-1"], "0"), (["-1", "-2"], "0")),
+    },
+    "tgt_beta": {"point": ["-9/10", "-99/100"]},
+    # schema-valid documents holding a scalar that is no rational
+    "m_zero_den": {"space": SPACE, **atoms(("a", "0"), ("b", "1/0"))},
+    "table_zero_den": {"space": SPACE, "values": ["0", "1/0"]},
+    "pm_zero_den": atoms((["-1", "1/0"], "0")),
+    "poly_zero_den": {"generators": [["-1", "1/0"], ["0", "-2"]]},
+    "cover_zero_den": {"elements": [{"kind": "box", "low": ["-2", "-2"], "high": ["0", "1/0"]}]},
+    "inst_int_zero_den": {
+        "kind": "interval",
+        "bounds": ["-2", "0"],
+        "x": "1/0",
+        "y": "-3/2",
+        "params": {"t": "-1/2", "p": "0"},
+    },
+    "tgt_int_zero_den": {"scalar": "1/0"},
+    "tgt_beta_zero_den": {"point": ["1/0", "-1"]},
+    "pm_mixed_dim": atoms((["0"], "0"), (["-1", "0"], "0")),
+    # documents that break their schema: the error line is jsonschema's wording
+    "m_bad_weight": {"space": SPACE, **atoms(("a", "0"), ("b", "oops"))},
+    "m_bool_weight": {"space": SPACE, **atoms(("a", True))},
+    "m_version_2": {"version": 2, "space": SPACE, **atoms(("a", "0"))},
+    "table_neg_inf": {"space": SPACE, "values": ["0", "-inf"]},
+    "map_bool_n": {"source": {"n": True}, "target": {"labels": ["u"]}, "table": [0]},
+    "map_negative": {"source": SPACE, "target": {"labels": ["u"]}, "table": [0, -1]},
+    "poly_empty": {"generators": []},
+    "cover_bad_kind": {"elements": [{"kind": "ball", "low": ["-2"], "high": ["0"]}]},
+    "inst_extra_key": {
+        "kind": "interval",
+        "bounds": ["-2", "0"],
+        "x": "-1",
+        "y": "-3/2",
+        "params": {"t": "-1/2", "p": "0"},
+        "z": "0",
+    },
+    "tgt_two_kinds": {"scalar": "-7/5", "point": ["-7/5"]},
+}
+
+
+def write_documents(directory: pathlib.Path) -> dict:
+    paths = {name: write(directory / f"{name}.json", doc) for name, doc in DOCUMENTS.items()}
+    # paths that read_document cannot turn into a document at all
+    (directory / "a_directory").mkdir()
+    paths["a_directory"] = str(directory / "a_directory")
+    latin1 = directory / "latin1.json"
+    latin1.write_bytes('{"labels": ["\u00e9"], "atoms": [{"at": "\u00e9", "w": "0"}]}'.encode("latin-1"))
+    paths["latin1"] = str(latin1)
+    deep = directory / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    paths["deep"] = str(deep)
+    return paths
+
+
 @pytest.fixture
 def docs(tmp_path):
-    def atoms(*pairs):
-        return {"atoms": [{"at": at, "w": w} for at, w in pairs]}
-
-    paths = {
-        "m": {"version": 1, "space": SPACE, **atoms(("a", "0"), ("b", "-1/2"))},
-        "m2": {"space": SPACE, **atoms(("a", "-1"), ("b", "0"))},
-        "table": {"version": 1, "space": SPACE, "values": ["0", "1"]},
-        "map": {"source": SPACE, "target": {"labels": ["u"]}, "table": [0, 0]},
-        "pm": atoms((["-1", "0"], "0"), (["0", "-2"], "-1/4")),
-        "poly": {"generators": [["-1", "0"], ["0", "-2"], ["0", "0"]]},
-        "cover1": {"elements": [{"kind": "box", "low": ["-2", "-2"], "high": ["0", "0"]}]},
-        "cover2": {
-            "elements": [
-                {"kind": "box", "low": ["-2", "-2"], "high": ["-1", "0"]},
-                {"kind": "box", "low": ["-1", "-2"], "high": ["0", "0"]},
-            ]
-        },
-        "mu4": atoms(
-            (["-2", "-1"], "0"),
-            (["-3/2", "-3/4"], "-1/4"),
-            (["-1/2", "-1/2"], "-1/2"),
-            (["-1/4", "-1"], "-1"),
-        ),
-        "inst_meas": {
-            "kind": "combination-measures",
-            "space": SPACE,
-            "first": atoms(("a", "-1"), ("b", "0")),
-            "second": atoms(("a", "0"), ("b", "-2")),
-            "params": {"t": "0", "p": "0"},
-        },
-        "tgt_meas": {"measure": atoms(("a", "0"), ("b", "-1/2"))},
-        "inst_int": {
-            "kind": "interval",
-            "bounds": ["-2", "0"],
-            "x": "-1",
-            "y": "-3/2",
-            "params": {"t": "-1/2", "p": "0"},
-        },
-        "tgt_int": {"scalar": "-7/5"},
-        "tgt_int_bad": {"scalar": "-1/4"},
-        "inst_box": {
-            "kind": "box",
-            "low": ["-2", "-2"],
-            "high": ["0", "0"],
-            "x": ["-1", "-1"],
-            "y": ["-9/20", "-9/20"],
-            "params": {"t": "-1/10", "p": "0"},
-        },
-        "tgt_box": {"point": ["-9/20", "-9/20"]},
-        "inst_beta": {
-            "kind": "barycenter-box",
-            "low": ["-2", "-2"],
-            "high": ["0", "0"],
-            "measure": atoms((["-2", "-1"], "0"), (["-1", "-2"], "0")),
-        },
-        "tgt_beta": {"point": ["-9/10", "-99/100"]},
-        # schema-valid documents holding a scalar that is no rational
-        "m_zero_den": {"space": SPACE, **atoms(("a", "0"), ("b", "1/0"))},
-        "table_zero_den": {"space": SPACE, "values": ["0", "1/0"]},
-        "pm_zero_den": atoms((["-1", "1/0"], "0")),
-        "poly_zero_den": {"generators": [["-1", "1/0"], ["0", "-2"]]},
-        "cover_zero_den": {"elements": [{"kind": "box", "low": ["-2", "-2"], "high": ["0", "1/0"]}]},
-        "inst_int_zero_den": {
-            "kind": "interval",
-            "bounds": ["-2", "0"],
-            "x": "1/0",
-            "y": "-3/2",
-            "params": {"t": "-1/2", "p": "0"},
-        },
-        "tgt_int_zero_den": {"scalar": "1/0"},
-        "tgt_beta_zero_den": {"point": ["1/0", "-1"]},
-        "pm_mixed_dim": atoms((["0"], "0"), (["-1", "0"], "0")),
-    }
-    return {name: write(tmp_path / f"{name}.json", doc) for name, doc in paths.items()}
+    return write_documents(tmp_path)
 
 
 def run(capsys, *argv):
@@ -314,19 +349,69 @@ MALFORMED = [
     ("counterexample", "id-oplus", "--i", "2", "--samples", "0"),
     ("counterexample", "y-beta", "--i", "2", "--samples", "0"),
     ("counterexample", "y-beta", "--i", "abc"),
+    ("eval", "--measure", "@m_bad_weight", "--table", "@table"),
+    ("eval", "--measure", "@m_bool_weight", "--table", "@table"),
+    ("combine", "--first", "@m", "--second", "@m_version_2", "--t", "0", "--p", "0"),
+    ("eval", "--measure", "@m", "--table", "@table_neg_inf"),
+    ("pushforward", "--map", "@map_bool_n", "--measure", "@m"),
+    ("pushforward", "--map", "@map_negative", "--measure", "@m"),
+    ("ext", "--polytope", "@poly_empty"),
+    ("approx", "--measure", "@pm", "--cover", "@cover_bad_kind"),
+    ("lift", "s", "--instance", "@inst_extra_key", "--target", "@tgt_int"),
+    ("lift", "s", "--instance", "@inst_int", "--target", "@tgt_two_kinds"),
+    ("eval", "--measure", "@a_directory", "--table", "@table"),
+    ("eval", "--measure", "@latin1", "--table", "@table"),
+    ("barycenter", "@deep"),
 ]
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
-def test_malformed_input_is_one_error_line(capsys, docs, argv):
-    argv = [docs[a[1:]] if a.startswith("@") else a for a in argv]
-    code, out, err = run(capsys, *argv)
+def test_malformed_input_is_one_error_line(capsys, docs, tmp_path, argv):
+    code, out, err = run(capsys, *resolve(argv, docs))
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
     lines = err.splitlines()
     assert lines[-1].startswith("elapsed:")
     assert sum(line.startswith("error:") for line in lines) == 1, err
+    golden = json.loads((GOLDEN / "malformed.json").read_text())
+    assert error_line(err, tmp_path) == golden[" ".join(argv)]
+
+
+# One request per subcommand at seed 7; tests/golden/<name>.out holds its
+# stdout byte for byte, tests/golden/malformed.json the error line of each
+# MALFORMED row.  Re-record both with: PYTHONPATH=src python tests/test_cli.py
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN_REQUESTS = {
+    "eval": ("eval", "--measure", "@m", "--table", "@table"),
+    "combine": ("combine", "--first", "@m", "--second", "@m2", "--t", "-1/4", "--p", "0"),
+    "pushforward": ("pushforward", "--map", "@map", "--measure", "@m"),
+    "barycenter": ("barycenter", "@pm", "--in-polytope", "@poly"),
+    "member": ("member", "--polytope", "@poly", "--point", '["-1/4", "0"]'),
+    "approx": ("approx", "--measure", "@mu4", "--cover", "@cover2"),
+    "lift-s": ("lift", "s", "--instance", "@inst_meas", "--target", "@tgt_meas", "--oracle"),
+    "lift-beta": ("lift", "beta", "--instance", "@inst_beta", "--target", "@tgt_beta"),
+    "ext": ("ext", "--polytope", "@poly", "--seed", "7"),
+    "counterexample-id-oplus": ("counterexample", "id-oplus", "--i", "2", "--samples", "40", "--seed", "7"),
+    "counterexample-y-beta": ("counterexample", "y-beta", "--i", "2", "--samples", "40", "--seed", "7"),
+}
+
+
+def resolve(argv, docs) -> list:
+    """argv with each "@name" replaced by the path of docs[name]."""
+    return [docs[a[1:]] if a.startswith("@") else a for a in argv]
+
+
+def error_line(err: str, directory) -> str:
+    (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+    return line.replace(str(directory), "<tmp>")
+
+
+@pytest.mark.parametrize("name", GOLDEN_REQUESTS)
+def test_stdout_matches_golden(capsys, docs, name):
+    code, out, _ = run(capsys, *resolve(GOLDEN_REQUESTS[name], docs))
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
 class TestFailures:
@@ -383,3 +468,23 @@ def test_console_script(docs, child_env):
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["outputs"]["member"]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_documents(pathlib.Path(tmp))
+
+        def capture(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                main(resolve(argv, paths))
+            return out.getvalue(), err.getvalue()
+
+        GOLDEN.mkdir(exist_ok=True)
+        for name, argv in GOLDEN_REQUESTS.items():
+            (GOLDEN / f"{name}.out").write_bytes(capture(argv)[0].encode())
+        errors = {" ".join(argv): error_line(capture(argv)[1], tmp) for argv in MALFORMED}
+        (GOLDEN / "malformed.json").write_text(json.dumps(errors, indent=2) + "\n")

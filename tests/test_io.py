@@ -1,16 +1,24 @@
 """JSON codecs: lossless roundtrips, schema rejection, version handling."""
 
+import copy
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropibary.approximation import BoxElement, Cover, IndexElement, PolytopeElement
 from tropibary.core import NEG_INF, ZERO, ConvexParams, TropVector, scalar
 from tropibary.errors import BadInput, SchemaError
-from tropibary.geometry import Box, TropPolytope
+from tropibary.geometry import Box, TropPolytope, certify_id_oplus_not_open
 from tropibary.io import (
+    _acceptor,
+    _compile,
+    _validator,
     box_from_json,
     box_to_json,
+    certificate_to_json,
     cover_from_json,
     cover_to_json,
     dump_document,
@@ -194,3 +202,135 @@ class TestValidationAndFiles:
         path.write_text("{not json")
         with pytest.raises(SchemaError, match="not JSON"):
             read_document(str(path), "measure")
+
+
+class TestValidationEdges:
+    def test_deep_value_is_one_schema_error(self):
+        deep = []
+        for _ in range(20_000):
+            deep = [deep]
+        with pytest.raises(SchemaError, match="nests too deeply"):
+            validate_document({"atoms": [{"at": "a", "w": deep}]}, "measure")
+
+
+# -- compiled acceptance check against jsonschema --------------------------------
+
+SCHEMAS = sorted(
+    p.name.removesuffix(".schema.json") for p in (resources.files("tropibary") / "schema").iterdir()
+)
+
+
+def _codec_documents() -> list:
+    """One valid document per schema and per oneOf branch, from the codecs."""
+    space = FiniteSpace(2, labels=("a", "b"), points=(TropVector([0, -1]), TropVector([-1, 0])))
+    labeled = IdemMeasure([(0, ZERO), (1, scalar("-1/2"))], space=space)
+    points = IdemMeasure([(TropVector(["0", "-1"]), ZERO), (TropVector(["-1", "-3/4"]), scalar("-1/3"))])
+    params = params_to_json(ConvexParams(scalar("-1/4"), ZERO))
+    low, high = vector_to_json(TropVector([-2, -2])), vector_to_json(TropVector([0, 0]))
+    labeled_atoms = {"atoms": measure_to_json(labeled)["atoms"]}
+    point_atoms = {"atoms": measure_to_json(points)["atoms"]}
+    return [
+        measure_to_json(labeled),
+        measure_to_json(points),
+        table_to_json(FunctionTable(FiniteSpace(3), ["0", "-1/2", "2"])),
+        map_to_json(SpaceMap(FiniteSpace(3), FiniteSpace(2, labels=("u", "v")), [0, 1, 1])),
+        polytope_to_json(TropPolytope([TropVector([0, 0]), TropVector([-1, -2])])),
+        cover_to_json(
+            Cover(
+                [
+                    BoxElement(Box(TropVector([-1, -1]), TropVector([0, 0]))),
+                    PolytopeElement(TropPolytope([TropVector([-2, -2]), TropVector([-1, -1])])),
+                ]
+            )
+        ),
+        cover_to_json(Cover([IndexElement([2, 0]), IndexElement([1])])),
+        certificate_to_json(certify_id_oplus_not_open(2, samples=3, seed=1)),
+        {
+            "version": 1,
+            "kind": "combination-measures",
+            "space": space_to_json(space),
+            "first": labeled_atoms,
+            "second": labeled_atoms,
+            "params": params,
+        },
+        {"kind": "interval", "bounds": ["-2", "0"], "x": "-1", "y": "-inf", "params": params},
+        {"kind": "box", "low": low, "high": high, "x": low, "y": high, "params": params},
+        {"kind": "barycenter-box", "low": low, "high": high, "measure": point_atoms},
+        {"version": 1, "measure": labeled_atoms},
+        {"scalar": "-7/5"},
+        {"point": vector_to_json(TropVector(["-1/2", "0"]))},
+    ]
+
+
+VALID = _codec_documents()
+ODD_VALUES = [
+    True, False, None, 0, 1, -1, 1.0, 2.5, "", "a", "box", "-inf", "1\n", "1.2.3", "nan", "+1", ".5",
+    [], {}, ["0"], {"at": "a", "w": "0"},
+]
+KEYS = ["version", "kind", "n", "labels", "points", "atoms", "at", "w", "t", "p", "extra"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with up to four edits: a value swapped for an odd
+    one, a key deleted or added, an array emptied, a value wrapped in a list."""
+    holder = [copy.deepcopy(draw(st.sampled_from(VALID)))]
+    for _ in range(draw(st.integers(0, 4))):
+        slots = [(holder, 0)]
+        for parent, key in slots:  # grows while it is walked: every value in the tree
+            value = parent[key]
+            if isinstance(value, dict):
+                slots.extend((value, k) for k in value)
+            elif isinstance(value, list):
+                slots.extend((value, i) for i in range(len(value)))
+        parent, key = draw(st.sampled_from(slots))
+        value = parent[key]
+        edit = draw(st.sampled_from(["replace", "delete", "add", "empty", "wrap"]))
+        odd = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        if edit == "delete" and parent is not holder:
+            del parent[key]
+        elif edit == "add" and isinstance(value, dict):
+            value[draw(st.sampled_from(KEYS))] = odd
+        elif edit == "empty" and isinstance(value, (list, dict)):
+            value.clear()
+        elif edit == "wrap":
+            parent[key] = [value]
+        else:
+            parent[key] = odd
+    return holder[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated_documents())
+@example(doc={"version": True, "atoms": [{"at": ["0"], "w": "0"}]})
+@example(doc={"source": {"n": 1.0}, "target": {"n": 1}, "table": [0]})
+@example(doc={"atoms": [{"at": ["0", "-1"], "w": "1\n"}]})
+@example(doc={"space": {"n": 2}, "values": ["0", "-inf"]})
+def test_compiled_check_agrees_with_jsonschema(doc):
+    for name in SCHEMAS:
+        assert _acceptor(name)(doc) == _validator(name).is_valid(doc), name
+
+
+def test_every_codec_document_is_accepted():
+    assert len(SCHEMAS) == 8
+    for doc in VALID:
+        assert any(_acceptor(name)(doc) for name in SCHEMAS), doc
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string", "format": "date"},
+        {"properties": {"a": {"maxLength": 1}}},
+        {"items": {"$ref": "other.json#/$defs/x"}},
+        {"$ref": "#/$defs/missing", "$defs": {}},
+        {"type": ["string", "null"]},
+        {"type": "number"},
+        {"additionalProperties": {"type": "string"}},
+        {"const": [1]},
+        {"items": True},
+    ],
+)
+def test_compiler_refuses_what_it_does_not_know(schema):
+    with pytest.raises(ValueError, match="no compiled check"):
+        _compile(schema)
