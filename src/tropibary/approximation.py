@@ -6,8 +6,10 @@ atom of a measure goes to exactly one element: the first, in cover
 order, that holds it.  The approximation collapses the atoms given to
 each element to a single dirac at their conditional barycenter,
 weighted by the heaviest of them.  So it never has more atoms than the
-measure, and its barycenter equals the barycenter of the input exactly,
-which is asserted on every call.
+measure, and its barycenter equals the barycenter of the input exactly.
+Every call checks both that and the rebuilt measure through
+`errors.certify`, which raises `InexactWitness` on a mismatch, also
+under `python -O`.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Optional, Sequence, Union
 
 from .barycenter import barycenter_point
 from .core import TropScalar, TropVector, odot, oplus_all
-from .errors import BadInput, NonConvexElement, UncoveredAtom
+from .errors import BadInput, NonConvexElement, UncoveredAtom, certify
 from .geometry import Box, TropPolytope
-from .measures import FiniteSpace, IdemMeasure, map_atoms, measure_dist
+from .measures import FiniteSpace, IdemMeasure, measure_dist
 
 
 class BoxElement:
@@ -186,13 +188,6 @@ def _element_holds(element: CoverElement, atom, space: Optional[FiniteSpace]) ->
     return element.contains_point(atom)
 
 
-def _embedded_barycenter(mu: IdemMeasure) -> TropVector:
-    if mu.space is None:
-        return barycenter_point(mu)
-    space = mu.space
-    return barycenter_point(map_atoms(lambda i: space.points[i], mu))
-
-
 def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
     """Conditional decomposition of mu along the cover.
 
@@ -220,7 +215,7 @@ def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
         element, inside = cover.elements[k], groups[k]
         s_k = oplus_all(w for _, w in inside)
         conditional = IdemMeasure(inside, space=space, renormalize=True)
-        point = _embedded_barycenter(conditional)
+        point = barycenter_point(conditional)
         if isinstance(element, IndexElement):
             atom = element.admit_point(point, space)
             if atom is None:
@@ -256,8 +251,8 @@ def cover_approximation(mu: IdemMeasure, cover: Cover) -> IdemMeasure:
     pieces = cover_pieces(mu, cover)
     pairs = [(piece.atom, piece.weight) for piece in pieces]
     nu = IdemMeasure(pairs, space=mu.space)
-    assert cover_reconstruction(pieces, space=mu.space) == mu
-    assert _embedded_barycenter(nu) == _embedded_barycenter(mu)
+    certify(cover_reconstruction(pieces, space=mu.space) == mu, "cover pieces do not rebuild the measure")
+    certify(barycenter_point(nu) == barycenter_point(mu), "cover approximation moved the barycenter")
     return nu
 
 

@@ -28,7 +28,7 @@ def _point_atoms(mu: IdemMeasure) -> list:
     """Resolve atoms to embedded points, whatever the measure's carrier."""
     if mu.space is not None:
         if mu.space.points is None:
-            raise BadInput("barycenter needs an embedded space")
+            raise BadInput("this measure's space has no embedding, so no barycenter")
         return [(mu.space.points[a], w) for a, w in mu.atoms]
     pairs = []
     for a, w in mu.atoms:

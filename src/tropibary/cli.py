@@ -5,7 +5,7 @@ operation, and prints a deterministic report to stdout: same inputs and
 seed, same bytes.  Timing goes to stderr so it never breaks that
 promise.  Exit codes: 0 success, 2 a lift correctly refused a target
 outside its validity region, 1 anything malformed (including failing
-verify rows).
+verify rows) or a witness that failed the library's exactness check.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 from . import io as codecs
 from .approximation import cover_approximation, refinement_sweep
 from .barycenter import barycenter_point
-from .core import ConvexParams, odot, oplus, rho, s_point
+from .core import ConvexParams
 from .errors import BadInput, Rejection, TropibaryError
 from .geometry import (
     Box,
@@ -44,9 +44,10 @@ from .lifting import (
     lift_s_box,
     lift_s_interval,
     lift_s_finite,
+    recombine,
     witness_distance,
 )
-from .measures import IdemMeasure, combine, map_atoms, measure_dist, pushforward
+from .measures import IdemMeasure, combine, measure_dist, pushforward
 from .verify import SCALES, SUITES, run_all, run_suite
 
 DEFAULT_SEED = 7
@@ -81,15 +82,6 @@ def _resolve_seed(value: Optional[int]) -> int:
         return value
     env = os.environ.get("TROPIBARY_SEED")
     return int(env) if env else DEFAULT_SEED
-
-
-def _embedded(mu: IdemMeasure) -> IdemMeasure:
-    if mu.space is None:
-        return mu
-    space = mu.space
-    if space.points is None:
-        raise BadInput("this measure's space has no embedding, so no barycenter")
-    return map_atoms(lambda i: space.points[i], mu)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -131,7 +123,7 @@ def _cmd_pushforward(args) -> dict:
 
 def _cmd_barycenter(args) -> dict:
     mu = codecs.measure_from_json(codecs.read_document(args.measure, "measure"))
-    point = barycenter_point(_embedded(mu))
+    point = barycenter_point(mu)
     outputs: dict = {"point": codecs.vector_to_json(point)}
     digests = [args.measure]
     if args.in_polytope:
@@ -150,18 +142,10 @@ def _cmd_barycenter(args) -> dict:
 
 
 def _witness_payload(kind: str, w) -> dict:
-    if kind == "combination-measures":
-        first = codecs.measure_to_json(w.lifted_first)
-        second = codecs.measure_to_json(w.lifted_second)
-    elif kind == "interval":
-        first = str(w.lifted_first)
-        second = str(w.lifted_second)
-    else:
-        first = codecs.vector_to_json(w.lifted_first)
-        second = codecs.vector_to_json(w.lifted_second)
+    encode = {"combination-measures": codecs.measure_to_json, "interval": str}.get(kind, codecs.vector_to_json)
     return {
-        "first": first,
-        "second": second,
+        "first": encode(w.lifted_first),
+        "second": encode(w.lifted_second),
         "params": codecs.params_to_json(w.params),
         "case_tag": w.case_tag,
     }
@@ -175,42 +159,31 @@ def _cmd_lift_s(instance: dict, target_doc: dict, oracle: bool) -> dict:
         second = IdemMeasure(codecs._atoms_from_json(instance["second"], space), space=space)
         params = codecs.params_from_json(instance["params"])
         target = IdemMeasure(codecs._atoms_from_json(target_doc["measure"], space), space=space)
-        w = lift_s_finite(first, second, params, target)
-        exact = combine(w.lifted_first, w.lifted_second, w.params) == target
-        dist = witness_distance(w, first, second, params)
-        found = brute_force_lift_s(first, second, params, target, mode="best") if oracle else None
+        lift, search, region = lift_s_finite, brute_force_lift_s, ()
     elif kind == "interval":
-        lo, hi = (codecs.scalar_from_json(v) for v in instance["bounds"])
-        x = codecs.scalar_from_json(instance["x"])
-        y = codecs.scalar_from_json(instance["y"])
+        bounds = tuple(codecs.scalar_from_json(v) for v in instance["bounds"])
+        first = codecs.scalar_from_json(instance["x"])
+        second = codecs.scalar_from_json(instance["y"])
         params = codecs.params_from_json(instance["params"])
         target = codecs.scalar_from_json(target_doc["scalar"])
-        w = lift_s_interval(x, y, params, target, (lo, hi))
-        exact = oplus(odot(w.params.t, w.lifted_first), odot(w.params.p, w.lifted_second)) == target
-        dist = max(rho(w.lifted_first, x), rho(w.lifted_second, y), w.params.dist(params))
-        found = (
-            brute_force_lift_interval(x, y, params, target, (lo, hi), mode="best")
-            if oracle
-            else None
-        )
+        lift, search, region = lift_s_interval, brute_force_lift_interval, (bounds,)
     elif kind == "box":
         box = Box(codecs.vector_from_json(instance["low"]), codecs.vector_from_json(instance["high"]))
-        x = codecs.vector_from_json(instance["x"])
-        y = codecs.vector_from_json(instance["y"])
+        first = codecs.vector_from_json(instance["x"])
+        second = codecs.vector_from_json(instance["y"])
         params = codecs.params_from_json(instance["params"])
         target = codecs.vector_from_json(target_doc["point"])
-        w = lift_s_box(x, y, params, target, box)
-        exact = s_point(w.lifted_first, w.lifted_second, w.params) == target
-        dist = witness_distance(w, x, y, params)
-        found = brute_force_lift_box(x, y, params, target, box, mode="best") if oracle else None
+        lift, search, region = lift_s_box, brute_force_lift_box, (box,)
     else:
         raise BadInput(f"instance kind {kind!r} does not fit lift s")
+    w = lift(first, second, params, target, *region)
     out = {
         "witness": _witness_payload(kind, w),
-        "exactness": exact,
-        "distance": dist,
+        "exactness": recombine(w.lifted_first, w.lifted_second, w.params) == target,
+        "distance": witness_distance(w, first, second, params),
     }
     if oracle:
+        found = search(first, second, params, target, *region, mode="best")
         out["oracle"] = {
             "witness_found": found is not None,
             "witness": _witness_payload(kind, found) if found is not None else None,
@@ -269,13 +242,12 @@ def _cmd_approx(args) -> dict:
         raise BadInput("approx needs --cover or --chain")
     cover = codecs.cover_from_json(codecs.read_document(args.cover, "cover"))
     nu = cover_approximation(mu, cover)
-    embedded_nu, embedded_mu = _embedded(nu), _embedded(mu)
     return {
         "subcommand": "approx",
         "inputs_digest": _digest(args.measure, args.cover),
         "outputs": {
             "measure": codecs.measure_to_json(nu),
-            "beta_preserved": barycenter_point(embedded_nu) == barycenter_point(embedded_mu),
+            "beta_preserved": barycenter_point(nu) == barycenter_point(mu),
             "dist": measure_dist(nu, mu),
         },
     }

@@ -10,6 +10,7 @@ stored; putting it inside a vector, weight, or parameter is an error.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -20,6 +21,11 @@ _FINITE = 0
 _TOP = 1  # +inf, transient only
 
 RatLike = Union[int, str, Fraction, "TropScalar"]
+
+# What a scalar string may be: the scalar pattern of the JSON schemas
+# (-inf, an integer or p/q, a decimal), plus the transient +inf.  Matched
+# whole, so no spaces, newlines, underscores or exponents get through.
+SCALAR_TEXT = re.compile(r"-inf|\+inf|[+-]?[0-9]+(/[0-9]+)?|[+-]?[0-9]*\.[0-9]+")
 
 
 class TropScalar:
@@ -39,18 +45,15 @@ class TropScalar:
         if isinstance(value, bool) or isinstance(value, float):
             raise BadInput(f"refusing inexact scalar input {value!r}; pass int, Fraction, or 'p/q' string")
         if isinstance(value, str):
-            text = value.strip()
-            if text in ("-inf", "-Inf", "-INF", "-∞"):
-                self._kind = _BOTTOM
-                self._q = Fraction(0)
-                return
-            if text in ("inf", "+inf", "Inf", "+Inf"):
-                self._kind = _TOP
+            if not SCALAR_TEXT.fullmatch(value):
+                raise BadInput(f"{value!r} is not a rational or -inf")
+            if value in ("-inf", "+inf"):
+                self._kind = _BOTTOM if value == "-inf" else _TOP
                 self._q = Fraction(0)
                 return
             try:
-                value = Fraction(text)
-            except (ValueError, ZeroDivisionError):
+                value = Fraction(value)
+            except ZeroDivisionError:
                 raise BadInput(f"{value!r} is not a rational or -inf") from None
         if isinstance(value, (int, Fraction)):
             self._kind = _FINITE

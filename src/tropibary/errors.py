@@ -1,9 +1,11 @@
 """Exception taxonomy shared across the package.
 
-Errors split into two families: bad input data (rejected before any work
-starts) and expected negative results (a constructive routine declining an
-instance outside its validity region).  The CLI maps the former to exit
-code 1 and the latter to exit code 2.
+Errors split into three families: bad input data (rejected before any
+work starts), expected negative results (a constructive routine declining
+an instance outside its validity region), and library faults (a witness
+the library built that fails its own exactness check, see `certify`).
+The CLI maps bad input and library faults to exit code 1 and expected
+negative results to exit code 2.
 """
 
 
@@ -49,6 +51,20 @@ class NoZeroWeightPrefix(BadInput):
 
 class BudgetExceeded(BadInput):
     """A brute-force search exceeded its candidate budget."""
+
+
+class InexactWitness(TropibaryError):
+    """A constructed witness failed its exactness check: a library fault."""
+
+
+def certify(ok: bool, what: str) -> None:
+    """The one exactness gate: raise InexactWitness unless ok.
+
+    A plain function call, so unlike `assert` it still runs under
+    `python -O`.
+    """
+    if not ok:
+        raise InexactWitness(what)
 
 
 class Rejection(TropibaryError):

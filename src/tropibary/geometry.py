@@ -361,15 +361,6 @@ def y_polytope() -> TropPolytope:
     return TropPolytope([TropVector([-2, -1]), TropVector([-1, -2]), TropVector([0, 0])])
 
 
-def y_pieces() -> dict:
-    """Parametric description of the three pieces of the hook."""
-    return {
-        "horizontal": "x in [-2,-1], y = -1",
-        "vertical": "x = -1, y in [-2,-1]",
-        "diagonal": "x = y in [-1,0]",
-    }
-
-
 def on_y_pieces(p: TropVector) -> bool:
     x, y = p.coords
     m2, m1 = TropScalar(-2), TropScalar(-1)

@@ -6,7 +6,15 @@ combination of points, barycenter) sends some input tuple to an image;
 given a nearby target, produce a preimage tuple that hits the target
 exactly and stays close to the input.  Every constructor is partial: far
 targets are refused with `OutsideValidityRegion` naming the inequality
-that failed.  Exactness of accepted witnesses is asserted on every call.
+that failed.
+
+The lifts share one scheme.  Each construction is written for params
+(t, 0); params with p < 0 go through the mirror rule `_oriented`, which
+lifts the swapped inputs and reads the witness back.  Every accepted
+witness then passes one exactness gate: `recombine` recomputes the map it
+inverts and `errors.certify` raises `InexactWitness` unless the target
+comes back exactly.  The gate is a function call, not an `assert`, so it
+also runs under `python -O`.
 
 `brute_force_*` are independent oracles: they enumerate candidate
 witnesses over value-adapted grids and keep whatever recombines exactly,
@@ -43,6 +51,7 @@ from .errors import (
     NoZeroWeightPrefix,
     OutsideValidityRegion,
     SpaceMismatch,
+    certify,
 )
 from .geometry import Box
 from .measures import (
@@ -63,6 +72,43 @@ class LiftWitness:
     lifted_second: object
     params: ConvexParams
     case_tag: str
+
+
+def recombine(first, second, params: ConvexParams):
+    """t odot first oplus p odot second for measures, points or scalars:
+    the map every lift inverts."""
+    if isinstance(first, IdemMeasure):
+        return combine(first, second, params)
+    if isinstance(first, TropVector):
+        return s_point(first, second, params)
+    return oplus(odot(params.t, first), odot(params.p, second))
+
+
+def _exact(witness: LiftWitness, target) -> LiftWitness:
+    """The exactness gate for a witness of the convex combination map."""
+    certify(
+        recombine(witness.lifted_first, witness.lifted_second, witness.params) == target,
+        f"{witness.case_tag} witness does not recombine to its target",
+    )
+    return witness
+
+
+def _mirrored(witness: LiftWitness) -> LiftWitness:
+    """A witness for the swapped inputs, read back in the original order."""
+    return LiftWitness(
+        witness.lifted_second,
+        witness.lifted_first,
+        witness.params.swapped(),
+        witness.case_tag + "/swapped",
+    )
+
+
+def _oriented(lift, first, second, params: ConvexParams, *rest) -> LiftWitness:
+    """The mirror rule: constructions are written for params (t, 0), so
+    params with p < 0 lift the swapped inputs and mirror the witness."""
+    if params.p < ZERO:
+        return _mirrored(lift(second, first, params.swapped(), *rest))
+    return lift(first, second, params, *rest)
 
 
 def witness_distance(witness: LiftWitness, first, second, params: ConvexParams) -> float:
@@ -98,94 +144,72 @@ def lift_s_finite(
     """
     if first.space is None or first.space != second.space or first.space != target.space:
         raise SpaceMismatch("lift inputs must share one finite space")
-    if params.p < ZERO:
-        inner = lift_s_finite(second, first, params.swapped(), target)
-        return LiftWitness(
-            inner.lifted_second,
-            inner.lifted_first,
-            inner.params.swapped(),
-            inner.case_tag + "/swapped",
-        )
+    return _exact(_oriented(_lift_finite, first, second, params, target), target)
+
+
+def _lift_finite(first, second, params, target) -> LiftWitness:
+    """Branches for params (t, 0)."""
     space = first.space
-    lam = first.density().values
-    bet = second.density().values
-    alpha = target.density().values
+    lam = first.density()
+    bet = second.density()
+    alpha = target.density()
     t = params.t
-
     if t == ZERO:
-        return _lift_equal_params(space, lam, bet, alpha, first, second, target)
+        return _lift_equal_params(space, lam, bet, alpha)
     if t.is_bottom:
-        witness = LiftWitness(first, target, ConvexParams(NEG_INF, 0), "t<p/t=-inf")
-        assert combine(witness.lifted_first, witness.lifted_second, witness.params) == target
-        return witness
-    return _lift_strict_params(space, lam, bet, alpha, t, first, second, target)
+        return LiftWitness(first, target, ConvexParams(NEG_INF, 0), "t<p/t=-inf")
+    return _lift_strict_params(space, lam, bet, alpha, t)
 
 
-def _lift_equal_params(space, lam, bet, alpha, first, second, target) -> LiftWitness:
-    """Branch for params (0, 0): the plain pairwise max of measures."""
+def _lift_equal_params(space, lam, bet, alpha) -> LiftWitness:
+    """Branch for params (0, 0): the plain pairwise max of measures.
+
+    The pivot is a zero of the target where the weights tie or where the
+    first is lower.  If every zero lies where the second is lower, that is
+    the pivot-lower case of the swapped inputs (the tied set is symmetric).
+    """
     n = space.n
-    lower = [i for i in range(n) if lam[i] < bet[i]]
-    higher = [i for i in range(n) if lam[i] > bet[i]]
-    in_lower = set(lower)
-    in_higher = set(higher)
+    lower = {i for i in range(n) if lam[i] < bet[i]}
+    higher = {i for i in range(n) if lam[i] > bet[i]}
     zeros = [i for i in range(n) if alpha[i] == ZERO]
-    pivot_tied = [i for i in zeros if i not in in_lower and i not in in_higher]
-    pivot_lower = [i for i in zeros if i in in_lower]
-
-    if pivot_tied:
-        for i in lower:
-            if not alpha[i] >= lam[i]:
-                raise OutsideValidityRegion(
-                    f"target[{i}] = {alpha[i]} < first weight {lam[i]} on the lower set"
-                )
-        for i in higher:
-            if not alpha[i] >= bet[i]:
-                raise OutsideValidityRegion(
-                    f"target[{i}] = {alpha[i]} < second weight {bet[i]} on the higher set"
-                )
-        lam2 = [lam[i] if i in in_lower else alpha[i] for i in range(n)]
-        bet2 = [bet[i] if i in in_higher else alpha[i] for i in range(n)]
-        witness = LiftWitness(
-            IdemMeasure.from_weights(space, lam2),
-            IdemMeasure.from_weights(space, bet2),
-            ConvexParams(0, 0),
-            "t=p=0/pivot-tied",
-        )
-    elif pivot_lower:
-        c = oplus_all(alpha[i] for i in range(n) if i not in in_lower)
-        if c.is_bottom:
-            raise OutsideValidityRegion("target carries no weight off the lower set")
-        for i in lower:
-            if not alpha[i] >= odot(c, lam[i]):
-                raise OutsideValidityRegion(
-                    f"target[{i}] = {alpha[i]} < shifted first weight {odot(c, lam[i])}"
-                )
-        for i in higher:
-            if not alpha[i] >= bet[i]:
-                raise OutsideValidityRegion(
-                    f"target[{i}] = {alpha[i]} < second weight {bet[i]} on the higher set"
-                )
-        lam2 = [lam[i] if i in in_lower else residual(alpha[i], c) for i in range(n)]
-        bet2 = [bet[i] if i in in_higher else alpha[i] for i in range(n)]
-        witness = LiftWitness(
-            IdemMeasure.from_weights(space, lam2),
-            IdemMeasure.from_weights(space, bet2),
-            ConvexParams(c, 0),
-            "t=p=0/pivot-lower",
-        )
-    else:
-        inner = _lift_equal_params(space, bet, lam, alpha, second, first, target)
-        witness = LiftWitness(
-            inner.lifted_second,
-            inner.lifted_first,
-            inner.params.swapped(),
-            inner.case_tag + "/swapped",
-        )
-    assert combine(witness.lifted_first, witness.lifted_second, witness.params) == target
-    return witness
+    if any(i not in lower and i not in higher for i in zeros):
+        return _pivot(space, lam, bet, alpha, lower, higher, "tied")
+    if any(i in lower for i in zeros):
+        return _pivot(space, lam, bet, alpha, lower, higher, "lower")
+    return _mirrored(_pivot(space, bet, lam, alpha, higher, lower, "lower"))
 
 
-def _lift_strict_params(space, lam, bet, alpha, t, first, second, target) -> LiftWitness:
+def _pivot(space, lam, bet, alpha, lower, higher, pivot: str) -> LiftWitness:
+    """Shift the first measure by c, the target's largest weight off the
+    lower set; a tied pivot lies off that set, so there c = 0."""
+    n = space.n
+    c = oplus_all(alpha[i] for i in range(n) if i not in lower)
+    if c.is_bottom:
+        raise OutsideValidityRegion("target carries no weight off the lower set")
+    for i in sorted(lower):
+        if not alpha[i] >= odot(c, lam[i]):
+            floor = (
+                f"first weight {lam[i]} on the lower set"
+                if pivot == "tied"
+                else f"shifted first weight {odot(c, lam[i])}"
+            )
+            raise OutsideValidityRegion(f"target[{i}] = {alpha[i]} < {floor}")
+    for i in sorted(higher):
+        if not alpha[i] >= bet[i]:
+            raise OutsideValidityRegion(
+                f"target[{i}] = {alpha[i]} < second weight {bet[i]} on the higher set"
+            )
+    lam2 = [lam[i] if i in lower else residual(alpha[i], c) for i in range(n)]
+    bet2 = [bet[i] if i in higher else alpha[i] for i in range(n)]
+    return LiftWitness(
+        IdemMeasure.from_weights(space, lam2),
+        IdemMeasure.from_weights(space, bet2),
+        ConvexParams(c, 0),
+        f"t=p=0/pivot-{pivot}",
+    )
+
+
+def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
     """Branch for params (t, 0) with finite t < 0."""
     n = space.n
     shifted = [odot(t, lam[i]) for i in range(n)]
@@ -231,14 +255,12 @@ def _lift_strict_params(space, lam, bet, alpha, t, first, second, target) -> Lif
         for i in range(n)
     ]
     bet2 = [bet[i] if i in in_higher else alpha[i] for i in range(n)]
-    witness = LiftWitness(
+    return LiftWitness(
         IdemMeasure.from_weights(space, lam2),
         IdemMeasure.from_weights(space, bet2),
         ConvexParams(shift, 0),
         tag,
     )
-    assert combine(witness.lifted_first, witness.lifted_second, witness.params) == target
-    return witness
 
 
 # -- fibers of merge maps ----------------------------------------------------
@@ -268,14 +290,19 @@ def _check_fiber(nu: IdemMeasure, mu: IdemMeasure, a: IdemMeasure, params: Conve
     image = combine(mu, a, params)
     pushed = pushforward(f, nu)
     if pushed != image:
-        pd = pushed.density().values
-        im = image.density().values
-        for j, (x, y) in enumerate(zip(pd, im)):
+        for j, (x, y) in enumerate(zip(pushed.density(), image.density())):
             if x != y:
                 raise InconsistentFiber(
                     f"coordinate {j}: pushforward gives {x}, combination gives {y}"
                 )
         raise InconsistentFiber("pushforward differs from the combination")
+
+
+def _fiber_exact(lam, eta, nu, mu, a, params, f: SpaceMap) -> tuple[IdemMeasure, IdemMeasure]:
+    """The exactness gate for a fiber witness (lam, eta) of nu."""
+    exact = pushforward(f, lam) == mu and pushforward(f, eta) == a and combine(lam, eta, params) == nu
+    certify(exact, "fiber witness does not push forward to (mu, a) or recombine to nu")
+    return lam, eta
 
 
 def lift_merge_fiber(
@@ -290,20 +317,25 @@ def lift_merge_fiber(
     Given nu with pushforward(merge, nu) == combine(mu, a, params),
     returns (lam, eta) on the source with pushforward lam == mu,
     pushforward eta == a, and combine(lam, eta, params) == nu.  The two
-    shared weights split by min against the fiber weights; everything is
-    checked exactly and a failed precondition raises InconsistentFiber.
+    shared weights split by min against the fiber weights; a failed
+    precondition raises InconsistentFiber and the result is certified
+    exactly.
     """
     if nu.space != merge.source or mu.space != merge.target or a.space != merge.target:
         raise SpaceMismatch("fiber data does not match the merge map")
-    _check_fiber(nu, mu, a, params, merge.as_space_map())
-    if params.p < ZERO:
-        eta, lam = lift_merge_fiber(nu, a, mu, params.swapped(), merge)
-        return lam, eta
+    f = merge.as_space_map()
+    _check_fiber(nu, mu, a, params, f)
+    w = _oriented(_split_merge, mu, a, params, nu, merge)
+    return _fiber_exact(w.lifted_first, w.lifted_second, nu, mu, a, params, f)
+
+
+def _split_merge(mu, a, params, nu, merge) -> LiftWitness:
+    """Merge-fiber split for params (t, 0)."""
     t = params.t
     n = merge.target.n
-    nu_d = nu.density().values
-    mu_d = mu.density().values
-    a_d = a.density().values
+    nu_d = nu.density()
+    mu_d = mu.density()
+    a_d = a.density()
     lam_w = list(mu_d[: n - 1])
     eta_w = list(a_d[: n - 1])
     lam_w.append(trop_min(mu_d[n - 1], residual(nu_d[n - 1], t)))
@@ -312,15 +344,11 @@ def lift_merge_fiber(
     eta_w.append(trop_min(a_d[n - 1], nu_d[n]))
     lam = IdemMeasure.from_weights(merge.source, lam_w)
     eta = IdemMeasure.from_weights(merge.source, eta_w)
-    f = merge.as_space_map()
-    assert pushforward(f, lam) == mu
-    assert pushforward(f, eta) == a
-    assert combine(lam, eta, params) == nu
-    return lam, eta
+    return LiftWitness(lam, eta, params, "merge")
 
 
 def _pull_bijection(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
-    dens = mu.density().values
+    dens = mu.density()
     return IdemMeasure.from_weights(f.source, [dens[f(i)] for i in range(f.source.n)])
 
 
@@ -346,8 +374,7 @@ def lift_fiber_surjection(
     if m == f.target.n:
         lam = _pull_bijection(f, mu)
         eta = _pull_bijection(f, a)
-        assert combine(lam, eta, params) == nu
-        return lam, eta
+        return _fiber_exact(lam, eta, nu, mu, a, params, f)
     j = max(
         j
         for j in range(m)
@@ -366,18 +393,45 @@ def lift_fiber_surjection(
     lam_p, eta_p = lift_merge_fiber(nu_p, lam_mid, eta_mid, params, g)
     lam = _pull_bijection(sigma, lam_p)
     eta = _pull_bijection(sigma, eta_p)
-    assert pushforward(f, lam) == mu
-    assert pushforward(f, eta) == a
-    assert combine(lam, eta, params) == nu
-    return lam, eta
+    return _fiber_exact(lam, eta, nu, mu, a, params, f)
 
 
 # -- convex combinations of points in intervals and boxes --------------------
 
 
-def _check_in_interval(value: TropScalar, lo: TropScalar, hi: TropScalar, what: str):
-    if not (lo <= value <= hi):
-        raise OutsideValidityRegion(f"{what} {value} leaves [{lo}, {hi}]")
+def _lift_coordinate(x, y, params, target, bounds) -> LiftWitness:
+    """The point-lift core: one coordinate, on an interval [lo, hi].
+
+    The parameters are never moved; only the point pair does.
+    """
+    lo, hi = bounds
+    if not (lo.is_finite and hi.is_finite and lo <= hi):
+        raise BadInput("interval bounds must be finite and ordered")
+    for value, name in ((x, "first point"), (y, "second point"), (target, "target")):
+        if not value.is_finite:
+            raise BadInput(f"{name} must be finite")
+        if not (lo <= value <= hi):
+            raise BadInput(f"{name} {value} outside [{lo}, {hi}]")
+    return _oriented(_lift_scalar, x, y, params, target, lo, hi)
+
+
+def _lift_scalar(x, y, params, target, lo, hi) -> LiftWitness:
+    """Params (t, 0): the dominated side absorbs the target, and ties
+    move both components."""
+    alpha = params.t
+    ax = odot(alpha, x)
+    if ax < y:
+        if not target > ax:
+            raise OutsideValidityRegion(f"target {target} does not exceed the shifted first point {ax}")
+        return LiftWitness(x, target, params, "s=second")
+    if ax > y and not target > y:
+        raise OutsideValidityRegion(f"target {target} does not exceed the second point {y}")
+    moved = residual(target, alpha)
+    if not (lo <= moved <= hi):
+        raise OutsideValidityRegion(f"lifted first point {moved} leaves [{lo}, {hi}]")
+    if ax > y:
+        return LiftWitness(moved, y, params, "s=first")
+    return LiftWitness(moved, target, params, "s=tied")
 
 
 def lift_s_interval(
@@ -393,40 +447,7 @@ def lift_s_interval(
     point pair moves.  The dominated side absorbs the target, and ties
     shift both components by the same amount.
     """
-    lo, hi = bounds
-    if not (lo.is_finite and hi.is_finite and lo <= hi):
-        raise BadInput("interval bounds must be finite and ordered")
-    for value, name in ((x, "first point"), (y, "second point"), (target, "target")):
-        if not value.is_finite:
-            raise BadInput(f"{name} must be finite")
-        if not (lo <= value <= hi):
-            raise BadInput(f"{name} {value} outside [{lo}, {hi}]")
-    if params.p < ZERO:
-        inner = lift_s_interval(y, x, params.swapped(), target, bounds)
-        return LiftWitness(
-            inner.lifted_second,
-            inner.lifted_first,
-            inner.params.swapped(),
-            inner.case_tag + "/swapped",
-        )
-    alpha = params.t
-    ax = odot(alpha, x)
-    if ax < y:
-        if not target > ax:
-            raise OutsideValidityRegion(f"target {target} does not exceed the shifted first point {ax}")
-        witness = LiftWitness(x, target, params, "s=second")
-    elif ax > y:
-        if not target > y:
-            raise OutsideValidityRegion(f"target {target} does not exceed the second point {y}")
-        moved = residual(target, alpha)
-        _check_in_interval(moved, lo, hi, "lifted first point")
-        witness = LiftWitness(moved, y, params, "s=first")
-    else:
-        moved = residual(target, alpha)
-        _check_in_interval(moved, lo, hi, "lifted first point")
-        witness = LiftWitness(moved, target, params, "s=tied")
-    assert oplus(odot(params.t, witness.lifted_first), odot(params.p, witness.lifted_second)) == target
-    return witness
+    return _exact(_lift_coordinate(x, y, params, target, bounds), target)
 
 
 def lift_s_box(
@@ -444,16 +465,16 @@ def lift_s_box(
     """
     if not (x.dim == y.dim == target.dim == box.dim):
         raise BadInput("box lift inputs of mixed dimension")
-    firsts, seconds, tags = [], [], []
-    for j in range(box.dim):
-        w = lift_s_interval(x[j], y[j], params, target[j], box.interval(j))
-        assert w.params == params
-        firsts.append(w.lifted_first)
-        seconds.append(w.lifted_second)
-        tags.append(f"{j}:{w.case_tag}")
-    witness = LiftWitness(TropVector(firsts), TropVector(seconds), params, ";".join(tags))
-    assert s_point(witness.lifted_first, witness.lifted_second, params) == target
-    return witness
+    parts = [
+        _lift_coordinate(x[j], y[j], params, target[j], box.interval(j)) for j in range(box.dim)
+    ]
+    witness = LiftWitness(
+        TropVector([w.lifted_first for w in parts]),
+        TropVector([w.lifted_second for w in parts]),
+        params,
+        ";".join(f"{j}:{w.case_tag}" for j, w in enumerate(parts)),
+    )
+    return _exact(witness, target)
 
 
 # -- barycenter lift ---------------------------------------------------------
@@ -511,19 +532,18 @@ def lift_beta(nu: IdemMeasure, target, host) -> IdemMeasure:
     atoms = list(nu.atoms)
     if len(atoms) == 1:
         out = host.dirac(target)
-        assert host.bary(out) == target
-        return out
-    z = next((k for k, (_, w) in enumerate(atoms) if w == ZERO), None)
-    if z is None:
-        raise NoZeroWeightPrefix("no zero-weight atom to lead the split")
-    atoms = [atoms[z]] + atoms[:z] + atoms[z + 1 :]
-    last_atom, last_weight = atoms[-1]
-    nu1 = IdemMeasure(atoms[:-1], space=nu.space)
-    y0 = host.bary(nu1)
-    w = host.lift_s(y0, last_atom, ConvexParams(0, last_weight), target)
-    nu1_lift = lift_beta(nu1, w.lifted_first, host)
-    out = combine(nu1_lift, host.dirac(w.lifted_second), w.params)
-    assert host.bary(out) == target
+    else:
+        z = next((k for k, (_, w) in enumerate(atoms) if w == ZERO), None)
+        if z is None:
+            raise NoZeroWeightPrefix("no zero-weight atom to lead the split")
+        atoms = [atoms[z]] + atoms[:z] + atoms[z + 1 :]
+        last_atom, last_weight = atoms[-1]
+        nu1 = IdemMeasure(atoms[:-1], space=nu.space)
+        y0 = host.bary(nu1)
+        w = host.lift_s(y0, last_atom, ConvexParams(0, last_weight), target)
+        nu1_lift = lift_beta(nu1, w.lifted_first, host)
+        out = combine(nu1_lift, host.dirac(w.lifted_second), w.params)
+    certify(host.bary(out) == target, "lifted measure's barycenter misses the target")
     return out
 
 
@@ -573,9 +593,9 @@ def brute_force_lift_s(
         raise SpaceMismatch("oracle inputs must share one finite space")
     space = first.space
     n = space.n
-    lam = first.density().values
-    bet = second.density().values
-    alpha = target.density().values
+    lam = first.density()
+    bet = second.density()
+    alpha = target.density()
     pool = _finite_values(*lam, *bet, *alpha, params.t, params.p)
     counter = {"viewed": 0}
     best: Optional[LiftWitness] = None
@@ -616,13 +636,15 @@ def brute_force_lift_s(
         if found is None:
             continue
         lam2, bet2 = found
-        witness = LiftWitness(
-            IdemMeasure.from_weights(space, lam2),
-            IdemMeasure.from_weights(space, bet2),
-            cand,
-            "oracle",
+        witness = _exact(
+            LiftWitness(
+                IdemMeasure.from_weights(space, lam2),
+                IdemMeasure.from_weights(space, bet2),
+                cand,
+                "oracle",
+            ),
+            target,
         )
-        assert combine(witness.lifted_first, witness.lifted_second, witness.params) == target
         if mode == "exists":
             return witness
         d = witness_distance(witness, first, second, params)
@@ -750,8 +772,7 @@ def brute_force_lift_box(
             seconds.append(yv)
         if not feasible:
             continue
-        witness = LiftWitness(TropVector(firsts), TropVector(seconds), cand, "oracle")
-        assert s_point(witness.lifted_first, witness.lifted_second, cand) == target
+        witness = _exact(LiftWitness(TropVector(firsts), TropVector(seconds), cand, "oracle"), target)
         if mode == "exists":
             return witness
         d = max(total, cand.dist(params))

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
     NEG_INF,
+    SCALAR_TEXT,
     ZERO,
     ConvexParams,
     TropScalar,
@@ -103,6 +104,8 @@ def _finite_q(v: Union[int, str, Fraction, TropScalar]) -> Fraction:
     if isinstance(v, float) or isinstance(v, bool):
         raise BadInput(f"refusing inexact value {v!r}")
     try:
+        if isinstance(v, str) and not SCALAR_TEXT.fullmatch(v):
+            raise ValueError(v)
         return Fraction(v)
     except (ValueError, TypeError, ZeroDivisionError):
         raise BadInput(f"{v!r} is not a finite rational") from None
@@ -147,34 +150,6 @@ class FunctionTable:
 
     def __repr__(self) -> str:
         return f"FunctionTable({[str(v) for v in self.values]})"
-
-
-class DensityTable:
-    """Dense weight vector of a measure on a finite space."""
-
-    __slots__ = ("space", "values")
-
-    def __init__(self, space: FiniteSpace, values: Sequence[TropScalar]):
-        vals = tuple(scalar(v) for v in values)
-        if len(vals) != space.n:
-            raise BadInput("density length must match the space size")
-        for v in vals:
-            if v.is_top:
-                raise BadInput("+inf cannot appear in a density")
-            if v > ZERO:
-                raise NotNormalized(f"weight {v} is above 0")
-        if oplus_all(vals) != ZERO:
-            raise NotNormalized(f"max weight is {oplus_all(vals)}, expected 0")
-        self.space = space
-        self.values = vals
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DensityTable):
-            return NotImplemented
-        return self.space == other.space and self.values == other.values
-
-    def __repr__(self) -> str:
-        return f"DensityTable({[str(v) for v in self.values]})"
 
 
 Atom = Union[int, TropVector, "IdemMeasure"]
@@ -266,13 +241,14 @@ class IdemMeasure:
                 return w
         return NEG_INF
 
-    def density(self) -> DensityTable:
+    def density(self) -> tuple[TropScalar, ...]:
+        """The weight of every point of the finite space, -inf off the support."""
         if self.space is None:
             raise BadInput("densities exist only over a finite space")
         vals = [NEG_INF] * self.space.n
         for a, w in self.atoms:
             vals[a] = w
-        return DensityTable(self.space, vals)
+        return tuple(vals)
 
     def support(self) -> tuple:
         return tuple(a for a, _ in self.atoms)
@@ -370,14 +346,6 @@ def pushforward(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
 def map_atoms(fn: Callable[[Atom], Atom], mu: IdemMeasure, space: Optional[FiniteSpace] = None) -> IdemMeasure:
     """Pushforward along an arbitrary atom function (points, measures)."""
     return IdemMeasure([(fn(a), w) for a, w in mu.atoms], space=space)
-
-
-def density_of(mu: IdemMeasure) -> DensityTable:
-    return mu.density()
-
-
-def measure_of_density(d: DensityTable) -> IdemMeasure:
-    return IdemMeasure.from_weights(d.space, d.values)
 
 
 # -- distance surrogate ----------------------------------------------------

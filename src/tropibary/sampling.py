@@ -162,16 +162,6 @@ def normalized_pairs(grid: list[TropScalar]) -> list[tuple[TropScalar, TropScala
     return out
 
 
-def pairs_with_max(grid: list[TropScalar], bound: TropScalar) -> list[tuple[TropScalar, TropScalar]]:
-    """All grid pairs whose max equals the bound (for fiber enumeration)."""
-    out = []
-    for a in grid:
-        for b in grid:
-            if max(a, b) == bound:
-                out.append((a, b))
-    return out
-
-
 def lattice_targets_near(point: TropVector, box: Box, delta: Fraction) -> list[TropVector]:
     """Candidate targets near an image point, most-moved first.
 

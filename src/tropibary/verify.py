@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from .approximation import Cover, cover_approximation, cover_pieces, cover_reconstruction, refinement_sweep
 from .barycenter import barycenter_point
-from .core import ZERO, ConvexParams, TropVector, odot, oplus, rho, s_point, scalar
+from .core import ZERO, ConvexParams, TropVector, odot, oplus, s_point, scalar
 from .errors import Rejection, TropibaryError
 from .geometry import (
     certify_id_oplus_not_open,
@@ -38,6 +38,7 @@ from .lifting import (
     lift_s_box,
     lift_s_interval,
     lift_s_finite,
+    recombine,
     witness_distance,
 )
 from .measures import (
@@ -347,7 +348,7 @@ def suite_fiber(seed: int, scale: str = "default") -> SuiteResult:
                 a = IdemMeasure.from_weights(target, a_w)
                 for params in params_list:
                     image = combine(mu, a, params)
-                    m = image.density().values
+                    m = image.density()
                     fiber_vals = {m[1]} | {g for g in deep_grid if g < m[1]}
                     pairs = [(m[1], v) for v in sorted(fiber_vals)]
                     pairs += [(v, m[1]) for v in sorted(fiber_vals) if v != m[1]]
@@ -405,20 +406,18 @@ def suite_point_lifts(seed: int, scale: str = "default") -> SuiteResult:
                 y = sampling.random_point(rng, box)
                 params = sampling.random_params(rng, bottom_rate=0.0)
                 image = s_point(x, y, params)
+                first, second = (x[0], y[0]) if dim == 1 else (x, y)
                 last = None
                 for j in range(1, knobs["lift_depth"] + 1):
                     w = None
                     for cand in sampling.lattice_targets_near(image, box, sampling.dyadic_delta(j)):
                         try:
                             if dim == 1:
-                                w = lift_s_interval(x[0], y[0], params, cand[0], box.interval(0))
-                                got = oplus(odot(w.params.t, w.lifted_first), odot(w.params.p, w.lifted_second))
-                                ok = got == cand[0]
-                                dist = max(rho(w.lifted_first, x[0]), rho(w.lifted_second, y[0]), w.params.dist(params))
+                                target = cand[0]
+                                w = lift_s_interval(first, second, params, target, box.interval(0))
                             else:
-                                w = lift_s_box(x, y, params, cand, box)
-                                ok = s_point(w.lifted_first, w.lifted_second, w.params) == cand
-                                dist = witness_distance(w, x, y, params)
+                                target = cand
+                                w = lift_s_box(first, second, params, target, box)
                             break
                         except Rejection:
                             w = None
@@ -426,8 +425,11 @@ def suite_point_lifts(seed: int, scale: str = "default") -> SuiteResult:
                         exact.check(False, f"no target near depth {j} accepted")
                         continue
                     params_kept.check(w.params == params, f"params moved to {w.params!r}")
-                    exact.check(ok, f"depth {j} witness missed its target")
-                    last = dist
+                    exact.check(
+                        recombine(w.lifted_first, w.lifted_second, w.params) == target,
+                        f"depth {j} witness missed its target",
+                    )
+                    last = witness_distance(w, first, second, params)
                 if last is not None:
                     final.check(last <= bound, f"final distance {last} exceeds {bound:.3g}")
             rows += [params_kept.row(), exact.row(), final.row()]

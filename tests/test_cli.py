@@ -94,6 +94,9 @@ DOCUMENTS = {
     "tgt_int_zero_den": {"scalar": "1/0"},
     "tgt_beta_zero_den": {"point": ["1/0", "-1"]},
     "pm_mixed_dim": atoms((["0"], "0"), (["-1", "0"], "0")),
+    # schema-valid scalars outside the scalar grammar: "$" matches before a final newline
+    "m_newline": {"space": SPACE, **atoms(("a", "0\n"))},
+    "table_newline": {"space": SPACE, "values": ["0\n", "1"]},
     # documents that break their schema: the error line is jsonschema's wording
     "m_bad_weight": {"space": SPACE, **atoms(("a", "0"), ("b", "oops"))},
     "m_bool_weight": {"space": SPACE, **atoms(("a", True))},
@@ -328,12 +331,16 @@ MALFORMED = [
     ("combine", "--first", "@m", "--second", "@m2", "--t", "abc", "--p", "0"),
     ("combine", "--first", "@m", "--second", "@m2", "--t", "1/0", "--p", "0"),
     ("combine", "--first", "@m", "--second", "@m2", "--t", "0", "--p", "nan"),
+    ("combine", "--first", "@m", "--second", "@m2", "--t=-1_0", "--p", "0"),
     ("combine", "--first", "@m_zero_den", "--second", "@m2", "--t", "0", "--p", "0"),
     ("eval", "--measure", "@m_zero_den", "--table", "@table"),
     ("eval", "--measure", "@m", "--table", "@table_zero_den"),
+    ("eval", "--measure", "@m_newline", "--table", "@table"),
+    ("eval", "--measure", "@m", "--table", "@table_newline"),
     ("pushforward", "--map", "@map", "--measure", "@m_zero_den"),
     ("barycenter", "@pm_zero_den"),
     ("barycenter", "@pm_mixed_dim"),
+    ("barycenter", "@m"),
     ("barycenter", "@pm", "--in-polytope", "@poly_zero_den"),
     ("lift", "s", "--instance", "@inst_int_zero_den", "--target", "@tgt_int"),
     ("lift", "s", "--instance", "@inst_int", "--target", "@tgt_int_zero_den"),

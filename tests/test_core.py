@@ -50,7 +50,9 @@ class TestScalarConstruction:
         with pytest.raises(BadInput):
             scalar(float("nan"))
 
-    @pytest.mark.parametrize("text", ["abc", "1/0", "nan", "Infinity", ""])
+    @pytest.mark.parametrize(
+        "text", ["abc", "1/0", "nan", "Infinity", "", " 1", "1_000", "0\n", "1e3", "inf", "-Inf"]
+    )
     def test_refuses_malformed_strings(self, text):
         with pytest.raises(BadInput):
             TropScalar(text)

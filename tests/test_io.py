@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropibary.approximation import BoxElement, Cover, IndexElement, PolytopeElement
-from tropibary.core import NEG_INF, ZERO, ConvexParams, TropVector, scalar
+from tropibary.core import NEG_INF, SCALAR_TEXT, ZERO, ConvexParams, TropVector, scalar
 from tropibary.errors import BadInput, SchemaError
 from tropibary.geometry import Box, TropPolytope, certify_id_oplus_not_open
 from tropibary.io import (
@@ -22,6 +22,7 @@ from tropibary.io import (
     cover_from_json,
     cover_to_json,
     dump_document,
+    load_schema,
     map_from_json,
     map_to_json,
     measure_from_json,
@@ -309,6 +310,26 @@ def mutated_documents(draw):
 def test_compiled_check_agrees_with_jsonschema(doc):
     for name in SCHEMAS:
         assert _acceptor(name)(doc) == _validator(name).is_valid(doc), name
+
+
+def test_schemas_spell_scalars_as_the_library_does():
+    """Each schema's scalar pattern is core.SCALAR_TEXT without the
+    transient +inf (and, for table values, without -inf)."""
+    rational = SCALAR_TEXT.pattern.removeprefix(r"-inf|\+inf|")
+    patterns = set()
+
+    def walk(node):
+        if isinstance(node, dict):
+            if isinstance(node.get("pattern"), str):
+                patterns.add(node["pattern"])
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+
+    for name in SCHEMAS:
+        walk(load_schema(name))
+    assert patterns == {f"^(-inf|{rational})$", f"^({rational})$"}
 
 
 def test_every_codec_document_is_accepted():

@@ -10,7 +10,6 @@ from tropibary.barycenter import barycenter_point
 from tropibary.core import NEG_INF, ZERO, ConvexParams, TropScalar, TropVector, oplus, odot, rho
 from tropibary.errors import BadInput, DimensionMismatch, NotNormalized, SpaceMismatch
 from tropibary.measures import (
-    DensityTable,
     FiniteSpace,
     FunctionTable,
     IdemMeasure,
@@ -108,7 +107,7 @@ class TestEvaluation:
 
     def test_density_matches_weights(self, three_space):
         mu = IdemMeasure([(0, "0"), (1, "-1/2")], space=three_space)
-        assert mu.density() == DensityTable(three_space, ["0", "-1/2", "-inf"])
+        assert mu.density() == (ZERO, TropScalar("-1/2"), NEG_INF)
 
 
 class TestCombine:
