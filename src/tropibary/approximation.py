@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .barycenter import barycenter_point
+from .barycenter import barycenter_point, embedding
 from .core import TropScalar, TropVector, odot, oplus_all
 from .errors import BadInput, NonConvexElement, UncoveredAtom, certify
 from .geometry import Box, TropPolytope
@@ -200,8 +200,8 @@ def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
     otherwise: the element was not max-plus convex after all).
     """
     space = mu.space
-    if space is not None and space.points is None:
-        raise BadInput("measures over a finite space need an embedding for barycenters")
+    if space is not None:
+        embedding(space)
     groups: dict[int, list] = {}
     for atom, weight in mu.atoms:
         for k, element in enumerate(cover.elements):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import TropVector, odot, oplus_all
+from .core import TropVector, _vector, odot, oplus_all
 from .errors import BadInput, NonConvexElement, SpaceMismatch
 from .measures import FiniteSpace, IdemMeasure
 
@@ -24,12 +24,18 @@ class BarycenterResult:
     membership_checked: bool
 
 
+def embedding(space: FiniteSpace) -> tuple:
+    """The points a finite space is embedded at; BadInput if it has none."""
+    if space.points is None:
+        raise BadInput("this measure's space has no embedding, so no barycenter")
+    return space.points
+
+
 def _point_atoms(mu: IdemMeasure) -> list:
     """Resolve atoms to embedded points, whatever the measure's carrier."""
     if mu.space is not None:
-        if mu.space.points is None:
-            raise BadInput("this measure's space has no embedding, so no barycenter")
-        return [(mu.space.points[a], w) for a, w in mu.atoms]
+        points = embedding(mu.space)
+        return [(points[a], w) for a, w in mu.atoms]
     pairs = []
     for a, w in mu.atoms:
         if not isinstance(a, TropVector):
@@ -46,10 +52,7 @@ def barycenter(mu: IdemMeasure, host=None) -> BarycenterResult:
     """
     pairs = _point_atoms(mu)
     dim = pairs[0][0].dim
-    coords = []
-    for j in range(dim):
-        coords.append(oplus_all(odot(w, p[j]) for p, w in pairs))
-    point = TropVector(coords)
+    point = _vector(tuple([oplus_all(odot(w, p[j]) for p, w in pairs) for j in range(dim)]))
     checked = False
     if host is not None:
         if not host.contains(point):

@@ -264,19 +264,32 @@ class TropVector:
 
     def shift(self, t: TropScalar) -> "TropVector":
         """t odot self, coordinatewise."""
-        return TropVector([odot(t, c) for c in self.coords])
+        if t.is_top:
+            raise BadInput("+inf cannot be stored in a vector")
+        return _vector(tuple([odot(t, c) for c in self.coords]))
 
     def join(self, other: "TropVector") -> "TropVector":
         """Coordinatewise oplus."""
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        return TropVector([oplus(a, b) for a, b in zip(self.coords, other.coords)])
+        return _vector(tuple(map(oplus, self.coords, other.coords)))
 
     def leq(self, other: "TropVector") -> bool:
         """Coordinatewise <=."""
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
         return all(a <= b for a, b in zip(self.coords, other.coords))
+
+
+def _vector(coords: tuple) -> TropVector:
+    """Vector from a nonempty tuple of scalars, none of them +inf.
+
+    Skips the coercion and the checks of `TropVector(coords)`; only for
+    coordinates the library computed itself, like `_finite` for scalars.
+    """
+    v = object.__new__(TropVector)
+    v.coords = coords
+    return v
 
 
 def vector(coords: Iterable[RatLike]) -> TropVector:

@@ -1,10 +1,20 @@
 """Finite-support idempotent measures and the operations that act on them.
 
 A measure is a weight assignment over atoms with every weight <= 0 and
-maximum weight exactly 0.  Atoms are either indices of a `FiniteSpace`,
-points (`TropVector`), or measures themselves (for spaces of measures).
-Measures are kept in canonical form: duplicate atoms merged by max,
--inf weights dropped, atoms sorted deterministically.
+maximum weight exactly 0.
+
+On a `FiniteSpace` of n points a measure is its weight tuple: n scalars,
+-inf off the support.  `from_weights`, `combine`, `pushforward` and the
+constructor on index pairs each build that tuple in one pass and hand it
+to one checked constructor, `_dense`, which refuses +inf, an all -inf
+tuple and a maximum other than 0.  `atoms` is the index-ordered view of
+the tuple: its (index, weight) pairs above -inf.  `density()` is the
+tuple itself.
+
+Without a space, atoms are points (`TropVector`) or measures themselves
+(for spaces of measures).  Such measures are kept in canonical form:
+duplicate atoms merged by max, -inf weights dropped, atoms sorted
+deterministically.
 
 The functional view is `mu(phi)` = max over atoms of weight + phi(atom),
 which satisfies the three defining laws checked in the test suite:
@@ -16,12 +26,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
     NEG_INF,
     SCALAR_TEXT,
     ZERO,
+    _FINITE,
+    _TOP,
     ConvexParams,
     TropScalar,
     TropVector,
@@ -167,9 +180,16 @@ def _atom_key(atom: Atom):
 
 
 class IdemMeasure:
-    """Canonical finite-support idempotent measure."""
+    """Canonical finite-support idempotent measure.
 
-    __slots__ = ("space", "atoms")
+    On a finite space the measure is its weight tuple, one scalar per
+    point (`density()`), and `atoms` is the index-ordered view of its
+    (index, weight) pairs above -inf.  Over points or measures, `atoms`
+    is the canonical form itself: duplicates merged by max, -inf dropped,
+    sorted by `_atom_key`.
+    """
+
+    __slots__ = ("space", "atoms", "_weights")
 
     def __init__(
         self,
@@ -177,7 +197,7 @@ class IdemMeasure:
         space: Optional[FiniteSpace] = None,
         renormalize: bool = False,
     ):
-        merged: dict = {}
+        checked = []
         dims = set()
         for atom, weight in pairs:
             weight = scalar(weight)
@@ -194,6 +214,18 @@ class IdemMeasure:
                 dims.add(atom.dim)
             elif not isinstance(atom, IdemMeasure):
                 raise BadInput(f"unsupported atom {atom!r}")
+            checked.append((atom, weight))
+        if space is not None and all(isinstance(a, int) for a, _ in checked):
+            weights = [NEG_INF] * space.n
+            for i, w in checked:
+                weights[i] = oplus(weights[i], w)
+            top = oplus_all(weights)
+            if renormalize and top.is_finite and top != ZERO:
+                weights = [odot(w, _finite(-top.q)) for w in weights]
+            self._fill(space, tuple(weights))
+            return
+        merged: dict = {}
+        for atom, weight in checked:
             if atom in merged:
                 merged[atom] = oplus(merged[atom], weight)
             else:
@@ -211,10 +243,38 @@ class IdemMeasure:
             merged = {a: odot(w, scalar(-top.q)) for a, w in merged.items()}
         kept = [(a, w) for a, w in merged.items() if not w.is_bottom]
         kept.sort(key=lambda aw: _atom_key(aw[0]))
-        self.atoms = tuple(kept)
-        self.space = space
-        if space is not None and not all(isinstance(a, int) for a, _ in self.atoms):
+        if space is not None:
             raise BadInput("measures on a finite space must use index atoms")
+        self.atoms = tuple(kept)
+        self.space = None
+        self._weights = None
+
+    def _fill(self, space: FiniteSpace, weights: tuple) -> None:
+        """Make self the measure with weight tuple `weights` on `space`.
+
+        Refuses +inf, an all -inf tuple and a maximum other than 0.  The
+        maximum is judged by the signs of the numerators, so a valid
+        tuple costs no comparison of rationals.
+        """
+        kept = []
+        at_zero = above_zero = False
+        for i, w in enumerate(weights):
+            if w._kind == _FINITE:
+                kept.append((i, w))
+                sign = w._q.numerator
+                if sign > 0:
+                    above_zero = True
+                elif sign == 0:
+                    at_zero = True
+            elif w._kind == _TOP:
+                raise BadInput("+inf cannot be a weight")
+        if not kept:
+            raise NotNormalized("a measure needs at least one atom above -inf")
+        if above_zero or not at_zero:
+            raise NotNormalized(f"max weight is {oplus_all(w for _, w in kept)}, expected 0")
+        self.space = space
+        self.atoms = tuple(kept)
+        self._weights = weights
 
     # -- constructors -------------------------------------------------
 
@@ -230,12 +290,17 @@ class IdemMeasure:
     ) -> "IdemMeasure":
         if len(weights) != space.n:
             raise BadInput("weight vector length must match the space size")
-        pairs = [(i, scalar(w)) for i, w in enumerate(weights)]
-        return IdemMeasure(pairs, space=space, renormalize=renormalize)
+        weights = tuple([scalar(w) for w in weights])
+        if renormalize:
+            return IdemMeasure(enumerate(weights), space=space, renormalize=True)
+        return _dense(space, weights)
 
     # -- views ---------------------------------------------------------
 
     def weight_of(self, atom: Atom) -> TropScalar:
+        weights = self._weights
+        if weights is not None and type(atom) is int and 0 <= atom < len(weights):
+            return weights[atom]
         for a, w in self.atoms:
             if a == atom:
                 return w
@@ -245,10 +310,7 @@ class IdemMeasure:
         """The weight of every point of the finite space, -inf off the support."""
         if self.space is None:
             raise BadInput("densities exist only over a finite space")
-        vals = [NEG_INF] * self.space.n
-        for a, w in self.atoms:
-            vals[a] = w
-        return tuple(vals)
+        return self._weights
 
     def support(self) -> tuple:
         return tuple(a for a, _ in self.atoms)
@@ -273,7 +335,9 @@ class IdemMeasure:
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdemMeasure):
             return NotImplemented
-        return self.space == other.space and self.atoms == other.atoms
+        if self.space is not other.space and self.space != other.space:
+            return False
+        return self.atoms == other.atoms
 
     def __hash__(self) -> int:
         return hash((self.space, tuple((_atom_key(a), w._key()) for a, w in self.atoms)))
@@ -288,13 +352,35 @@ def eval_measure(mu: IdemMeasure, phi) -> TropScalar:
     return mu(phi)
 
 
+def _dense(space: FiniteSpace, weights: tuple) -> IdemMeasure:
+    """The measure on `space` whose weight tuple is `weights`.
+
+    `weights` holds `space.n` scalars; `IdemMeasure._fill` refuses +inf,
+    an all -inf tuple and a maximum other than 0.
+    """
+    mu = object.__new__(IdemMeasure)
+    mu._fill(space, weights)
+    return mu
+
+
+def _times(c: TropScalar, weights: tuple):
+    """c odot each weight, lazily; the weights themselves when c is 0."""
+    if c._kind == _FINITE and not c._q.numerator:
+        return weights
+    return map(odot, repeat(c), weights)
+
+
 def combine(first: IdemMeasure, second: IdemMeasure, params: ConvexParams) -> IdemMeasure:
     """Max-plus convex combination t odot first oplus p odot second."""
-    if first.space != second.space:
+    space = first.space
+    if second.space is not space and second.space != space:
         raise SpaceMismatch("cannot combine measures on different spaces")
+    if space is not None:
+        joined = map(oplus, _times(params.t, first._weights), _times(params.p, second._weights))
+        return _dense(space, tuple(joined))
     pairs = [(a, odot(params.t, w)) for a, w in first.atoms]
     pairs += [(a, odot(params.p, w)) for a, w in second.atoms]
-    return IdemMeasure(pairs, space=first.space)
+    return IdemMeasure(pairs)
 
 
 class SpaceMap:
@@ -337,10 +423,12 @@ class SpaceMap:
 
 def pushforward(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
     """Image measure: weights of atoms with a common image merge by max."""
-    if mu.space != f.source:
+    if mu.space is not f.source and mu.space != f.source:
         raise SpaceMismatch("measure does not live on the map's source")
-    pairs = [(f(a), w) for a, w in mu.atoms]
-    return IdemMeasure(pairs, space=f.target)
+    weights = [NEG_INF] * f.target.n
+    for j, w in zip(f.table, mu._weights):
+        weights[j] = oplus(weights[j], w)
+    return _dense(f.target, tuple(weights))
 
 
 def map_atoms(fn: Callable[[Atom], Atom], mu: IdemMeasure, space: Optional[FiniteSpace] = None) -> IdemMeasure:

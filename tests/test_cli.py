@@ -369,6 +369,7 @@ MALFORMED = [
     ("eval", "--measure", "@a_directory", "--table", "@table"),
     ("eval", "--measure", "@latin1", "--table", "@table"),
     ("barycenter", "@deep"),
+    ("approx", "--measure", "@m", "--cover", "@cover1"),
 ]
 
 

@@ -141,6 +141,22 @@ class TestVectors:
         assert v.shift(TropScalar("-1")) == vector(["-2", "-1"])
         assert v.join(w) == vector(["0", "0"])
 
+    def test_shift_refuses_plus_inf(self):
+        with pytest.raises(BadInput, match=r"^\+inf cannot be stored in a vector$"):
+            TropVector([0]).shift(POS_INF)
+
+    @given(st.lists(any_scalar, min_size=1, max_size=4), any_scalar, st.data())
+    def test_shift_and_join_equal_checked_vectors(self, coords, t, data):
+        v = TropVector(coords)
+        w = TropVector(data.draw(st.lists(any_scalar, min_size=len(coords), max_size=len(coords))))
+        shifted = v.shift(t)
+        joined = v.join(w)
+        assert shifted == TropVector([odot(t, c) for c in coords])
+        assert joined == TropVector([oplus(a, b) for a, b in zip(v, w)])
+        for out in (shifted, joined):
+            assert type(out.coords) is tuple
+            assert hash(out) == hash(TropVector(out.coords))
+
     def test_leq_is_coordinatewise(self):
         assert vector(["-2", "-1"]).leq(vector(["-1", "-1"]))
         assert not vector(["0", "-1"]).leq(vector(["-1", "0"]))

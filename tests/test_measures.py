@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from tropibary import measures
 from tropibary.barycenter import barycenter_point
-from tropibary.core import NEG_INF, ZERO, ConvexParams, TropScalar, TropVector, oplus, odot, rho
-from tropibary.errors import BadInput, DimensionMismatch, NotNormalized, SpaceMismatch
+from tropibary.core import NEG_INF, POS_INF, ZERO, ConvexParams, TropScalar, TropVector, oplus, odot, rho
+from tropibary.errors import BadInput, DimensionMismatch, NotNormalized, SpaceMismatch, TropibaryError
 from tropibary.measures import (
     FiniteSpace,
     FunctionTable,
@@ -69,6 +69,20 @@ class TestCanonicalForm:
     def test_mixed_point_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             IdemMeasure([(TropVector(("0",)), "0"), (TropVector(("-1", "0")), "0")])
+
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [
+            ([(3, "0")], BadInput, "atom index 3 outside space of size 3"),
+            ([(0, "0"), (TropVector(("0",)), "0")], BadInput, "atoms of mixed kinds in one measure"),
+            ([(TropVector(("0",)), "-1")], NotNormalized, "max weight is -1, expected 0"),
+            ([(TropVector(("0",)), "0")], BadInput, "measures on a finite space must use index atoms"),
+        ],
+    )
+    def test_refusals_on_a_finite_space(self, three_space, pairs, error, message):
+        with pytest.raises(error) as caught:
+            IdemMeasure(pairs, space=three_space)
+        assert str(caught.value) == message
 
     def test_dirac(self, three_space):
         d = IdemMeasure.dirac(1, space=three_space)
@@ -184,6 +198,154 @@ class TestPushforward:
         mu = IdemMeasure([(TropVector(("-1", "0")), "0")])
         out = map_atoms(lambda p: p.shift(TropScalar("-1")), mu)
         assert out.atoms[0][0] == TropVector(("-2", "-1"))
+
+
+# -- the dense path against a reference built atom by atom ----------------
+
+# Weights on the 1/8 grid of [-2, 0], plus -inf.
+grid_weight = st.sampled_from([TropScalar(Fraction(k, 8)) for k in range(-16, 1)] + [NEG_INF])
+
+
+@st.composite
+def weight_lists(draw, normalized=False):
+    """(n, weights) with n in 1..6; with `normalized`, one weight is 0."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(grid_weight, min_size=n, max_size=n))
+    if normalized:
+        weights[draw(st.integers(0, n - 1))] = ZERO
+    return n, weights
+
+
+@st.composite
+def index_pairs(draw):
+    """(n, pairs) of up to 8 (index, weight) pairs, indices may repeat."""
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), grid_weight), max_size=8))
+    return n, pairs
+
+
+@st.composite
+def measure_pairs(draw):
+    n, first = draw(weight_lists(normalized=True))
+    second = draw(st.lists(grid_weight, min_size=n, max_size=n))
+    second[draw(st.integers(0, n - 1))] = ZERO
+    return n, first, second
+
+
+@st.composite
+def mapped_measures(draw):
+    """(n, weights, m, table): a normalized measure and a map to m points."""
+    n, weights = draw(weight_lists(normalized=True))
+    m = draw(st.integers(1, 6))
+    table = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    return n, weights, m, table
+
+
+def reference_atoms(pairs, renormalize=False):
+    """The canonical atoms of a measure from (index, weight) pairs, built
+    atom by atom: +inf refused, duplicates merged by max, the maximum
+    checked (or shifted to 0), -inf filtered out, sorted by index."""
+    best = {}
+    for i, w in pairs:
+        w = TropScalar(w)
+        if w.is_top:
+            raise BadInput("+inf cannot be a weight")
+        if i not in best or w > best[i]:
+            best[i] = w
+    top = max(best.values(), default=NEG_INF)
+    if top.is_bottom:
+        raise NotNormalized("a measure needs at least one atom above -inf")
+    if top != ZERO:
+        if not renormalize:
+            raise NotNormalized(f"max weight is {top}, expected 0")
+        best = {i: odot(w, TropScalar(-top.q)) for i, w in best.items()}
+    return tuple(sorted((i, w) for i, w in best.items() if not w.is_bottom))
+
+
+def outcome(build):
+    """What build() returns, or the class and message of its refusal."""
+    try:
+        return build()
+    except TropibaryError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(space, build, pairs, renormalize=False):
+    want = outcome(lambda: reference_atoms(pairs, renormalize))
+    got = outcome(build)
+    if not isinstance(got, IdemMeasure) or isinstance(want[0], type):
+        assert got == want
+        return
+    density = [NEG_INF] * space.n
+    for i, w in want:
+        density[i] = w
+    assert got.atoms == want
+    assert got.density() == tuple(density)
+    assert [got.weight_of(i) for i in range(space.n)] == density
+    assert repr(got) == "IdemMeasure({" + ", ".join(f"{i}: {w}" for i, w in want) + "})"
+    assert hash(got) == hash((space, tuple(((0, i), w._key()) for i, w in want)))
+    built = IdemMeasure(list(want), space=space)
+    assert got == built and built == got
+    assert hash(got) == hash(built)
+
+
+class TestDensePath:
+    @given(weight_lists(), st.booleans())
+    @example((3, [NEG_INF] * 3), False)
+    @example((3, [NEG_INF] * 3), True)
+    @example((2, [ZERO, POS_INF]), False)
+    @example((2, [NEG_INF, POS_INF]), True)
+    @example((2, ["-1/8", "-1"]), False)
+    @example((2, ["1/8", "0"]), False)
+    @example((3, ["-1/2", "-inf", "-3/4"]), True)
+    @example((3, ["1/4", "0", "-inf"]), True)
+    def test_from_weights(self, case, renormalize):
+        n, weights = case
+        space = FiniteSpace(n)
+        assert_matches_reference(
+            space,
+            lambda: IdemMeasure.from_weights(space, weights, renormalize=renormalize),
+            list(enumerate(weights)),
+            renormalize,
+        )
+
+    @given(index_pairs(), st.booleans())
+    @example((3, [(1, "-1"), (1, "0"), (2, "-1/8"), (2, "-1/4")]), False)
+    @example((3, [(2, "-1"), (0, "-1/2"), (2, "-1/4")]), True)
+    @example((2, [(0, "0"), (0, "+inf")]), False)
+    @example((2, []), False)
+    def test_index_pairs(self, case, renormalize):
+        n, pairs = case
+        space = FiniteSpace(n)
+        assert_matches_reference(
+            space, lambda: IdemMeasure(pairs, space=space, renormalize=renormalize), pairs, renormalize
+        )
+
+    @given(measure_pairs(), grid_weight, st.booleans())
+    @example((2, [ZERO, NEG_INF], [NEG_INF, ZERO]), NEG_INF, True)
+    @example((2, [ZERO, NEG_INF], [NEG_INF, ZERO]), NEG_INF, False)
+    @example((1, [ZERO], [ZERO]), ZERO, True)
+    def test_combine(self, case, t, t_first):
+        n, first_w, second_w = case
+        space = FiniteSpace(n)
+        params = ConvexParams(t, ZERO) if t_first else ConvexParams(ZERO, t)
+        first = IdemMeasure.from_weights(space, first_w)
+        second = IdemMeasure.from_weights(space, second_w)
+        pairs = [(i, odot(params.t, w)) for i, w in enumerate(first_w)]
+        pairs += [(i, odot(params.p, w)) for i, w in enumerate(second_w)]
+        assert_matches_reference(space, lambda: combine(first, second, params), pairs)
+
+    @given(mapped_measures())
+    @example((3, [ZERO, "-1/2", "-1"], 2, [0, 1, 1]))
+    @example((3, ["-1", ZERO, NEG_INF], 4, [3, 0, 3]))
+    @example((2, [NEG_INF, ZERO], 1, [0, 0]))
+    def test_pushforward(self, case):
+        n, weights, m, table = case
+        source, target = FiniteSpace(n), FiniteSpace(m)
+        f = SpaceMap(source, target, table)
+        mu = IdemMeasure.from_weights(source, weights)
+        pairs = [(table[i], TropScalar(w)) for i, w in enumerate(weights)]
+        assert_matches_reference(target, lambda: pushforward(f, mu), pairs)
 
 
 class TestMeasureDist:
