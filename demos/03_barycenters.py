@@ -45,10 +45,10 @@ def main():
     section("Naturality under coordinate shifts")
     shift = TropVector(("-1", "-1/2"))
     moved = IdemMeasure(
-        [(TropVector([p[0].q + shift[0].q, p[1].q + shift[1].q]), w) for p, w in mu.atoms]
+        [(TropVector([p[0] + shift[0], p[1] + shift[1]]), w) for p, w in mu.atoms]
     )
     got = barycenter_point(moved)
-    want = TropVector([center[0].q + shift[0].q, center[1].q + shift[1].q])
+    want = TropVector([center[0] + shift[0], center[1] + shift[1]])
     print(f"beta(shifted mu) = {got} = shifted beta(mu)")
     assert got == want
 

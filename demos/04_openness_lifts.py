@@ -89,7 +89,7 @@ def main():
     print(f"{'depth':>5} {'target':>24} {'rho to center':>14} {'dist to nu':>11}")
     for depth in (6, 10, 14, 18):
         eps = Fraction(-1, 2**depth)
-        target = TropVector([start[0].q + eps, start[1].q + 2 * eps])
+        target = TropVector([start[0] + eps, start[1] + 2 * eps])
         lifted = lift_beta(nu2, target, host)
         assert barycenter_point(lifted) == target
         gap = max(rho(target[0], start[0]), rho(target[1], start[1]))

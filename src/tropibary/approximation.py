@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .barycenter import barycenter_point, embedding
-from .core import TropScalar, TropVector, odot, oplus_all
+from .core import Scalar, TropVector, odot, oplus_all
 from .errors import BadInput, NonConvexElement, UncoveredAtom, certify
 from .geometry import Box, TropPolytope
 from .measures import FiniteSpace, IdemMeasure, measure_dist
@@ -152,8 +152,8 @@ class Cover:
         axes = []
         for j in range(box.dim):
             lo, hi = box.interval(j)
-            step = (hi.q - lo.q) / splits
-            axes.append([(lo.q + k * step, lo.q + (k + 1) * step) for k in range(splits)])
+            step = (hi - lo) / splits
+            axes.append([(lo + k * step, lo + (k + 1) * step) for k in range(splits)])
         cells = []
         for cuts in itertools.product(*axes):
             low = TropVector([c[0] for c in cuts])
@@ -174,7 +174,7 @@ class CoverPiece:
     barycenter (as an atom of the host measure)."""
 
     element_index: int
-    weight: TropScalar
+    weight: Scalar
     conditional: IdemMeasure
     atom: object
     point: TropVector

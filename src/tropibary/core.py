@@ -1,10 +1,13 @@
 """Exact max-plus arithmetic: scalars, vectors, and convex parameter pairs.
 
-Scalars live in R ∪ {-inf} with oplus = max and odot = +.  All finite
-values are `fractions.Fraction`, so every algebraic identity in the test
-suite is checked with exact equality.  +inf exists only as a transient
-residuation result and is always clamped away by a min before it can be
-stored; putting it inside a vector, weight, or parameter is an error.
+Scalars live in R ∪ {-inf} with oplus = max and odot = +.  A finite
+scalar is a plain `fractions.Fraction`, so every identity is checked
+with exact equality; -inf is the sentinel `NEG_INF`.  +inf (`POS_INF`)
+exists only as a transient residuation result and is clamped away by a
+min before it can be stored; putting it in a vector, weight, or
+parameter is an error.  `scalar()` is the only coercion.  Test for an
+infinity by identity (`x is NEG_INF`), and mind that `Fraction(0)` is
+falsy and equals the int 0.
 """
 
 from __future__ import annotations
@@ -16,212 +19,150 @@ from typing import Iterable, Union
 
 from .errors import BadInput, DimensionMismatch
 
-_BOTTOM = -1  # -inf
-_FINITE = 0
-_TOP = 1  # +inf, transient only
-
-RatLike = Union[int, str, Fraction, "TropScalar"]
-
 # What a scalar string may be: the scalar pattern of the JSON schemas
 # (-inf, an integer or p/q, a decimal), plus the transient +inf.  Matched
 # whole, so no spaces, newlines, underscores or exponents get through.
 SCALAR_TEXT = re.compile(r"-inf|\+inf|[+-]?[0-9]+(/[0-9]+)?|[+-]?[0-9]*\.[0-9]+")
 
 
-class TropScalar:
-    """One element of the max-plus line (or the transient +inf)."""
+class _Infinity:
+    """`NEG_INF` or `POS_INF`: below or above every rational, from either
+    side of a comparison (a Fraction on the left hands over to the
+    reflected method).  Equality is identity; the hash is constant, so set
+    order never depends on id(); copies and pickles are the same object."""
 
-    __slots__ = ("_kind", "_q")
+    __slots__ = ("_sign",)
 
-    def __init__(self, value: RatLike):
-        if isinstance(value, TropScalar):
-            self._kind = value._kind
-            self._q = value._q
-            return
-        if type(value) is Fraction:
-            self._kind = _FINITE
-            self._q = value
-            return
-        if isinstance(value, bool) or isinstance(value, float):
-            raise BadInput(f"refusing inexact scalar input {value!r}; pass int, Fraction, or 'p/q' string")
-        if isinstance(value, str):
-            if not SCALAR_TEXT.fullmatch(value):
-                raise BadInput(f"{value!r} is not a rational or -inf")
-            if value in ("-inf", "+inf"):
-                self._kind = _BOTTOM if value == "-inf" else _TOP
-                self._q = Fraction(0)
-                return
-            try:
-                value = Fraction(value)
-            except ZeroDivisionError:
-                raise BadInput(f"{value!r} is not a rational or -inf") from None
-        if isinstance(value, (int, Fraction)):
-            self._kind = _FINITE
-            self._q = Fraction(value)
-            return
-        raise BadInput(f"cannot build a scalar from {value!r}")
+    def __init__(self, sign: int):
+        self._sign = sign
 
-    @staticmethod
-    def bottom() -> "TropScalar":
-        s = object.__new__(TropScalar)
-        s._kind = _BOTTOM
-        s._q = Fraction(0)
-        return s
+    def __lt__(self, other) -> bool:
+        return self._sign < 0 and other is not self
 
-    @staticmethod
-    def top() -> "TropScalar":
-        s = object.__new__(TropScalar)
-        s._kind = _TOP
-        s._q = Fraction(0)
-        return s
+    def __le__(self, other) -> bool:
+        return self._sign < 0 or other is self
 
-    @property
-    def is_bottom(self) -> bool:
-        return self._kind == _BOTTOM
+    def __gt__(self, other) -> bool:
+        return self._sign > 0 and other is not self
 
-    @property
-    def is_top(self) -> bool:
-        return self._kind == _TOP
-
-    @property
-    def is_finite(self) -> bool:
-        return self._kind == _FINITE
-
-    @property
-    def q(self) -> Fraction:
-        """Underlying rational; only meaningful for finite scalars."""
-        if self._kind != _FINITE:
-            raise BadInput(f"{self} has no rational value")
-        return self._q
-
-    def _key(self):
-        return (self._kind, self._q)
-
-    # The order is that of _key(): kind first (-inf < finite < +inf), then
-    # the rational.  Both infinities carry _q == 0, so equal kinds can
-    # always fall through to comparing _q.
+    def __ge__(self, other) -> bool:
+        return self._sign > 0 or other is self
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TropScalar):
-            return NotImplemented
-        return self._kind == other._kind and self._q == other._q
+        return self is other
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(float(self))
 
-    def __lt__(self, other: "TropScalar") -> bool:
-        if self._kind != other._kind:
-            return self._kind < other._kind
-        return self._q < other._q
-
-    def __le__(self, other: "TropScalar") -> bool:
-        if self._kind != other._kind:
-            return self._kind < other._kind
-        return self._q <= other._q
-
-    def __gt__(self, other: "TropScalar") -> bool:
-        if self._kind != other._kind:
-            return self._kind > other._kind
-        return self._q > other._q
-
-    def __ge__(self, other: "TropScalar") -> bool:
-        if self._kind != other._kind:
-            return self._kind > other._kind
-        return self._q >= other._q
-
-    def __repr__(self) -> str:
-        return f"TropScalar({str(self)!r})"
+    def __float__(self) -> float:
+        return math.inf if self._sign > 0 else -math.inf
 
     def __str__(self) -> str:
-        if self._kind == _BOTTOM:
-            return "-inf"
-        if self._kind == _TOP:
-            return "+inf"
-        return str(self._q)
+        return "+inf" if self._sign > 0 else "-inf"
 
-    def to_float(self) -> float:
-        if self._kind == _BOTTOM:
-            return float("-inf")
-        if self._kind == _TOP:
-            return float("inf")
-        return float(self._q)
+    def __repr__(self) -> str:
+        return "POS_INF" if self._sign > 0 else "NEG_INF"
+
+    def __reduce__(self) -> str:
+        return repr(self)
 
 
-def _finite(q: Fraction) -> TropScalar:
-    """Finite scalar from a value already known to be a `Fraction`.
+NEG_INF = _Infinity(-1)
+POS_INF = _Infinity(1)
+ZERO = Fraction(0)
 
-    Skips the input checks and the copy of `TropScalar(q)`; only for
-    values the library computed itself.
-    """
-    s = object.__new__(TropScalar)
-    s._kind = _FINITE
-    s._q = q
-    return s
+Scalar = Union[Fraction, _Infinity]
+RatLike = Union[int, str, Fraction, _Infinity]
 
 
-NEG_INF = TropScalar.bottom()
-POS_INF = TropScalar.top()
-ZERO = TropScalar(0)
+def scalar(value: RatLike) -> Scalar:
+    """Coerce an int, Fraction or string into a scalar: a `Fraction`,
+    `NEG_INF` or `POS_INF`."""
+    if type(value) is Fraction or value is NEG_INF or value is POS_INF:
+        return value
+    if isinstance(value, bool) or isinstance(value, float):
+        raise BadInput(f"refusing inexact scalar input {value!r}; pass int, Fraction, or 'p/q' string")
+    if isinstance(value, str):
+        if not SCALAR_TEXT.fullmatch(value):
+            raise BadInput(f"{value!r} is not a rational or -inf")
+        if value == "-inf":
+            return NEG_INF
+        if value == "+inf":
+            return POS_INF
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise BadInput(f"{value!r} is not a rational or -inf") from None
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise BadInput(f"cannot build a scalar from {value!r}")
 
 
-def scalar(value: RatLike) -> TropScalar:
-    """Coerce an int/Fraction/string into a TropScalar."""
-    return value if isinstance(value, TropScalar) else TropScalar(value)
+# The kernel tests the sentinels by identity before it compares or adds:
+# a Fraction compared with a sentinel runs its ABC checks first.
 
 
-def oplus(a: TropScalar, b: TropScalar) -> TropScalar:
+def oplus(a: Scalar, b: Scalar) -> Scalar:
     """Idempotent addition: max."""
+    if a is NEG_INF or b is POS_INF:
+        return b
+    if b is NEG_INF or a is POS_INF:
+        return a
     return a if a >= b else b
 
 
-def oplus_all(items: Iterable[TropScalar]) -> TropScalar:
+def oplus_all(items: Iterable[Scalar]) -> Scalar:
     out = NEG_INF
     for item in items:
-        if item > out:
+        if item is not NEG_INF and (out is NEG_INF or item > out):
             out = item
     return out
 
 
-def odot(a: TropScalar, b: TropScalar) -> TropScalar:
+def odot(a: Scalar, b: Scalar) -> Scalar:
     """Semiring multiplication: numeric +.  -inf absorbs everything.
 
     Because odot distributes over oplus, a measure applied to a max-plus
     affine function equals that function at the measure's barycenter
     (see `measures.measure_dist`, which relies on this).
     """
-    if a._kind == _FINITE and b._kind == _FINITE:
-        return _finite(a._q + b._q)
-    if a._kind == _BOTTOM or b._kind == _BOTTOM:
+    if a is NEG_INF or b is NEG_INF:
         return NEG_INF
-    return POS_INF
+    if a is POS_INF or b is POS_INF:
+        return POS_INF
+    return a + b
 
 
-def residual(a: TropScalar, b: TropScalar) -> TropScalar:
+def residual(a: Scalar, b: Scalar) -> Scalar:
     """Largest c with b odot c <= a, i.e. tropical division a - b.
 
     Conventions: -inf - b = -inf for b != -inf; a - (-inf) = +inf for
     a != -inf; -inf - (-inf) = +inf.  The +inf results are transient and
     must be clamped by a min before storage.  +inf operands are refused.
     """
-    if a.is_top or b.is_top:
+    if a is POS_INF or b is POS_INF:
         raise BadInput("residual is undefined for +inf operands")
-    if b.is_bottom:
+    if b is NEG_INF:
         return POS_INF
-    if a.is_bottom:
+    if a is NEG_INF:
         return NEG_INF
-    return _finite(a._q - b._q)
+    return a - b
 
 
-def trop_min(a: TropScalar, b: TropScalar) -> TropScalar:
+def trop_min(a: Scalar, b: Scalar) -> Scalar:
+    if a is NEG_INF or b is POS_INF:
+        return a
+    if b is NEG_INF or a is POS_INF:
+        return b
     return a if a <= b else b
 
 
-def rho(a: TropScalar, b: TropScalar) -> float:
+def rho(a: Scalar, b: Scalar) -> float:
     """Metric |e^a - e^b| used for all float-valued distance reporting."""
-    if a.is_top or b.is_top:
+    if a is POS_INF or b is POS_INF:
         raise BadInput("rho is undefined for +inf operands")
-    ea = 0.0 if a.is_bottom else math.exp(a.to_float())
-    eb = 0.0 if b.is_bottom else math.exp(b.to_float())
+    ea = 0.0 if a is NEG_INF else math.exp(float(a))
+    eb = 0.0 if b is NEG_INF else math.exp(float(b))
     return abs(ea - eb)
 
 
@@ -231,8 +172,8 @@ class TropVector:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[RatLike]):
-        self.coords = tuple(scalar(c) for c in coords)
-        if any(c.is_top for c in self.coords):
+        self.coords = tuple([scalar(c) for c in coords])
+        if any(c is POS_INF for c in self.coords):
             raise BadInput("+inf cannot be stored in a vector")
         if not self.coords:
             raise BadInput("vectors must have at least one coordinate")
@@ -243,7 +184,7 @@ class TropVector:
 
     @property
     def is_finite(self) -> bool:
-        return all(c.is_finite for c in self.coords)
+        return all(c is not NEG_INF for c in self.coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropVector):
@@ -256,15 +197,16 @@ class TropVector:
     def __repr__(self) -> str:
         return "TropVector([" + ", ".join(str(c) for c in self.coords) + "])"
 
-    def __getitem__(self, j: int) -> TropScalar:
+    def __getitem__(self, j: int) -> Scalar:
         return self.coords[j]
 
     def __iter__(self):
         return iter(self.coords)
 
-    def shift(self, t: TropScalar) -> "TropVector":
+    def shift(self, t: RatLike) -> "TropVector":
         """t odot self, coordinatewise."""
-        if t.is_top:
+        t = scalar(t)
+        if t is POS_INF:
             raise BadInput("+inf cannot be stored in a vector")
         return _vector(tuple([odot(t, c) for c in self.coords]))
 
@@ -285,7 +227,7 @@ def _vector(coords: tuple) -> TropVector:
     """Vector from a nonempty tuple of scalars, none of them +inf.
 
     Skips the coercion and the checks of `TropVector(coords)`; only for
-    coordinates the library computed itself, like `_finite` for scalars.
+    coordinates the library computed itself.
     """
     v = object.__new__(TropVector)
     v.coords = coords
@@ -316,7 +258,7 @@ class ConvexParams:
     def __init__(self, t: RatLike, p: RatLike):
         t = scalar(t)
         p = scalar(p)
-        if t.is_top or p.is_top:
+        if t is POS_INF or p is POS_INF:
             raise BadInput("+inf cannot be a convex parameter")
         if t > ZERO or p > ZERO:
             raise BadInput(f"parameters must be <= 0, got ({t}, {p})")

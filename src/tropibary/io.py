@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 import jsonschema
 
 from .approximation import BoxElement, Cover, IndexElement, PolytopeElement
-from .core import ConvexParams, TropScalar, TropVector, scalar
+from .core import ConvexParams, Scalar, TropVector, scalar
 from .errors import BadInput, SchemaError
 from .geometry import Box, Certificate, TropPolytope
 from .measures import FiniteSpace, FunctionTable, IdemMeasure, SpaceMap
@@ -260,11 +260,11 @@ def dump_document(doc: dict) -> str:
 # -- scalars, points, params --------------------------------------------------
 
 
-def scalar_to_json(s: TropScalar) -> str:
+def scalar_to_json(s: Scalar) -> str:
     return str(s)
 
 
-def scalar_from_json(v: Union[int, str]) -> TropScalar:
+def scalar_from_json(v: Union[int, str]) -> Scalar:
     return scalar(v)
 
 

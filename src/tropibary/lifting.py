@@ -31,9 +31,10 @@ from typing import Optional, Sequence
 from .barycenter import barycenter, barycenter_of_measures
 from .core import (
     NEG_INF,
+    POS_INF,
     ZERO,
     ConvexParams,
-    TropScalar,
+    Scalar,
     TropVector,
     odot,
     oplus,
@@ -119,7 +120,7 @@ def witness_distance(witness: LiftWitness, first, second, params: ConvexParams) 
             parts.append(measure_dist(got, ref))
         elif isinstance(ref, TropVector):
             parts.append(point_dist(got, ref))
-        elif isinstance(ref, TropScalar):
+        elif type(ref) is Fraction or ref is NEG_INF:
             parts.append(rho(got, ref))
         else:
             raise BadInput(f"no distance for {ref!r}")
@@ -156,7 +157,7 @@ def _lift_finite(first, second, params, target) -> LiftWitness:
     t = params.t
     if t == ZERO:
         return _lift_equal_params(space, lam, bet, alpha)
-    if t.is_bottom:
+    if t is NEG_INF:
         return LiftWitness(first, target, ConvexParams(NEG_INF, 0), "t<p/t=-inf")
     return _lift_strict_params(space, lam, bet, alpha, t)
 
@@ -184,7 +185,7 @@ def _pivot(space, lam, bet, alpha, lower, higher, pivot: str) -> LiftWitness:
     lower set; a tied pivot lies off that set, so there c = 0."""
     n = space.n
     c = oplus_all(alpha[i] for i in range(n) if i not in lower)
-    if c.is_bottom:
+    if c is NEG_INF:
         raise OutsideValidityRegion("target carries no weight off the lower set")
     for i in sorted(lower):
         if not alpha[i] >= odot(c, lam[i]):
@@ -219,7 +220,7 @@ def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
         raise OutsideValidityRegion(
             "target has no zero-weight atom where the second measure strictly dominates"
         )
-    retained = [i for i in range(n) if i not in in_lower and not lam[i].is_bottom]
+    retained = [i for i in range(n) if i not in in_lower and lam[i] is not NEG_INF]
     if not retained:
         c = ZERO
         tag = "t<p/empty-complement"
@@ -229,7 +230,7 @@ def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
     else:
         c = oplus_all(residual(alpha[i], t) for i in retained)
         tag = "t<p/anchor-off-lower"
-    if c.is_bottom:
+    if c is NEG_INF:
         raise OutsideValidityRegion("target weights vanish on the retained support")
     shift = odot(t, c)
     if shift > ZERO:
@@ -244,14 +245,14 @@ def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
             raise OutsideValidityRegion(
                 f"target[{i}] = {alpha[i]} < second weight {bet[i]} on the higher set"
             )
-        if i not in in_lower and lam[i].is_bottom and not alpha[i] <= shift:
+        if i not in in_lower and lam[i] is NEG_INF and not alpha[i] <= shift:
             raise OutsideValidityRegion(
                 f"target[{i}] = {alpha[i]} exceeds the shift {shift} off the first support"
             )
     lam2 = [
         lam[i]
         if i in in_lower
-        else (NEG_INF if alpha[i].is_bottom else residual(alpha[i], shift))
+        else (NEG_INF if alpha[i] is NEG_INF else residual(alpha[i], shift))
         for i in range(n)
     ]
     bet2 = [bet[i] if i in in_higher else alpha[i] for i in range(n)]
@@ -405,10 +406,10 @@ def _lift_coordinate(x, y, params, target, bounds) -> LiftWitness:
     The parameters are never moved; only the point pair does.
     """
     lo, hi = bounds
-    if not (lo.is_finite and hi.is_finite and lo <= hi):
+    if not (type(lo) is Fraction and type(hi) is Fraction and lo <= hi):
         raise BadInput("interval bounds must be finite and ordered")
     for value, name in ((x, "first point"), (y, "second point"), (target, "target")):
-        if not value.is_finite:
+        if type(value) is not Fraction:
             raise BadInput(f"{name} must be finite")
         if not (lo <= value <= hi):
             raise BadInput(f"{name} {value} outside [{lo}, {hi}]")
@@ -435,11 +436,11 @@ def _lift_scalar(x, y, params, target, lo, hi) -> LiftWitness:
 
 
 def lift_s_interval(
-    x: TropScalar,
-    y: TropScalar,
+    x: Scalar,
+    y: Scalar,
     params: ConvexParams,
-    target: TropScalar,
-    bounds: tuple[TropScalar, TropScalar],
+    target: Scalar,
+    bounds: tuple[Scalar, Scalar],
 ) -> LiftWitness:
     """Lift the two-point convex combination on an interval [lo, hi].
 
@@ -550,26 +551,16 @@ def lift_beta(nu: IdemMeasure, target, host) -> IdemMeasure:
 # -- independent brute-force oracles ----------------------------------------
 
 
-def _finite_values(*scalars) -> list[TropScalar]:
-    seen = []
-    for s in scalars:
-        if s.is_finite and s not in seen:
-            seen.append(s)
-    return seen
+def _finite_values(*scalars) -> list[Fraction]:
+    """The distinct finite scalars, in the order first seen."""
+    return list(dict.fromkeys(s for s in scalars if type(s) is Fraction))
 
 
-def _param_candidates(pool: Sequence[TropScalar], params: ConvexParams) -> list[ConvexParams]:
-    taus = {ZERO, NEG_INF}
-    for v in pool:
-        if v <= ZERO:
-            taus.add(v)
-    for u in pool:
-        for v in pool:
-            r = residual(u, v)
-            if r.is_finite and r <= ZERO:
-                taus.add(r)
+def _param_candidates(pool: Sequence[Fraction], params: ConvexParams) -> list[ConvexParams]:
+    values = list(pool) + [u - v for u in pool for v in pool]
+    taus = {ZERO, NEG_INF} | {r for r in values if r <= ZERO}
     cands = {ConvexParams(tau, 0) for tau in taus} | {ConvexParams(0, tau) for tau in taus}
-    return sorted(cands, key=lambda c: (c.dist(params), c.t.to_float(), c.p.to_float()))
+    return sorted(cands, key=lambda c: (c.dist(params), float(c.t), float(c.p)))
 
 
 def brute_force_lift_s(
@@ -608,11 +599,11 @@ def brute_force_lift_s(
             options = []
             lefts = {lam[i], ZERO, NEG_INF}
             r = residual(alpha[i], cand.t)
-            if not r.is_top and r <= ZERO:
+            if r is not POS_INF and r <= ZERO:
                 lefts.add(r)
             rights = {bet[i], ZERO, NEG_INF}
             r = residual(alpha[i], cand.p)
-            if not r.is_top and r <= ZERO:
+            if r is not POS_INF and r <= ZERO:
                 rights.add(r)
             for l in lefts:
                 for b in rights:
@@ -624,7 +615,7 @@ def brute_force_lift_s(
             if not options:
                 feasible = False
                 break
-            options.sort(key=lambda lb: (rho(lb[0], lam[i]) + rho(lb[1], bet[i]), lb[0].to_float(), lb[1].to_float()))
+            options.sort(key=lambda lb: (rho(lb[0], lam[i]) + rho(lb[1], bet[i]), float(lb[0]), float(lb[1])))
             per_coord.append(options)
         if not feasible:
             continue
@@ -682,17 +673,20 @@ def _search_assignment(per_coord, can_zero_l, can_zero_b, counter, budget):
     return [l for l, _ in picked], [b for _, b in picked]
 
 
-def _lattice(lo: TropScalar, hi: TropScalar, steps: int) -> list[TropScalar]:
-    span = hi.q - lo.q
-    return [TropScalar(lo.q + span * k / steps) for k in range(steps + 1)]
+def _lattice(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
+    for end in (lo, hi):
+        if type(end) is not Fraction:
+            raise BadInput(f"{end} has no rational value")
+    span = hi - lo
+    return [lo + span * k / steps for k in range(steps + 1)]
 
 
 def brute_force_lift_interval(
-    x: TropScalar,
-    y: TropScalar,
+    x: Scalar,
+    y: Scalar,
     params: ConvexParams,
-    target: TropScalar,
-    bounds: tuple[TropScalar, TropScalar],
+    target: Scalar,
+    bounds: tuple[Scalar, Scalar],
     grid_steps: int = 16,
     budget: int = 10**6,
     mode: str = "best",
@@ -704,9 +698,9 @@ def brute_force_lift_interval(
     values = set(_lattice(lo, hi, grid_steps)) | {x, y, target}
     for tau in (params.t, params.p):
         r = residual(target, tau)
-        if r.is_finite and lo <= r <= hi:
+        if type(r) is Fraction and lo <= r <= hi:
             values.add(r)
-    values = sorted(values, key=lambda v: (rho(v, x) + rho(v, y), v.to_float()))
+    values = sorted(values, key=lambda v: (rho(v, x) + rho(v, y), float(v)))
     viewed = 0
     best = None
     best_dist = float("inf")
@@ -752,7 +746,7 @@ def brute_force_lift_box(
             values = set(_lattice(lo, hi, grid_steps)) | {x[j], y[j], target[j]}
             for tau in (cand.t, cand.p):
                 r = residual(target[j], tau)
-                if r.is_finite and lo <= r <= hi:
+                if type(r) is Fraction and lo <= r <= hi:
                     values.add(r)
             options = []
             for xv in values:
@@ -761,7 +755,7 @@ def brute_force_lift_box(
                     if viewed > budget:
                         raise BudgetExceeded(f"oracle viewed more than {budget} candidates")
                     if oplus(odot(cand.t, xv), odot(cand.p, yv)) == target[j]:
-                        options.append((max(rho(xv, x[j]), rho(yv, y[j])), xv.to_float(), yv.to_float(), xv, yv))
+                        options.append((max(rho(xv, x[j]), rho(yv, y[j])), float(xv), float(yv), xv, yv))
             if not options:
                 feasible = False
                 break
@@ -792,16 +786,16 @@ def brute_force_lift_beta(
 ) -> Optional[IdemMeasure]:
     """Exhaustive search for measures on a coordinate grid whose
     barycenter hits the target exactly."""
-    weights = [TropScalar(Fraction(-2 * k, weight_steps)) for k in range(weight_steps + 1)]
+    weights = [Fraction(-2 * k, weight_steps) for k in range(weight_steps + 1)]
     pools = []
     for j in range(box.dim):
         lo, hi = box.interval(j)
         vals = set(_lattice(lo, hi, coord_steps)) | {target[j]}
         for w in weights:
             r = residual(target[j], w)
-            if r.is_finite and lo <= r <= hi:
+            if type(r) is Fraction and lo <= r <= hi:
                 vals.add(r)
-        pools.append(sorted(vals, key=lambda v: v.to_float()))
+        pools.append(sorted(vals, key=float))
     points = [TropVector(c) for c in itertools.product(*pools)]
     atom_cands = [(p, w) for p in points for w in weights]
     k_max = nu.atom_count

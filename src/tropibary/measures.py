@@ -31,14 +31,13 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
     NEG_INF,
+    POS_INF,
     SCALAR_TEXT,
     ZERO,
-    _FINITE,
-    _TOP,
     ConvexParams,
-    TropScalar,
+    RatLike,
+    Scalar,
     TropVector,
-    _finite,
     odot,
     oplus,
     oplus_all,
@@ -108,12 +107,12 @@ class FiniteSpace:
         return f"FiniteSpace({self.n}, labels={list(self.labels)!r})"
 
 
-def _finite_q(v: Union[int, str, Fraction, TropScalar]) -> Fraction:
+def _finite_q(v: RatLike) -> Fraction:
     """Coerce to a finite rational; -inf and floats are refused."""
-    if isinstance(v, TropScalar):
-        if not v.is_finite:
-            raise BadInput(f"{v} is not finite")
-        return v.q
+    if type(v) is Fraction:
+        return v
+    if v is NEG_INF or v is POS_INF:
+        raise BadInput(f"{v} is not finite")
     if isinstance(v, float) or isinstance(v, bool):
         raise BadInput(f"refusing inexact value {v!r}")
     try:
@@ -140,10 +139,10 @@ class FunctionTable:
             raise BadInput("table length must match the space size")
         self.values = vals
 
-    def __call__(self, i: int) -> TropScalar:
-        return _finite(self.values[i])
+    def __call__(self, i: int) -> Fraction:
+        return self.values[i]
 
-    def shift(self, c: Union[int, str, Fraction, TropScalar]) -> "FunctionTable":
+    def shift(self, c: RatLike) -> "FunctionTable":
         c = _finite_q(c)
         return FunctionTable(self.space, [v + c for v in self.values])
 
@@ -153,7 +152,7 @@ class FunctionTable:
         return FunctionTable(self.space, [max(a, b) for a, b in zip(self.values, other.values)])
 
     @staticmethod
-    def constant(space: FiniteSpace, c: Union[int, str, Fraction, TropScalar]) -> "FunctionTable":
+    def constant(space: FiniteSpace, c: RatLike) -> "FunctionTable":
         return FunctionTable(space, [_finite_q(c)] * space.n)
 
     def __eq__(self, other) -> bool:
@@ -173,9 +172,9 @@ def _atom_key(atom: Atom):
     if isinstance(atom, int):
         return (0, atom)
     if isinstance(atom, TropVector):
-        return (1, tuple(c._key() for c in atom.coords))
+        return (1, atom.coords)
     if isinstance(atom, IdemMeasure):
-        return (2, tuple((_atom_key(a), w._key()) for a, w in atom.atoms))
+        return (2, tuple((_atom_key(a), w) for a, w in atom.atoms))
     raise BadInput(f"unsupported atom {atom!r}")
 
 
@@ -193,7 +192,7 @@ class IdemMeasure:
 
     def __init__(
         self,
-        pairs: Iterable[tuple[Atom, TropScalar]],
+        pairs: Iterable[tuple[Atom, Scalar]],
         space: Optional[FiniteSpace] = None,
         renormalize: bool = False,
     ):
@@ -201,7 +200,7 @@ class IdemMeasure:
         dims = set()
         for atom, weight in pairs:
             weight = scalar(weight)
-            if weight.is_top:
+            if weight is POS_INF:
                 raise BadInput("+inf cannot be a weight")
             if isinstance(atom, int):
                 if space is None:
@@ -220,28 +219,25 @@ class IdemMeasure:
             for i, w in checked:
                 weights[i] = oplus(weights[i], w)
             top = oplus_all(weights)
-            if renormalize and top.is_finite and top != ZERO:
-                weights = [odot(w, _finite(-top.q)) for w in weights]
+            if renormalize and top is not NEG_INF and top != ZERO:
+                weights = [odot(w, -top) for w in weights]
             self._fill(space, tuple(weights))
             return
         merged: dict = {}
         for atom, weight in checked:
-            if atom in merged:
-                merged[atom] = oplus(merged[atom], weight)
-            else:
-                merged[atom] = weight
+            merged[atom] = oplus(merged.get(atom, NEG_INF), weight)
         if len({_atom_key(a)[0] for a in merged}) > 1:
             raise BadInput("atoms of mixed kinds in one measure")
         if len(dims) > 1:
             raise DimensionMismatch("point atoms of mixed dimension")
         top = oplus_all(merged.values()) if merged else NEG_INF
-        if top.is_bottom:
+        if top is NEG_INF:
             raise NotNormalized("a measure needs at least one atom above -inf")
         if top != ZERO:
             if not renormalize:
                 raise NotNormalized(f"max weight is {top}, expected 0")
-            merged = {a: odot(w, scalar(-top.q)) for a, w in merged.items()}
-        kept = [(a, w) for a, w in merged.items() if not w.is_bottom]
+            merged = {a: odot(w, -top) for a, w in merged.items()}
+        kept = [(a, w) for a, w in merged.items() if w is not NEG_INF]
         kept.sort(key=lambda aw: _atom_key(aw[0]))
         if space is not None:
             raise BadInput("measures on a finite space must use index atoms")
@@ -259,15 +255,16 @@ class IdemMeasure:
         kept = []
         at_zero = above_zero = False
         for i, w in enumerate(weights):
-            if w._kind == _FINITE:
-                kept.append((i, w))
-                sign = w._q.numerator
-                if sign > 0:
-                    above_zero = True
-                elif sign == 0:
-                    at_zero = True
-            elif w._kind == _TOP:
+            if w is NEG_INF:
+                continue
+            if w is POS_INF:
                 raise BadInput("+inf cannot be a weight")
+            kept.append((i, w))
+            sign = w.numerator
+            if sign > 0:
+                above_zero = True
+            elif sign == 0:
+                at_zero = True
         if not kept:
             raise NotNormalized("a measure needs at least one atom above -inf")
         if above_zero or not at_zero:
@@ -285,7 +282,7 @@ class IdemMeasure:
     @staticmethod
     def from_weights(
         space: FiniteSpace,
-        weights: Sequence[Union[int, str, Fraction, TropScalar]],
+        weights: Sequence[RatLike],
         renormalize: bool = False,
     ) -> "IdemMeasure":
         if len(weights) != space.n:
@@ -297,7 +294,7 @@ class IdemMeasure:
 
     # -- views ---------------------------------------------------------
 
-    def weight_of(self, atom: Atom) -> TropScalar:
+    def weight_of(self, atom: Atom) -> Scalar:
         weights = self._weights
         if weights is not None and type(atom) is int and 0 <= atom < len(weights):
             return weights[atom]
@@ -306,7 +303,7 @@ class IdemMeasure:
                 return w
         return NEG_INF
 
-    def density(self) -> tuple[TropScalar, ...]:
+    def density(self) -> tuple[Scalar, ...]:
         """The weight of every point of the finite space, -inf off the support."""
         if self.space is None:
             raise BadInput("densities exist only over a finite space")
@@ -321,11 +318,11 @@ class IdemMeasure:
 
     # -- functional view -----------------------------------------------
 
-    def __call__(self, phi) -> TropScalar:
+    def __call__(self, phi) -> Scalar:
         """Evaluate the measure as a functional on phi.
 
         phi is a FunctionTable over the same space, or any callable on
-        atoms returning a TropScalar.
+        atoms returning a scalar.
         """
         if isinstance(phi, FunctionTable):
             if self.space is None or phi.space != self.space:
@@ -340,14 +337,14 @@ class IdemMeasure:
         return self.atoms == other.atoms
 
     def __hash__(self) -> int:
-        return hash((self.space, tuple((_atom_key(a), w._key()) for a, w in self.atoms)))
+        return hash((self.space, tuple((_atom_key(a), w) for a, w in self.atoms)))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a!r}: {w}" for a, w in self.atoms)
         return f"IdemMeasure({{{inner}}})"
 
 
-def eval_measure(mu: IdemMeasure, phi) -> TropScalar:
+def eval_measure(mu: IdemMeasure, phi) -> Scalar:
     """Function form of mu(phi)."""
     return mu(phi)
 
@@ -363,9 +360,9 @@ def _dense(space: FiniteSpace, weights: tuple) -> IdemMeasure:
     return mu
 
 
-def _times(c: TropScalar, weights: tuple):
+def _times(c: Scalar, weights: tuple):
     """c odot each weight, lazily; the weights themselves when c is 0."""
-    if c._kind == _FINITE and not c._q.numerator:
+    if c is not NEG_INF and not c.numerator:
         return weights
     return map(odot, repeat(c), weights)
 
@@ -456,21 +453,21 @@ class PointFunction:
     def __init__(
         self,
         name: str,
-        fn: Callable[[TropVector], TropScalar],
-        affine: Optional[tuple[tuple[TropScalar, ...], TropScalar]] = None,
+        fn: Callable[[TropVector], Scalar],
+        affine: Optional[tuple[tuple[Scalar, ...], Scalar]] = None,
     ):
         self.name = name
         self.fn = fn
         self.affine = affine
 
-    def __call__(self, p: TropVector) -> TropScalar:
+    def __call__(self, p: TropVector) -> Scalar:
         return self.fn(p)
 
     def __repr__(self) -> str:
         return f"PointFunction({self.name})"
 
 
-def _affine_at(affine: tuple, coords: Sequence[TropScalar]) -> TropScalar:
+def _affine_at(affine: tuple, coords: Sequence[Scalar]) -> Scalar:
     coeffs, const = affine
     return oplus(oplus_all(odot(a, c) for a, c in zip(coeffs, coords)), const)
 
@@ -487,8 +484,8 @@ def pairwise_min(dim: int, i: int, j: int) -> PointFunction:
 def random_affine(dim: int, rng: random.Random) -> PointFunction:
     """max_j (a_j + p_j) oplus c with small random rational coefficients."""
     grid = [Fraction(k, 8) for k in range(-16, 1)]
-    coeffs = tuple(TropScalar(rng.choice(grid)) for _ in range(dim))
-    const = TropScalar(rng.choice(grid))
+    coeffs = tuple(rng.choice(grid) for _ in range(dim))
+    const = rng.choice(grid)
     label = "affine[" + ",".join(str(c) for c in coeffs) + f";{const}]"
     affine = (coeffs, const)
     return PointFunction(label, lambda p: _affine_at(affine, p.coords), affine=affine)
@@ -509,7 +506,7 @@ def _space_tests(space: FiniteSpace) -> tuple:
     if space.points is not None:
         d = space.points[0].dim
         for j in range(d):
-            tests.append(FunctionTable(space, [p[j].q for p in space.points]))
+            tests.append(FunctionTable(space, [p[j] for p in space.points]))
     return tuple(tests)
 
 
@@ -543,7 +540,7 @@ def _evaluator(mu: IdemMeasure) -> Callable:
     dim = first.dim
     beta = tuple(mu(coordinate_projection(dim, j)) for j in range(dim))
 
-    def evaluate(phi) -> TropScalar:
+    def evaluate(phi) -> Scalar:
         if isinstance(phi, PointFunction) and phi.affine is not None and len(phi.affine[0]) == dim:
             return _affine_at(phi.affine, beta)
         return mu(phi)

@@ -14,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .core import NEG_INF, ZERO, ConvexParams, TropScalar, TropVector, scalar
+from .core import NEG_INF, ZERO, ConvexParams, Scalar, TropVector
 from .geometry import Box
 from .measures import FiniteSpace, FunctionTable, IdemMeasure, SpaceMap
 
@@ -32,19 +32,19 @@ def dyadic_delta(j: int) -> Fraction:
     return Fraction(1, 2**j)
 
 
-def random_lattice(rng: random.Random, lo: Fraction, hi: Fraction) -> TropScalar:
+def random_lattice(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     """Uniform pick from the 1/8 grid between lo and hi inclusive."""
     steps = int((hi - lo) / LATTICE_STEP)
-    return scalar(lo + LATTICE_STEP * rng.randint(0, steps))
+    return lo + LATTICE_STEP * rng.randint(0, steps)
 
 
-def random_weight(rng: random.Random, bottom_rate: float = 0.15) -> TropScalar:
+def random_weight(rng: random.Random, bottom_rate: float = 0.15) -> Scalar:
     if rng.random() < bottom_rate:
         return NEG_INF
     return random_lattice(rng, Fraction(-2), Fraction(0))
 
 
-def random_weights(rng: random.Random, n: int, bottom_rate: float = 0.15) -> list[TropScalar]:
+def random_weights(rng: random.Random, n: int, bottom_rate: float = 0.15) -> list[Scalar]:
     """Normalized weight vector: lattice values with a forced zero."""
     weights = [random_weight(rng, bottom_rate) for _ in range(n)]
     weights[rng.randrange(n)] = ZERO
@@ -90,7 +90,7 @@ def random_box(rng: random.Random, dim: int) -> Box:
     lows, highs = [], []
     for _ in range(dim):
         lo = random_lattice(rng, Fraction(-2), Fraction(-1, 2))
-        hi = random_lattice(rng, lo.q + Fraction(1, 2), Fraction(0))
+        hi = random_lattice(rng, lo + Fraction(1, 2), Fraction(0))
         lows.append(lo)
         highs.append(hi)
     return Box(TropVector(lows), TropVector(highs))
@@ -100,7 +100,7 @@ def random_point(rng: random.Random, box: Box) -> TropVector:
     coords = []
     for j in range(box.dim):
         lo, hi = box.interval(j)
-        coords.append(random_lattice(rng, lo.q, hi.q))
+        coords.append(random_lattice(rng, lo, hi))
     return TropVector(coords)
 
 
@@ -118,7 +118,7 @@ def random_point_measure(rng: random.Random, box: Box, k_max: int = 4) -> IdemMe
 def random_function_table(rng: random.Random, space: FiniteSpace) -> FunctionTable:
     """Finite-valued test function on the 1/8 grid; tables model
     continuous functions, so no bottoms here."""
-    vals = [random_lattice(rng, Fraction(-2), Fraction(2)).q for _ in range(space.n)]
+    vals = [random_lattice(rng, Fraction(-2), Fraction(2)) for _ in range(space.n)]
     return FunctionTable(space, vals)
 
 
@@ -134,25 +134,25 @@ def perturb_weights_toward_zero(
     cap = min(delta, SAFE_DELTA)
     pairs = []
     for atom, w in mu.atoms:
-        if w.is_finite and w < ZERO and rng.random() < 0.5:
+        if w is not NEG_INF and w < ZERO and rng.random() < 0.5:
             amount = cap * rng.randint(1, 8) / 8
-            pairs.append((atom, scalar(w.q + amount)))
+            pairs.append((atom, w + amount))
         else:
             pairs.append((atom, w))
     return IdemMeasure(pairs, space=mu.space)
 
 
-def weight_grid(lo: Fraction = Fraction(-1), with_bottom: bool = True) -> list[TropScalar]:
+def weight_grid(lo: Fraction = Fraction(-1), with_bottom: bool = True) -> list[Scalar]:
     """The exhaustive grid used by the fiber sweep: 1/8 steps plus -inf."""
     values = []
     if with_bottom:
         values.append(NEG_INF)
     steps = int(-lo / LATTICE_STEP)
-    values += [scalar(lo + LATTICE_STEP * k) for k in range(steps + 1)]
+    values += [lo + LATTICE_STEP * k for k in range(steps + 1)]
     return values
 
 
-def normalized_pairs(grid: list[TropScalar]) -> list[tuple[TropScalar, TropScalar]]:
+def normalized_pairs(grid: list[Scalar]) -> list[tuple[Scalar, Scalar]]:
     """All weight pairs from the grid with max equal to 0."""
     out = []
     for a in grid:
@@ -170,16 +170,16 @@ def lattice_targets_near(point: TropVector, box: Box, delta: Fraction) -> list[T
     the first candidate its lift accepts; the unmoved point comes last,
     so an exact fallback is always available.
     """
-    moves: list[list[TropScalar]] = []
+    moves: list[list[Scalar]] = []
     for j in range(box.dim):
         lo, hi = box.interval(j)
-        c = point[j].q
-        center = (lo.q + hi.q) / 2
+        c = point[j]
+        center = (lo + hi) / 2
         inward = delta if c <= center else -delta
         options = []
         for step in (inward, -inward):
-            if lo.q <= c + step <= hi.q and c + step != c:
-                options.append(scalar(c + step))
+            if lo <= c + step <= hi and c + step != c:
+                options.append(c + step)
         options.append(point[j])
         moves.append(options)
     seen = set()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropibary.barycenter import barycenter, barycenter_of_measures, barycenter_point
-from tropibary.core import ConvexParams, TropScalar, TropVector, odot, s_point
+from tropibary.core import ConvexParams, TropVector, odot, s_point, scalar
 from tropibary.errors import BadInput, NonConvexElement, SpaceMismatch
 from tropibary.geometry import Box
 from tropibary.measures import FiniteSpace, IdemMeasure, combine, map_atoms, random_affine
@@ -17,7 +17,7 @@ weight_q = st.fractions(min_value=-4, max_value=0, max_denominator=16)
 def point_measures(dim=2, k_max=4):
     def build(raw):
         pairs = [
-            (TropVector([TropScalar(c) for c in cs]), TropScalar(w)) for cs, w in raw
+            (TropVector([scalar(c) for c in cs]), scalar(w)) for cs, w in raw
         ]
         return IdemMeasure(pairs, renormalize=True)
 
@@ -67,7 +67,7 @@ class TestAffinity:
     @given(point_measures(), point_measures(), weight_q)
     @settings(max_examples=60)
     def test_binary_affinity(self, mu, nu, q):
-        params = ConvexParams("0", TropScalar(q))
+        params = ConvexParams("0", scalar(q))
         lhs = barycenter_point(combine(mu, nu, params))
         rhs = s_point(barycenter_point(mu), barycenter_point(nu), params)
         assert lhs == rhs
@@ -77,7 +77,7 @@ class TestAffinity:
     def test_nary_affinity(self, entries):
         # weighted join of measures vs weighted join of barycenters
         top = max(q for _, q in entries)
-        coeffs = [TropScalar(q - top) for _, q in entries]
+        coeffs = [scalar(q - top) for _, q in entries]
         mixed = IdemMeasure(
             [(a, odot(c, w)) for (m, _), c in zip(entries, coeffs) for a, w in m.atoms]
         )
@@ -132,10 +132,10 @@ class TestMeasureOfMeasures:
 
         def rand_measure():
             qs = [data.draw(weight_q) for _ in range(3)]
-            return IdemMeasure(list(enumerate(map(TropScalar, qs))), space=space, renormalize=True)
+            return IdemMeasure(list(enumerate(map(scalar, qs))), space=space, renormalize=True)
 
         m1, m2, m3 = rand_measure(), rand_measure(), rand_measure()
-        params = ConvexParams("0", TropScalar(data.draw(weight_q)))
+        params = ConvexParams("0", scalar(data.draw(weight_q)))
         big1 = IdemMeasure([(m1, "0"), (m2, "-1/4")])
         big2 = IdemMeasure([(m3, "0")])
         lhs = barycenter_of_measures(combine(big1, big2, params))

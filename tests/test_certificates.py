@@ -1,13 +1,15 @@
 """Replayable non-openness certificates: build, verify, reload, recheck."""
 
 import json
+import pathlib
 
 import pytest
 
-from tropibary.core import rho, scalar
+from tropibary.core import TropVector, rho, scalar
 from tropibary.errors import BadInput
 from tropibary.geometry import (
     Certificate,
+    _y_sample_text,
     certify_id_oplus_not_open,
     certify_y_beta_not_open,
 )
@@ -129,6 +131,41 @@ class TestRecheck:
         cert = certify_id_oplus_not_open(2, samples=30, seed=7)
         cert.data["exhibits"][0]["alpha_phi"] = "0"
         assert not cert.recheck()
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def issued(name):
+    """The certificate document a golden CLI run printed."""
+    return json.loads((GOLDEN / name).read_text())["outputs"]["certificate"]
+
+
+class TestIssuedCertificates:
+    """Certificates already handed out must keep replaying: their digests
+    do not depend on how the library represents scalars."""
+
+    @pytest.mark.parametrize("name", ["counterexample-y-beta.out", "counterexample-id-oplus.out"])
+    def test_stored_certificate_replays(self, name):
+        doc = issued(name)
+        validate_document(doc, "certificate")
+        assert certificate_from_json(doc).recheck()
+
+    def test_changed_atom_weight_fails(self):
+        doc = issued("counterexample-y-beta.out")
+        atom = doc["data"]["exhibits"][0]["atoms"][1]
+        assert atom[2] != "-1/16"
+        atom[2] = "-1/16"
+        assert not certificate_from_json(doc).recheck()
+
+    def test_sample_text_spells_the_issued_bytes(self):
+        one = ((TropVector([-1, -1]), scalar(0)),)
+        two = one + ((TropVector(["-15/32", "-15/32"]), scalar("-1/32")),)
+        assert _y_sample_text(one) == "((TropVector([-1, -1]), TropScalar('0')),)"
+        assert _y_sample_text(two) == (
+            "((TropVector([-1, -1]), TropScalar('0')), "
+            "(TropVector([-15/32, -15/32]), TropScalar('-1/32')))"
+        )
 
 
 class TestSerialization:

@@ -1,4 +1,9 @@
+import copy
+import itertools
 import math
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +15,6 @@ from tropibary.core import (
     POS_INF,
     ZERO,
     ConvexParams,
-    TropScalar,
     TropVector,
     odot,
     oplus,
@@ -26,27 +30,30 @@ from tropibary.core import (
 from tropibary.errors import BadInput, DimensionMismatch
 
 finite_q = st.fractions(min_value=-8, max_value=8, max_denominator=64)
-any_scalar = st.one_of(finite_q.map(TropScalar), st.just(NEG_INF))
+any_scalar = st.one_of(finite_q, st.just(NEG_INF))
 
 
 class TestScalarConstruction:
     def test_parses_fraction_strings(self):
-        assert TropScalar("-1/2").q == Fraction(-1, 2)
-        assert TropScalar("3").q == Fraction(3)
-        assert TropScalar("0.25").q == Fraction(1, 4)
+        assert scalar("-1/2") == Fraction(-1, 2)
+        assert scalar("3") == Fraction(3)
+        assert scalar("0.25") == Fraction(1, 4)
 
     def test_parses_minus_inf(self):
-        assert TropScalar("-inf").is_bottom
+        assert scalar("-inf") is NEG_INF
+        assert scalar("+inf") is POS_INF
         assert str(NEG_INF) == "-inf"
+        assert str(POS_INF) == "+inf"
+        assert float(NEG_INF) == -math.inf and float(POS_INF) == math.inf
 
     def test_accepts_int_and_fraction(self):
-        assert TropScalar(-2) == TropScalar(Fraction(-2))
+        assert scalar(-2) == scalar(Fraction(-2))
 
     def test_refuses_floats_and_bools(self):
         with pytest.raises(BadInput):
-            TropScalar(0.5)
+            scalar(0.5)
         with pytest.raises(BadInput):
-            TropScalar(True)
+            scalar(True)
         with pytest.raises(BadInput):
             scalar(float("nan"))
 
@@ -55,11 +62,18 @@ class TestScalarConstruction:
     )
     def test_refuses_malformed_strings(self, text):
         with pytest.raises(BadInput):
-            TropScalar(text)
+            scalar(text)
 
     def test_scalar_is_idempotent_on_scalars(self):
-        s = TropScalar("-1/3")
+        s = scalar("-1/3")
         assert scalar(s) is s
+        assert scalar(NEG_INF) is NEG_INF and scalar(POS_INF) is POS_INF
+
+    def test_sentinels_survive_copy_and_pickle(self):
+        for s in (NEG_INF, POS_INF):
+            assert copy.copy(s) is s
+            assert copy.deepcopy(s) is s
+            assert pickle.loads(pickle.dumps(s)) is s
 
 
 class TestSemiring:
@@ -84,16 +98,16 @@ class TestSemiring:
         assert odot(POS_INF, NEG_INF) == NEG_INF
 
     def test_oplus_all(self):
-        assert oplus_all([NEG_INF, TropScalar("-1"), ZERO]) == ZERO
+        assert oplus_all([NEG_INF, scalar("-1"), ZERO]) == ZERO
 
 
 class TestResiduation:
-    @given(finite_q.map(TropScalar), finite_q.map(TropScalar))
+    @given(finite_q, finite_q)
     def test_finite_residual_is_difference(self, a, b):
-        assert residual(a, b).q == a.q - b.q
+        assert residual(a, b) == a - b
 
     def test_bottom_cases(self):
-        assert residual(NEG_INF, TropScalar("-1")) == NEG_INF
+        assert residual(NEG_INF, scalar("-1")) == NEG_INF
         assert residual(ZERO, NEG_INF) == POS_INF
         assert residual(NEG_INF, NEG_INF) == POS_INF
 
@@ -101,18 +115,18 @@ class TestResiduation:
     def test_galois_adjunction(self, a, b):
         # residual(a, b) is the largest c with c + b <= a
         r = residual(a, b)
-        if not r.is_top:
+        if r is not POS_INF:
             assert odot(r, b) <= a
 
     def test_trop_min_clamps_top(self):
-        assert trop_min(POS_INF, TropScalar("-1")) == TropScalar("-1")
-        assert trop_min(TropScalar("-2"), TropScalar("-1")) == TropScalar("-2")
+        assert type(trop_min(POS_INF, scalar("-1"))) is Fraction and trop_min(POS_INF, scalar("-1")) == scalar("-1")
+        assert type(trop_min(scalar("-2"), scalar("-1"))) is Fraction and trop_min(scalar("-2"), scalar("-1")) == scalar("-2")
 
 
 class TestMetric:
     def test_rho_against_exponentials(self):
         assert rho(NEG_INF, ZERO) == 1.0
-        assert math.isclose(rho(TropScalar("-1"), TropScalar("-2")), math.exp(-1) - math.exp(-2))
+        assert math.isclose(rho(scalar("-1"), scalar("-2")), math.exp(-1) - math.exp(-2))
 
     @given(any_scalar, any_scalar, any_scalar)
     def test_triangle_inequality(self, a, b, c):
@@ -128,8 +142,8 @@ class TestVectors:
     def test_construction_and_indexing(self):
         v = vector(["-1", "0"])
         assert v.dim == 2
-        assert v[0] == TropScalar("-1")
-        assert list(v) == [TropScalar("-1"), ZERO]
+        assert type(v[0]) is Fraction and v[0] == scalar("-1")
+        assert list(v) == [scalar("-1"), ZERO]
 
     def test_refuses_top_coordinate(self):
         with pytest.raises(BadInput):
@@ -138,12 +152,17 @@ class TestVectors:
     def test_shift_and_join(self):
         v = vector(["-1", "0"])
         w = vector(["0", "-2"])
-        assert v.shift(TropScalar("-1")) == vector(["-2", "-1"])
+        assert v.shift(scalar("-1")) == vector(["-2", "-1"])
         assert v.join(w) == vector(["0", "0"])
 
     def test_shift_refuses_plus_inf(self):
         with pytest.raises(BadInput, match=r"^\+inf cannot be stored in a vector$"):
             TropVector([0]).shift(POS_INF)
+
+    def test_shift_refuses_floats_and_coerces_text(self):
+        with pytest.raises(BadInput, match="inexact"):
+            TropVector([0]).shift(0.5)
+        assert TropVector([0]).shift("-1/2").coords == (Fraction(-1, 2),)
 
     @given(st.lists(any_scalar, min_size=1, max_size=4), any_scalar, st.data())
     def test_shift_and_join_equal_checked_vectors(self, coords, t, data):
@@ -167,7 +186,7 @@ class TestVectors:
 
     def test_point_dist_is_sup_of_rho(self):
         d = point_dist(vector(["-1", "0"]), vector(["-1", "-1"]))
-        assert math.isclose(d, rho(ZERO, TropScalar("-1")))
+        assert math.isclose(d, rho(ZERO, scalar("-1")))
 
 
 class TestConvexParams:
@@ -183,12 +202,12 @@ class TestConvexParams:
 
     def test_accepts_bottom_side(self):
         p = ConvexParams("-inf", "0")
-        assert p.t.is_bottom and p.p == ZERO
+        assert p.t is NEG_INF and p.p == ZERO
 
     def test_dist(self):
         a = ConvexParams("0", "-1")
         b = ConvexParams("0", "-2")
-        assert math.isclose(a.dist(b), rho(TropScalar("-1"), TropScalar("-2")))
+        assert math.isclose(a.dist(b), rho(scalar("-1"), scalar("-2")))
 
 
 class TestPointCombination:
@@ -196,14 +215,14 @@ class TestPointCombination:
         x = vector(["-1", "0"])
         y = vector(["0", "-2"])
         p = ConvexParams("0", "-1/2")
-        assert s_point(x, y, p) == x.join(y.shift(TropScalar("-1/2")))
+        assert s_point(x, y, p) == x.join(y.shift(scalar("-1/2")))
 
     @given(
         st.lists(finite_q, min_size=2, max_size=2),
         st.lists(finite_q, min_size=2, max_size=2),
     )
     def test_idempotent_at_equal_args(self, xs, ys):
-        x = TropVector([TropScalar(c) for c in xs])
+        x = TropVector([scalar(c) for c in xs])
         p = ConvexParams("0", "0")
         assert s_point(x, x, p) == x
 
@@ -223,21 +242,29 @@ def kind_q(text):
     return KINDED[text] if text in KINDED else (0, Fraction(text))
 
 
+# Both orders of every pair are drawn, so each comparison runs with the
+# Fraction on the left of a sentinel (through the reflected methods) and
+# on its right.
 @pytest.mark.parametrize("x", SAMPLE_TEXTS)
 @pytest.mark.parametrize("y", SAMPLE_TEXTS)
 def test_kernel_matches_kind_q_definition(x, y):
-    a, b = TropScalar(x), TropScalar(y)
+    a, b = scalar(x), scalar(y)
     ka, kb = kind_q(x), kind_q(y)
-    assert (a < b, a <= b, a > b, a >= b, a == b) == (ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb)
+    assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+        ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb, ka != kb
+    )
     if a == b:
         assert hash(a) == hash(b)
+    assert (max(a, b), min(a, b)) == (oplus(a, b), trop_min(a, b))
     if ka[0] == -1 or kb[0] == -1:
         expect = NEG_INF
     elif ka[0] == 1 or kb[0] == 1:
         expect = POS_INF
     else:
-        expect = TropScalar(ka[1] + kb[1])
-    assert odot(a, b) == expect
+        expect = ka[1] + kb[1]
+    got = odot(a, b)
+    assert got == expect
+    assert type(got) is Fraction or got is expect
     if ka[0] == 1 or kb[0] == 1:
         with pytest.raises(BadInput):
             residual(a, b)
@@ -247,9 +274,43 @@ def test_kernel_matches_kind_q_definition(x, y):
     elif ka[0] == -1:
         expect = NEG_INF
     else:
-        expect = TropScalar(ka[1] - kb[1])
+        expect = ka[1] - kb[1]
     got = residual(a, b)
     assert got == expect
-    assert got.is_finite == expect.is_finite
-    if got.is_finite:
-        assert type(got.q) is Fraction and str(got) == str(expect.q)
+    assert type(got) is Fraction or got is expect
+    assert str(got) == str(expect)
+
+
+def test_sorted_mixed_lists_follow_the_reference_order():
+    want = [scalar(t) for t in SAMPLE_TEXTS]
+    for perm in itertools.permutations(want):
+        got = sorted(perm)
+        assert all(g is w or (type(g) is Fraction and g == w) for g, w in zip(got, want))
+        assert sorted(perm, reverse=True) == want[::-1]
+        assert (max(perm), min(perm)) == (POS_INF, NEG_INF)
+        assert sorted(perm, key=lambda s: kind_q(str(s))) == got
+
+
+@pytest.mark.parametrize("value", [0, -3, 7, "0", "-1/2", "0.25", "+3", Fraction(0), Fraction(-5, 4)])
+def test_finite_scalars_are_plain_fractions(value):
+    s = scalar(value)
+    assert type(s) is Fraction and s == Fraction(value)
+
+
+def test_sentinel_hashes_ignore_the_hash_seed(child_env):
+    code = (
+        "from fractions import Fraction\n"
+        "from tropibary.core import NEG_INF, POS_INF\n"
+        "print(hash(NEG_INF), hash(POS_INF), [str(s) for s in {NEG_INF, POS_INF, Fraction(1, 2)}])"
+    )
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**child_env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outs) == 1

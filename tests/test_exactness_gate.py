@@ -41,7 +41,7 @@ def nudged(fn):
 
     def wrong(*args):
         out = fn(*args)
-        return odot(out, NUDGE) if out.is_finite and out < ZERO else out
+        return odot(out, NUDGE) if type(out) is Fraction and out < ZERO else out
 
     return wrong
 

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropibary.core import ConvexParams, TropScalar, TropVector, odot, oplus, s_point
+from tropibary.core import NEG_INF, POS_INF, ConvexParams, TropVector, odot, oplus, s_point, scalar
 from tropibary.errors import BadInput, OutsideValidityRegion
 from tropibary.geometry import Box
-from tropibary.lifting import brute_force_lift_box, lift_s_box, lift_s_interval
+from tropibary.lifting import brute_force_lift_box, brute_force_lift_interval, lift_s_box, lift_s_interval
 from tropibary.sampling import spawn
 
-BOUNDS = (TropScalar("-2"), TropScalar("0"))
+BOUNDS = (scalar("-2"), scalar("0"))
 BOX = Box(TropVector(("-2", "-2")), TropVector(("0", "0")))
 
 grid_q = st.fractions(min_value=-2, max_value=0, max_denominator=16)
@@ -26,64 +26,68 @@ grid_q = st.fractions(min_value=-2, max_value=0, max_denominator=16)
 def interval_params(draw_q):
     return st.one_of(
         st.just(ConvexParams("0", "0")),
-        draw_q.map(lambda q: ConvexParams(TropScalar(q), "0")),
-        draw_q.map(lambda q: ConvexParams("0", TropScalar(q))),
+        draw_q.map(lambda q: ConvexParams(scalar(q), "0")),
+        draw_q.map(lambda q: ConvexParams("0", scalar(q))),
     )
 
 
 class TestIntervalFrozen:
     def test_second_absorbs_target(self):
         w = lift_s_interval(
-            TropScalar("-1"), TropScalar("-9/20"), ConvexParams("-1/10", "0"),
-            TropScalar("-2/5"), BOUNDS,
+            scalar("-1"), scalar("-9/20"), ConvexParams("-1/10", "0"),
+            scalar("-2/5"), BOUNDS,
         )
         assert w.case_tag == "s=second"
-        assert w.lifted_first == TropScalar("-1")
-        assert w.lifted_second == TropScalar("-2/5")
+        assert type(w.lifted_first) is type(w.lifted_second) is Fraction
+        assert w.lifted_first == scalar("-1")
+        assert w.lifted_second == scalar("-2/5")
         assert w.params == ConvexParams("-1/10", "0")
 
     def test_first_moves_by_residual(self):
         # shifted first dominates: x + t = -1/10 > y = -1
         w = lift_s_interval(
-            TropScalar("0"), TropScalar("-1"), ConvexParams("-1/10", "0"),
-            TropScalar("-1/5"), BOUNDS,
+            scalar("0"), scalar("-1"), ConvexParams("-1/10", "0"),
+            scalar("-1/5"), BOUNDS,
         )
         assert w.case_tag == "s=first"
-        assert w.lifted_first == TropScalar("-1/10")
-        assert w.lifted_second == TropScalar("-1")
+        assert type(w.lifted_first) is type(w.lifted_second) is Fraction
+        assert w.lifted_first == scalar("-1/10")
+        assert w.lifted_second == scalar("-1")
 
     def test_tie_moves_both(self):
         w = lift_s_interval(
-            TropScalar("-1"), TropScalar("-3/2"), ConvexParams("-1/2", "0"),
-            TropScalar("-7/5"), BOUNDS,
+            scalar("-1"), scalar("-3/2"), ConvexParams("-1/2", "0"),
+            scalar("-7/5"), BOUNDS,
         )
         assert w.case_tag == "s=tied"
-        assert w.lifted_first == TropScalar("-9/10")
-        assert w.lifted_second == TropScalar("-7/5")
+        assert type(w.lifted_first) is type(w.lifted_second) is Fraction
+        assert w.lifted_first == scalar("-9/10")
+        assert w.lifted_second == scalar("-7/5")
 
     def test_swapped_mirror(self):
         w = lift_s_interval(
-            TropScalar("-9/20"), TropScalar("-1"), ConvexParams("0", "-1/10"),
-            TropScalar("-2/5"), BOUNDS,
+            scalar("-9/20"), scalar("-1"), ConvexParams("0", "-1/10"),
+            scalar("-2/5"), BOUNDS,
         )
         assert w.case_tag.endswith("/swapped")
-        assert w.lifted_first == TropScalar("-2/5")
-        assert w.lifted_second == TropScalar("-1")
+        assert type(w.lifted_first) is type(w.lifted_second) is Fraction
+        assert w.lifted_first == scalar("-2/5")
+        assert w.lifted_second == scalar("-1")
 
 
 class TestIntervalInvariants:
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_params_never_move_and_lift_is_exact(self, data):
-        x = TropScalar(data.draw(grid_q))
-        y = TropScalar(data.draw(grid_q))
+        x = scalar(data.draw(grid_q))
+        y = scalar(data.draw(grid_q))
         params = data.draw(interval_params(grid_q))
         image = oplus(odot(params.t, x), odot(params.p, y))
         bump = data.draw(st.sampled_from([Fraction(0), Fraction(1, 32), Fraction(-1, 32)]))
-        target_q = image.q + bump
-        if not (BOUNDS[0].q <= target_q <= BOUNDS[1].q):
-            target_q = image.q
-        target = TropScalar(target_q)
+        target_q = image + bump
+        if not (BOUNDS[0] <= target_q <= BOUNDS[1]):
+            target_q = image
+        target = scalar(target_q)
         try:
             w = lift_s_interval(x, y, params, target, BOUNDS)
         except OutsideValidityRegion:
@@ -97,8 +101,8 @@ class TestIntervalInvariants:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_identity_at_exact_target(self, data):
-        x = TropScalar(data.draw(grid_q))
-        y = TropScalar(data.draw(grid_q))
+        x = scalar(data.draw(grid_q))
+        y = scalar(data.draw(grid_q))
         params = data.draw(interval_params(grid_q))
         image = oplus(odot(params.t, x), odot(params.p, y))
         w = lift_s_interval(x, y, params, image, BOUNDS)
@@ -110,36 +114,42 @@ class TestIntervalRejections:
     def test_target_below_shifted_first(self):
         with pytest.raises(OutsideValidityRegion, match="does not exceed the shifted first"):
             lift_s_interval(
-                TropScalar("-1"), TropScalar("-9/20"), ConvexParams("-1/10", "0"),
-                TropScalar("-3/2"), BOUNDS,
+                scalar("-1"), scalar("-9/20"), ConvexParams("-1/10", "0"),
+                scalar("-3/2"), BOUNDS,
             )
 
     def test_target_below_second(self):
         with pytest.raises(OutsideValidityRegion, match="does not exceed the second"):
             lift_s_interval(
-                TropScalar("0"), TropScalar("-1"), ConvexParams("-1/10", "0"),
-                TropScalar("-3/2"), BOUNDS,
+                scalar("0"), scalar("-1"), ConvexParams("-1/10", "0"),
+                scalar("-3/2"), BOUNDS,
             )
 
     def test_moved_point_must_stay_in_bounds(self):
         # tied case: moved = target - t = 1/4 escapes above the interval
         with pytest.raises(OutsideValidityRegion, match="leaves"):
             lift_s_interval(
-                TropScalar("-1"), TropScalar("-3/2"), ConvexParams("-1/2", "0"),
-                TropScalar("-1/4"), BOUNDS,
+                scalar("-1"), scalar("-3/2"), ConvexParams("-1/2", "0"),
+                scalar("-1/4"), BOUNDS,
             )
 
     def test_malformed_inputs(self):
         with pytest.raises(BadInput):
             lift_s_interval(
-                TropScalar("-3"), TropScalar("0"), ConvexParams("0", "0"),
-                TropScalar("0"), BOUNDS,
+                scalar("-3"), scalar("0"), ConvexParams("0", "0"),
+                scalar("0"), BOUNDS,
             )
         with pytest.raises(BadInput):
             lift_s_interval(
-                TropScalar("0"), TropScalar("0"), ConvexParams("0", "0"),
-                TropScalar("0"), (TropScalar("0"), TropScalar("-1")),
+                scalar("0"), scalar("0"), ConvexParams("0", "0"),
+                scalar("0"), (scalar("0"), scalar("-1")),
             )
+
+
+    @pytest.mark.parametrize("bounds", [(NEG_INF, scalar(0)), (scalar(-2), POS_INF)])
+    def test_oracle_refuses_infinite_bounds(self, bounds):
+        with pytest.raises(BadInput, match="has no rational value"):
+            brute_force_lift_interval(scalar(-1), scalar(-1), ConvexParams("0", "0"), scalar(-1), bounds)
 
 
 class TestBoxLift:
@@ -181,16 +191,16 @@ class TestBoxLift:
     def test_random_near_targets(self, seed):
         rng = spawn(seed, "box-lift")
         eighth = [Fraction(k, 8) for k in range(-16, 1)]
-        x = TropVector([TropScalar(rng.choice(eighth)) for _ in range(2)])
-        y = TropVector([TropScalar(rng.choice(eighth)) for _ in range(2)])
-        q = TropScalar(rng.choice(eighth))
+        x = TropVector([scalar(rng.choice(eighth)) for _ in range(2)])
+        y = TropVector([scalar(rng.choice(eighth)) for _ in range(2)])
+        q = scalar(rng.choice(eighth))
         params = ConvexParams("0", q) if rng.random() < 0.5 else ConvexParams(q, "0")
         image = s_point(x, y, params)
         coords = []
         for j in range(2):
             delta = rng.choice([Fraction(0), Fraction(1, 32)])
-            c = image[j].q + delta
-            coords.append(TropScalar(min(c, Fraction(0))))
+            c = image[j] + delta
+            coords.append(scalar(min(c, Fraction(0))))
         target = TropVector(coords)
         try:
             w = lift_s_box(x, y, params, target, BOX)

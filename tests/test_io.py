@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -49,7 +50,7 @@ class TestScalarAndVector:
     def test_scalar_roundtrip(self):
         for text in ("-1/3", "0", "-inf", "2"):
             assert scalar_to_json(scalar_from_json(text)) == str(scalar(text))
-        assert scalar_from_json(-2) == scalar("-2")
+        assert type(scalar_from_json(-2)) is Fraction and scalar_from_json(-2) == scalar("-2")
 
     def test_vector_roundtrip(self):
         v = TropVector([scalar("-1/2"), NEG_INF, ZERO])
