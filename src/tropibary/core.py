@@ -8,6 +8,13 @@ min before it can be stored; putting it in a vector, weight, or
 parameter is an error.  `scalar()` is the only coercion.  Test for an
 infinity by identity (`x is NEG_INF`), and mind that `Fraction(0)` is
 falsy and equals the int 0.
+
+The kernel functions `oplus`, `oplus_all`, `odot`, `residual`,
+`trop_min` and `rho` trust their caller to pass scalars: they check no
+types, because a check there would cost every kernel call.  `scalar()`
+is where floats and other non-scalars are refused, as are the
+`TropVector`, `ConvexParams` and measure-weight constructors built on
+it.  A float handed straight to a kernel function is not caught.
 """
 
 from __future__ import annotations

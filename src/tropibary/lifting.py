@@ -551,6 +551,19 @@ def lift_beta(nu: IdemMeasure, target, host) -> IdemMeasure:
 # -- independent brute-force oracles ----------------------------------------
 
 
+# How many candidates one oracle call may view before it gives up.
+ORACLE_BUDGET = 10**6
+
+
+def _tick(viewed: int) -> int:
+    """Count one more viewed candidate; past ORACLE_BUDGET, raise
+    BudgetExceeded."""
+    viewed += 1
+    if viewed > ORACLE_BUDGET:
+        raise BudgetExceeded(f"oracle viewed more than {ORACLE_BUDGET} candidates")
+    return viewed
+
+
 def _finite_values(*scalars) -> list[Fraction]:
     """The distinct finite scalars, in the order first seen."""
     return list(dict.fromkeys(s for s in scalars if type(s) is Fraction))
@@ -568,7 +581,6 @@ def brute_force_lift_s(
     second: IdemMeasure,
     params: ConvexParams,
     target: IdemMeasure,
-    budget: int = 10**6,
     mode: str = "best",
 ) -> Optional[LiftWitness]:
     """Search exact witnesses of the finite combination lift on a
@@ -588,7 +600,7 @@ def brute_force_lift_s(
     bet = second.density()
     alpha = target.density()
     pool = _finite_values(*lam, *bet, *alpha, params.t, params.p)
-    counter = {"viewed": 0}
+    viewed = 0
     best: Optional[LiftWitness] = None
     best_dist = float("inf")
 
@@ -607,9 +619,7 @@ def brute_force_lift_s(
                 rights.add(r)
             for l in lefts:
                 for b in rights:
-                    counter["viewed"] += 1
-                    if counter["viewed"] > budget:
-                        raise BudgetExceeded(f"oracle viewed more than {budget} candidates")
+                    viewed = _tick(viewed)
                     if oplus(odot(cand.t, l), odot(cand.p, b)) == alpha[i]:
                         options.append((l, b))
             if not options:
@@ -623,7 +633,7 @@ def brute_force_lift_s(
         can_zero_b = [any(b == ZERO for _, b in opts) for opts in per_coord]
         if not (any(can_zero_l) and any(can_zero_b)):
             continue
-        found = _search_assignment(per_coord, can_zero_l, can_zero_b, counter, budget)
+        found, viewed = _search_assignment(per_coord, can_zero_l, can_zero_b, viewed)
         if found is None:
             continue
         lam2, bet2 = found
@@ -644,15 +654,15 @@ def brute_force_lift_s(
     return best
 
 
-def _search_assignment(per_coord, can_zero_l, can_zero_b, counter, budget):
+def _search_assignment(per_coord, can_zero_l, can_zero_b, viewed: int):
     """Depth-first pick of one option per coordinate with both weight
-    vectors forced to reach 0 somewhere."""
+    vectors forced to reach 0 somewhere; returns the pick (or None) and
+    the updated count of viewed candidates."""
     n = len(per_coord)
 
     def rec(i, chosen, has_l, has_b):
-        counter["viewed"] += 1
-        if counter["viewed"] > budget:
-            raise BudgetExceeded(f"oracle viewed more than {budget} candidates")
+        nonlocal viewed
+        viewed = _tick(viewed)
         if i == n:
             return list(chosen) if has_l and has_b else None
         if not has_l and not any(can_zero_l[i:]):
@@ -669,8 +679,8 @@ def _search_assignment(per_coord, can_zero_l, can_zero_b, counter, budget):
 
     picked = rec(0, [], False, False)
     if picked is None:
-        return None
-    return [l for l, _ in picked], [b for _, b in picked]
+        return None, viewed
+    return ([l for l, _ in picked], [b for _, b in picked]), viewed
 
 
 def _lattice(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
@@ -687,15 +697,14 @@ def brute_force_lift_interval(
     params: ConvexParams,
     target: Scalar,
     bounds: tuple[Scalar, Scalar],
-    grid_steps: int = 16,
-    budget: int = 10**6,
     mode: str = "best",
 ) -> Optional[LiftWitness]:
-    """Grid search for exact interval-lift witnesses."""
+    """Grid search for exact interval-lift witnesses on 16 steps of the
+    interval."""
     lo, hi = bounds
     pool = _finite_values(x, y, target, params.t, params.p, lo, hi)
     cands = _param_candidates(pool, params)
-    values = set(_lattice(lo, hi, grid_steps)) | {x, y, target}
+    values = set(_lattice(lo, hi, 16)) | {x, y, target}
     for tau in (params.t, params.p):
         r = residual(target, tau)
         if type(r) is Fraction and lo <= r <= hi:
@@ -707,9 +716,7 @@ def brute_force_lift_interval(
     for cand in cands:
         for xv in values:
             for yv in values:
-                viewed += 1
-                if viewed > budget:
-                    raise BudgetExceeded(f"oracle viewed more than {budget} candidates")
+                viewed = _tick(viewed)
                 if oplus(odot(cand.t, xv), odot(cand.p, yv)) != target:
                     continue
                 witness = LiftWitness(xv, yv, cand, "oracle")
@@ -727,12 +734,11 @@ def brute_force_lift_box(
     params: ConvexParams,
     target: TropVector,
     box: Box,
-    grid_steps: int = 8,
-    budget: int = 10**6,
     mode: str = "best",
 ) -> Optional[LiftWitness]:
-    """Grid search for exact box-lift witnesses with one shared parameter
-    pair; coordinates decouple once the pair is fixed."""
+    """Grid search for exact box-lift witnesses on 8 steps per coordinate,
+    with one shared parameter pair; coordinates decouple once the pair is
+    fixed."""
     pool = _finite_values(*x.coords, *y.coords, *target.coords, params.t, params.p)
     viewed = 0
     best = None
@@ -743,7 +749,7 @@ def brute_force_lift_box(
         feasible = True
         for j in range(box.dim):
             lo, hi = box.interval(j)
-            values = set(_lattice(lo, hi, grid_steps)) | {x[j], y[j], target[j]}
+            values = set(_lattice(lo, hi, 8)) | {x[j], y[j], target[j]}
             for tau in (cand.t, cand.p):
                 r = residual(target[j], tau)
                 if type(r) is Fraction and lo <= r <= hi:
@@ -751,9 +757,7 @@ def brute_force_lift_box(
             options = []
             for xv in values:
                 for yv in values:
-                    viewed += 1
-                    if viewed > budget:
-                        raise BudgetExceeded(f"oracle viewed more than {budget} candidates")
+                    viewed = _tick(viewed)
                     if oplus(odot(cand.t, xv), odot(cand.p, yv)) == target[j]:
                         options.append((max(rho(xv, x[j]), rho(yv, y[j])), float(xv), float(yv), xv, yv))
             if not options:
@@ -779,18 +783,16 @@ def brute_force_lift_beta(
     nu: IdemMeasure,
     target: TropVector,
     box: Box,
-    coord_steps: int = 4,
-    weight_steps: int = 4,
-    budget: int = 10**6,
     mode: str = "best",
 ) -> Optional[IdemMeasure]:
     """Exhaustive search for measures on a coordinate grid whose
-    barycenter hits the target exactly."""
-    weights = [Fraction(-2 * k, weight_steps) for k in range(weight_steps + 1)]
+    barycenter hits the target exactly: 4 steps per coordinate, weights
+    0, -1/2, ..., -2."""
+    weights = [Fraction(-2 * k, 4) for k in range(5)]
     pools = []
     for j in range(box.dim):
         lo, hi = box.interval(j)
-        vals = set(_lattice(lo, hi, coord_steps)) | {target[j]}
+        vals = set(_lattice(lo, hi, 4)) | {target[j]}
         for w in weights:
             r = residual(target[j], w)
             if type(r) is Fraction and lo <= r <= hi:
@@ -804,9 +806,7 @@ def brute_force_lift_beta(
     best_dist = float("inf")
     for k in range(1, k_max + 1):
         for combo in itertools.combinations(atom_cands, k):
-            viewed += 1
-            if viewed > budget:
-                raise BudgetExceeded(f"oracle viewed more than {budget} candidates")
+            viewed = _tick(viewed)
             if not any(w == ZERO for _, w in combo):
                 continue
             coords_ok = True

@@ -428,9 +428,9 @@ def pushforward(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
     return _dense(f.target, tuple(weights))
 
 
-def map_atoms(fn: Callable[[Atom], Atom], mu: IdemMeasure, space: Optional[FiniteSpace] = None) -> IdemMeasure:
+def map_atoms(fn: Callable[[Atom], Atom], mu: IdemMeasure) -> IdemMeasure:
     """Pushforward along an arbitrary atom function (points, measures)."""
-    return IdemMeasure([(fn(a), w) for a, w in mu.atoms], space=space)
+    return IdemMeasure([(fn(a), w) for a, w in mu.atoms])
 
 
 # -- distance surrogate ----------------------------------------------------
@@ -477,7 +477,7 @@ def coordinate_projection(dim: int, j: int) -> PointFunction:
     return PointFunction(f"proj[{j}]", lambda p: p[j], affine=(unit, NEG_INF))
 
 
-def pairwise_min(dim: int, i: int, j: int) -> PointFunction:
+def pairwise_min(i: int, j: int) -> PointFunction:
     return PointFunction(f"min[{i},{j}]", lambda p: p[i] if p[i] <= p[j] else p[j])
 
 
@@ -511,13 +511,13 @@ def _space_tests(space: FiniteSpace) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _point_tests(dim: int, k_random: int, seed: int) -> tuple:
+def _point_tests(dim: int) -> tuple:
     tests = [coordinate_projection(dim, j) for j in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            tests.append(pairwise_min(dim, i, j))
-    rng = random.Random(seed)
-    tests += [random_affine(dim, rng) for _ in range(k_random)]
+            tests.append(pairwise_min(i, j))
+    rng = random.Random(0)
+    tests += [random_affine(dim, rng) for _ in range(32)]
     return tuple(tests)
 
 
@@ -527,9 +527,10 @@ def default_tests_for_space(space: FiniteSpace) -> list:
     return list(_space_tests(space))
 
 
-def default_tests_for_points(dim: int, k_random: int = 32, seed: int = 0) -> list:
-    """Projections, pairwise mins, and k seeded random affine functions."""
-    return list(_point_tests(dim, k_random, seed))
+def default_tests_for_points(dim: int) -> list:
+    """Projections, pairwise mins, and 32 random affine functions drawn
+    from seed 0."""
+    return list(_point_tests(dim))
 
 
 def _evaluator(mu: IdemMeasure) -> Callable:
@@ -552,8 +553,6 @@ def measure_dist(
     mu: IdemMeasure,
     nu: IdemMeasure,
     tests: Optional[Sequence] = None,
-    k_random: int = 32,
-    seed: int = 0,
 ) -> float:
     """Surrogate distance: max over a test family of rho(mu(phi), nu(phi)).
 
@@ -578,7 +577,7 @@ def measure_dist(
             dims |= {a.dim for a, _ in nu.atoms if isinstance(a, TropVector)}
             if len(dims) != 1:
                 raise DimensionMismatch("point measures of mixed dimension")
-            tests = _point_tests(dims.pop(), k_random, seed)
+            tests = _point_tests(dims.pop())
         else:
             raise SpaceMismatch("no default test family across different spaces")
     if not tests:

@@ -55,8 +55,8 @@ def random_space(rng: random.Random, n_max: int = 6) -> FiniteSpace:
     return FiniteSpace(rng.randint(1, n_max))
 
 
-def random_measure_on_space(rng: random.Random, space: FiniteSpace, bottom_rate: float = 0.15) -> IdemMeasure:
-    return IdemMeasure.from_weights(space, random_weights(rng, space.n, bottom_rate))
+def random_measure_on_space(rng: random.Random, space: FiniteSpace) -> IdemMeasure:
+    return IdemMeasure.from_weights(space, random_weights(rng, space.n))
 
 
 def random_map(rng: random.Random, source: FiniteSpace, target: FiniteSpace, surjective: bool = False) -> SpaceMap:
@@ -142,14 +142,11 @@ def perturb_weights_toward_zero(
     return IdemMeasure(pairs, space=mu.space)
 
 
-def weight_grid(lo: Fraction = Fraction(-1), with_bottom: bool = True) -> list[Scalar]:
-    """The exhaustive grid used by the fiber sweep: 1/8 steps plus -inf."""
-    values = []
-    if with_bottom:
-        values.append(NEG_INF)
+def weight_grid(lo: Fraction = Fraction(-1)) -> list[Scalar]:
+    """The exhaustive grid used by the fiber sweep: -inf, then 1/8 steps
+    from lo to 0."""
     steps = int(-lo / LATTICE_STEP)
-    values += [lo + LATTICE_STEP * k for k in range(steps + 1)]
-    return values
+    return [NEG_INF] + [lo + LATTICE_STEP * k for k in range(steps + 1)]
 
 
 def normalized_pairs(grid: list[Scalar]) -> list[tuple[Scalar, Scalar]]:

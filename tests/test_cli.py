@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from tropibary import lifting
 from tropibary.cli import main
 
 SPACE = {"labels": ["a", "b"]}
@@ -402,6 +403,7 @@ GOLDEN_REQUESTS = {
     "ext": ("ext", "--polytope", "@poly", "--seed", "7"),
     "counterexample-id-oplus": ("counterexample", "id-oplus", "--i", "2", "--samples", "40", "--seed", "7"),
     "counterexample-y-beta": ("counterexample", "y-beta", "--i", "2", "--samples", "40", "--seed", "7"),
+    "verify-tiny": ("verify", "--scale", "tiny", "--seed", "7"),
 }
 
 
@@ -450,6 +452,15 @@ class TestFailures:
         code, _, err = run(capsys, "eval", "--measure", "only.json")
         assert code == 1
         assert "error:" in err
+
+    def test_oracle_over_budget_is_one_error_line(self, capsys, docs, monkeypatch):
+        monkeypatch.setattr(lifting, "ORACLE_BUDGET", 2)
+        code, out, err = run(capsys, *resolve(GOLDEN_REQUESTS["lift-s"], docs))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert "oracle viewed more than 2 candidates" in line
 
 
 def test_console_script(docs, child_env):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropibary.core import ConvexParams
-from tropibary.errors import OutsideValidityRegion, SpaceMismatch
+from tropibary import lifting
+from tropibary.core import ConvexParams, TropVector, scalar
+from tropibary.errors import BudgetExceeded, OutsideValidityRegion, SpaceMismatch
 from tropibary.lifting import brute_force_lift_s, lift_s_finite, witness_distance
 from tropibary.measures import FiniteSpace, IdemMeasure, combine
 from tropibary.sampling import (
@@ -20,6 +21,7 @@ from tropibary.sampling import (
     random_measure_on_space,
     random_params,
     spawn,
+    standard_box,
 )
 
 S2 = FiniteSpace(2, labels=("a", "b"))
@@ -211,3 +213,33 @@ class TestDegenerateShapes:
         mu = m(["0", "-1/2"])
         w = lift_s_finite(mu, mu, ConvexParams("0", "0"), mu)
         assert w.lifted_first == mu and w.lifted_second == mu
+
+
+class TestOracleBudget:
+    """Every brute-force oracle gives up with BudgetExceeded once it has
+    viewed more than lifting.ORACLE_BUDGET candidates."""
+
+    SEARCHES = {
+        "s": lambda: lifting.brute_force_lift_s(
+            m(["0", "-1"]), m(["-1", "0"]), ConvexParams("0", "0"), m(["0", "-1/2"])
+        ),
+        "interval": lambda: lifting.brute_force_lift_interval(
+            scalar("-1"), scalar("-1/2"), ConvexParams("-1/4", "0"), scalar("-1/2"),
+            (scalar("-2"), scalar("0")),
+        ),
+        "box": lambda: lifting.brute_force_lift_box(
+            TropVector(("-1", "-1")), TropVector(("-1/2", "-1/2")), ConvexParams("-1/4", "0"),
+            TropVector(("-1/2", "-1/2")), standard_box(2),
+        ),
+        "beta": lambda: lifting.brute_force_lift_beta(
+            IdemMeasure([(TropVector(("-1", "-1")), scalar("0"))]), TropVector(("-1", "-1")),
+            standard_box(2),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_every_oracle_stops_at_the_budget(self, monkeypatch, name):
+        assert self.SEARCHES[name]() is not None
+        monkeypatch.setattr(lifting, "ORACLE_BUDGET", 2)
+        with pytest.raises(BudgetExceeded, match="more than 2 candidates"):
+            self.SEARCHES[name]()

@@ -405,7 +405,7 @@ class TestBarycenterFactoredDist:
     def test_matches_atom_by_atom_evaluation(self, pair):
         mu, nu = pair
         dim = mu.atoms[0][0].dim
-        fresh = measures._point_tests.__wrapped__(dim, 32, 0)
+        fresh = measures._point_tests.__wrapped__(dim)
         expected = max(rho(mu(phi), nu(phi)) for phi in fresh)
         assert measure_dist(mu, nu) == expected
         for m in (mu, nu):

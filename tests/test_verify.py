@@ -1,24 +1,20 @@
 """The verification runner itself: suites pass, and tampering is caught."""
 
+from fractions import Fraction
+
 import pytest
 
+from tropibary import lifting, verify
+from tropibary.core import NEG_INF
+from tropibary.measures import combine
 from tropibary.verify import (
     SCALES,
     SUITES,
     Row,
-    clear_tamper,
     run_all,
     run_suite,
-    set_tamper,
     _final_bound,
 )
-
-
-@pytest.fixture(autouse=True)
-def untampered():
-    clear_tamper()
-    yield
-    clear_tamper()
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -58,22 +54,49 @@ def test_final_bound_meets_the_tolerance():
     assert _final_bound(7) > _final_bound(12) > _final_bound(20) > 0
 
 
+def _swapped_combine(first, second, params):
+    return combine(first, second, params.swapped())
+
+
 class TestTamperHook:
-    def test_swapped_params_fail_the_affinity_suite(self):
-        set_tamper("swap-params")
-        try:
-            result = run_suite("affinity", seed=7, scale="tiny")
-        finally:
-            clear_tamper()
+    def test_swapped_params_fail_the_affinity_suite(self, monkeypatch):
+        monkeypatch.setattr(verify, "combine", _swapped_combine)
+        result = run_suite("affinity", seed=7, scale="tiny")
         assert not result.ok
         bad = [r for r in result.rows if not r.ok]
         assert bad
         assert any("failed" in r.detail for r in bad)
 
-    def test_clearing_restores_green(self):
-        set_tamper("swap-params")
-        clear_tamper()
+    def test_clearing_restores_green(self, monkeypatch):
+        monkeypatch.setattr(verify, "combine", _swapped_combine)
+        monkeypatch.undo()
         assert run_suite("affinity", seed=7, scale="tiny").ok
+
+
+def test_fiber_identities_row_fails_per_cell_under_a_sabotaged_gate(monkeypatch):
+    """The identities row counts the passes of lift_merge_fiber's own
+    exactness gate, so a lift that builds a wrong witness fails that row
+    cell by cell while the other rows are still reported."""
+    honest_min = lifting.trop_min
+
+    def nudged_min(a, b):
+        out = honest_min(a, b)
+        return out - Fraction(1, 16) if out is not NEG_INF and out < 0 else out
+
+    monkeypatch.setattr(lifting, "trop_min", nudged_min)
+    result = run_suite("fiber", seed=7, scale="tiny")
+    rows = {r.case: r for r in result.rows}
+    assert list(rows) == [
+        "consistent-cells-accepted",
+        "all-three-exactness-identities",
+        "corrupted-cells-rejected",
+    ]
+    identities = rows["all-three-exactness-identities"]
+    assert not identities.ok
+    assert "failed; first: cell " in identities.detail
+    assert "does not push forward" in identities.detail
+    assert rows["consistent-cells-accepted"].ok
+    assert rows["corrupted-cells-rejected"].ok
 
 
 def test_crash_inside_a_suite_becomes_a_row(monkeypatch):
