@@ -10,18 +10,11 @@ suite checks exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import TropVector, _vector, odot, oplus_all
-from .errors import BadInput, NonConvexElement, SpaceMismatch
+from .errors import BadInput, SpaceMismatch
 from .measures import FiniteSpace, IdemMeasure
-
-
-@dataclass(frozen=True)
-class BarycenterResult:
-    point: TropVector
-    membership_checked: bool
 
 
 def embedding(space: FiniteSpace) -> tuple:
@@ -44,25 +37,11 @@ def _point_atoms(mu: IdemMeasure) -> list:
     return pairs
 
 
-def barycenter(mu: IdemMeasure, host=None) -> BarycenterResult:
-    """Barycenter point of a measure over (embedded) points.
-
-    When a host with a `contains` method is supplied, membership of the
-    result is verified; a failure means the support escaped the host.
-    """
+def barycenter_point(mu: IdemMeasure) -> TropVector:
+    """Barycenter point of a measure over (embedded) points."""
     pairs = _point_atoms(mu)
     dim = pairs[0][0].dim
-    point = _vector(tuple([oplus_all(odot(w, p[j]) for p, w in pairs) for j in range(dim)]))
-    checked = False
-    if host is not None:
-        if not host.contains(point):
-            raise NonConvexElement(f"barycenter {point!r} escaped the host")
-        checked = True
-    return BarycenterResult(point, checked)
-
-
-def barycenter_point(mu: IdemMeasure) -> TropVector:
-    return barycenter(mu).point
+    return _vector(tuple([oplus_all(odot(w, p[j]) for p, w in pairs) for j in range(dim)]))
 
 
 def barycenter_of_measures(big: IdemMeasure, space: Optional[FiniteSpace] = None) -> IdemMeasure:

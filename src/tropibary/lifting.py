@@ -10,11 +10,12 @@ that failed.
 
 The lifts share one scheme.  Each construction is written for params
 (t, 0); params with p < 0 go through the mirror rule `_oriented`, which
-lifts the swapped inputs and reads the witness back.  Every accepted
-witness then passes one exactness gate: `recombine` recomputes the map it
-inverts and `errors.certify` raises `InexactWitness` unless the target
-comes back exactly.  The gate is a function call, not an `assert`, so it
-also runs under `python -O`.
+lifts the swapped inputs and reads the witness back.  The fiber split is
+one closed form, symmetric in the two sides, so it needs no mirror.  Every
+accepted witness then passes one exactness gate: `recombine` recomputes
+the map it inverts and `errors.certify` raises `InexactWitness` unless the
+target comes back exactly.  The gate is a function call, not an
+`assert`, so it also runs under `python -O`.
 
 `brute_force_*` are independent oracles: they enumerate candidate
 witnesses over value-adapted grids and keep whatever recombines exactly,
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .barycenter import barycenter, barycenter_of_measures
+from .barycenter import barycenter_of_measures, barycenter_point
 from .core import (
     NEG_INF,
     POS_INF,
@@ -50,6 +51,7 @@ from .errors import (
     BudgetExceeded,
     InconsistentFiber,
     NoZeroWeightPrefix,
+    NonConvexElement,
     OutsideValidityRegion,
     SpaceMismatch,
     certify,
@@ -264,46 +266,28 @@ def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
     )
 
 
-# -- fibers of merge maps ----------------------------------------------------
+# -- fibers of surjections ---------------------------------------------------
 
 
 class MergeMap:
     """Surjection collapsing the last two source points onto the last
     target point, identity elsewhere."""
 
-    __slots__ = ("source", "target")
+    __slots__ = ("source", "target", "_map")
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace):
         if source.n != target.n + 1:
             raise BadInput("a merge map drops exactly one point")
         self.source = source
         self.target = target
+        n = target.n
+        self._map = SpaceMap(source, target, list(range(n)) + [n - 1])
 
     def as_space_map(self) -> SpaceMap:
-        n = self.target.n
-        return SpaceMap(self.source, self.target, list(range(n)) + [n - 1])
+        return self._map
 
     def __repr__(self) -> str:
         return f"MergeMap({self.source.n} -> {self.target.n})"
-
-
-def _check_fiber(nu: IdemMeasure, mu: IdemMeasure, a: IdemMeasure, params: ConvexParams, f: SpaceMap):
-    image = combine(mu, a, params)
-    pushed = pushforward(f, nu)
-    if pushed != image:
-        for j, (x, y) in enumerate(zip(pushed.density(), image.density())):
-            if x != y:
-                raise InconsistentFiber(
-                    f"coordinate {j}: pushforward gives {x}, combination gives {y}"
-                )
-        raise InconsistentFiber("pushforward differs from the combination")
-
-
-def _fiber_exact(lam, eta, nu, mu, a, params, f: SpaceMap) -> tuple[IdemMeasure, IdemMeasure]:
-    """The exactness gate for a fiber witness (lam, eta) of nu."""
-    exact = pushforward(f, lam) == mu and pushforward(f, eta) == a and combine(lam, eta, params) == nu
-    certify(exact, "fiber witness does not push forward to (mu, a) or recombine to nu")
-    return lam, eta
 
 
 def lift_merge_fiber(
@@ -313,44 +297,8 @@ def lift_merge_fiber(
     params: ConvexParams,
     merge: MergeMap,
 ) -> tuple[IdemMeasure, IdemMeasure]:
-    """Split nu into a combination over the merge's source.
-
-    Given nu with pushforward(merge, nu) == combine(mu, a, params),
-    returns (lam, eta) on the source with pushforward lam == mu,
-    pushforward eta == a, and combine(lam, eta, params) == nu.  The two
-    shared weights split by min against the fiber weights; a failed
-    precondition raises InconsistentFiber and the result is certified
-    exactly.
-    """
-    if nu.space != merge.source or mu.space != merge.target or a.space != merge.target:
-        raise SpaceMismatch("fiber data does not match the merge map")
-    f = merge.as_space_map()
-    _check_fiber(nu, mu, a, params, f)
-    w = _oriented(_split_merge, mu, a, params, nu, merge)
-    return _fiber_exact(w.lifted_first, w.lifted_second, nu, mu, a, params, f)
-
-
-def _split_merge(mu, a, params, nu, merge) -> LiftWitness:
-    """Merge-fiber split for params (t, 0)."""
-    t = params.t
-    n = merge.target.n
-    nu_d = nu.density()
-    mu_d = mu.density()
-    a_d = a.density()
-    lam_w = list(mu_d[: n - 1])
-    eta_w = list(a_d[: n - 1])
-    lam_w.append(trop_min(mu_d[n - 1], residual(nu_d[n - 1], t)))
-    lam_w.append(trop_min(mu_d[n - 1], residual(nu_d[n], t)))
-    eta_w.append(trop_min(a_d[n - 1], nu_d[n - 1]))
-    eta_w.append(trop_min(a_d[n - 1], nu_d[n]))
-    lam = IdemMeasure.from_weights(merge.source, lam_w)
-    eta = IdemMeasure.from_weights(merge.source, eta_w)
-    return LiftWitness(lam, eta, params, "merge")
-
-
-def _pull_bijection(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
-    dens = mu.density()
-    return IdemMeasure.from_weights(f.source, [dens[f(i)] for i in range(f.source.n)])
+    """The fiber lift through a merge map; see lift_fiber_surjection."""
+    return lift_fiber_surjection(nu, mu, a, params, merge.as_space_map())
 
 
 def lift_fiber_surjection(
@@ -360,41 +308,43 @@ def lift_fiber_surjection(
     params: ConvexParams,
     f: SpaceMap,
 ) -> tuple[IdemMeasure, IdemMeasure]:
-    """Fiber lift through an arbitrary surjection of finite spaces.
+    """Split nu into a combination over the source of a surjection.
 
-    The surjection is peeled into single merges, collapsing the
-    highest-indexed duplicate pair first; each merge is handled by
-    lift_merge_fiber and permutations are plain relabelings.
+    Given nu with pushforward(f, nu) == combine(mu, a, params), returns
+    (lam, eta) on the source with pushforward lam == mu, pushforward
+    eta == a, and combine(lam, eta, params) == nu.  At a source point i
+    over k = f(i) the split is closed-form:
+
+        lam_i = min(mu_k, nu_i - t),    eta_i = min(a_k, nu_i - p).
+
+    Some nu_i in each fiber reaches max(t + mu_k, p + a_k), so lam pushes
+    forward to mu and eta to a; and max of the two mins is min(that max,
+    nu_i) = nu_i.  The formula is symmetric in (t, mu) and (p, a), so it
+    needs no mirror.  A failed precondition raises InconsistentFiber and
+    the result is certified exactly.
     """
     if not f.is_surjective:
         raise BadInput("fiber lifts need a surjective map")
     if nu.space != f.source or mu.space != f.target or a.space != f.target:
         raise SpaceMismatch("fiber data does not match the map")
-    _check_fiber(nu, mu, a, params, f)
-    m = f.source.n
-    if m == f.target.n:
-        lam = _pull_bijection(f, mu)
-        eta = _pull_bijection(f, a)
-        return _fiber_exact(lam, eta, nu, mu, a, params, f)
-    j = max(
-        j
-        for j in range(m)
-        if any(f(i) == f(j) for i in range(j))
+    pushed = pushforward(f, nu).density()
+    image = combine(mu, a, params).density()
+    for j, (x, y) in enumerate(zip(pushed, image)):
+        if x != y:
+            raise InconsistentFiber(f"coordinate {j}: pushforward gives {x}, combination gives {y}")
+
+    def split(side: IdemMeasure, weight: Scalar) -> IdemMeasure:
+        # one of t, p is 0, and nu_i - 0 is nu_i
+        shifted = nu.density() if weight == ZERO else [residual(v, weight) for v in nu.density()]
+        d = side.density()
+        return IdemMeasure.from_weights(f.source, [trop_min(d[k], v) for k, v in zip(f.table, shifted)])
+
+    lam, eta = split(mu, params.t), split(a, params.p)
+    certify(
+        pushforward(f, lam) == mu and pushforward(f, eta) == a and combine(lam, eta, params) == nu,
+        "fiber witness does not push forward to (mu, a) or recombine to nu",
     )
-    i = max(i for i in range(j) if f(i) == f(j))
-    order = [k for k in range(m) if k not in (i, j)] + [i, j]
-    src_p = FiniteSpace(m)
-    sigma = SpaceMap(f.source, src_p, [order.index(k) for k in range(m)])
-    mid = FiniteSpace(m - 1)
-    g = MergeMap(src_p, mid)
-    f_prime = SpaceMap(mid, f.target, [f(order[q]) for q in range(m - 1)])
-    nu_p = pushforward(sigma, nu)
-    nu_mid = pushforward(g.as_space_map(), nu_p)
-    lam_mid, eta_mid = lift_fiber_surjection(nu_mid, mu, a, params, f_prime)
-    lam_p, eta_p = lift_merge_fiber(nu_p, lam_mid, eta_mid, params, g)
-    lam = _pull_bijection(sigma, lam_p)
-    eta = _pull_bijection(sigma, eta_p)
-    return _fiber_exact(lam, eta, nu, mu, a, params, f)
+    return lam, eta
 
 
 # -- convex combinations of points in intervals and boxes --------------------
@@ -488,7 +438,10 @@ class BoxHost:
         self.box = box
 
     def bary(self, mu: IdemMeasure) -> TropVector:
-        return barycenter(mu, host=self.box).point
+        point = barycenter_point(mu)
+        if not self.box.contains(point):
+            raise NonConvexElement(f"barycenter {point!r} escaped the host")
+        return point
 
     def lift_s(self, x, y, params, target) -> LiftWitness:
         return lift_s_box(x, y, params, target, self.box)

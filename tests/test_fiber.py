@@ -1,5 +1,7 @@
 """Fiber lifts: splitting a measure over a surjection of finite spaces."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,8 @@ class TestMergeFiber:
         a = m(TGT, ["0", "-3/10"])
         params = ConvexParams("0", "-1/5")
         lam, eta = lift_merge_fiber(nu, mu, a, params, MERGE)
+        assert lam == m(SRC, ["0", "-1", "-1/2"])
+        assert eta == m(SRC, ["0", "-4/5", "-3/10"])
         f = MERGE.as_space_map()
         assert pushforward(f, lam) == mu
         assert pushforward(f, eta) == a
@@ -103,6 +107,24 @@ class TestSurjectionFiber:
         lam0 = m(source, ["0", "-1", "-2", "-1/4"])
         eta0 = m(source, ["-3/4", "0", "-1/2", "-1"])
         params = ConvexParams("-1/8", "0")
+        nu = combine(lam0, eta0, params)
+        mu, a = pushforward(f, lam0), pushforward(f, eta0)
+        lam, eta = lift_fiber_surjection(nu, mu, a, params, f)
+        assert lam == m(source, ["0", "-1", "-1", "-1/4"])
+        assert eta == m(source, ["-3/4", "0", "-1/2", "-3/4"])
+        assert pushforward(f, lam) == mu
+        assert pushforward(f, eta) == a
+        assert combine(lam, eta, params) == nu
+
+    def test_deep_collapse_onto_one_point(self):
+        # 1,200 points over one target point: the split is one pass, with
+        # no recursion whose depth grows with the fiber
+        n = 1200
+        source, point = FiniteSpace(n), FiniteSpace(1)
+        f = SpaceMap(source, point, [0] * n)
+        lam0 = m(source, ["0"] + [Fraction(-(i % 17), 8) for i in range(1, n)])
+        eta0 = m(source, [Fraction(-(i % 13), 8) for i in range(n - 1)] + ["0"])
+        params = ConvexParams("-1/4", "0")
         nu = combine(lam0, eta0, params)
         mu, a = pushforward(f, lam0), pushforward(f, eta0)
         lam, eta = lift_fiber_surjection(nu, mu, a, params, f)
