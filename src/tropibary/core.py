@@ -10,19 +10,21 @@ infinity by identity (`x is NEG_INF`), and mind that `Fraction(0)` is
 falsy and equals the int 0.
 
 The kernel functions `oplus`, `oplus_all`, `odot`, `residual`,
-`trop_min` and `rho` trust their caller to pass scalars: they check no
-types, because a check there would cost every kernel call.  `scalar()`
-is where floats and other non-scalars are refused, as are the
-`TropVector`, `ConvexParams` and measure-weight constructors built on
-it.  A float handed straight to a kernel function is not caught.
+`trop_min` and `rho` test the sentinels by identity, then read a
+Fraction's `_numerator` and `_denominator` slots: they compare by
+cross-multiplying and add by `Fraction._add`'s gcd steps, with no
+operator dispatch or ABC check; a sum is built reduced by
+`object.__new__(Fraction)`, equal to `a + b` in numerator, denominator,
+hash and str.  A non-scalar operand (float, int, str) that the kernel
+reads or returns raises `BadInput` pointing to `scalar()`.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from math import exp, gcd, inf
+from typing import Iterable, NoReturn, Union
 
 from .errors import BadInput, DimensionMismatch
 
@@ -62,7 +64,7 @@ class _Infinity:
         return hash(float(self))
 
     def __float__(self) -> float:
-        return math.inf if self._sign > 0 else -math.inf
+        return inf if self._sign > 0 else -inf
 
     def __str__(self) -> str:
         return "+inf" if self._sign > 0 else "-inf"
@@ -105,24 +107,71 @@ def scalar(value: RatLike) -> Scalar:
     raise BadInput(f"cannot build a scalar from {value!r}")
 
 
-# The kernel tests the sentinels by identity before it compares or adds:
-# a Fraction compared with a sentinel runs its ABC checks first.
+def _refuse(*operands) -> NoReturn:
+    """Raise BadInput for the first kernel operand that is not a scalar."""
+    bad = next(x for x in operands if type(x) is not Fraction and not isinstance(x, _Infinity))
+    raise BadInput(f"{bad!r} is not a scalar; build scalars with scalar()") from None
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Fraction:
+    """na/da + nb/db for reduced fractions, by `Fraction._add`'s gcd steps,
+    built already reduced: the very numerator and denominator of `+`."""
+    g = gcd(da, db)
+    if g == 1:
+        n, d = na * db + da * nb, da * db
+    else:
+        s = da // g
+        n = na * (db // g) + nb * s
+        g2 = gcd(n, g)
+        n, d = n // g2, s * (db // g2)
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _cmp(a: Scalar, b: Scalar) -> int:
+    """-1, 0 or 1 as a <, == or > b; the sentinels keep their order."""
+    if a is b:
+        return 0
+    if a is NEG_INF or b is POS_INF:
+        return -1
+    if b is NEG_INF or a is POS_INF:
+        return 1
+    x, y = a._numerator * b._denominator, b._numerator * a._denominator
+    return (x > y) - (x < y)
+
+
+def _sign(q: Fraction) -> int:
+    """An int with the sign of the finite scalar q: its numerator."""
+    return q._numerator
 
 
 def oplus(a: Scalar, b: Scalar) -> Scalar:
     """Idempotent addition: max."""
     if a is NEG_INF or b is POS_INF:
-        return b
+        return b if type(b) is Fraction or isinstance(b, _Infinity) else _refuse(b)
     if b is NEG_INF or a is POS_INF:
-        return a
-    return a if a >= b else b
+        return a if type(a) is Fraction or isinstance(a, _Infinity) else _refuse(a)
+    try:
+        return a if a._numerator * b._denominator >= b._numerator * a._denominator else b
+    except AttributeError:
+        _refuse(a, b)
 
 
 def oplus_all(items: Iterable[Scalar]) -> Scalar:
     out = NEG_INF
     for item in items:
-        if item is not NEG_INF and (out is NEG_INF or item > out):
+        if item is NEG_INF or out is POS_INF:
+            continue
+        if item is POS_INF:
             out = item
+            continue
+        try:
+            if out is NEG_INF or item._numerator * od > on * item._denominator:
+                out, on, od = item, item._numerator, item._denominator
+        except AttributeError:
+            _refuse(item)
     return out
 
 
@@ -137,7 +186,10 @@ def odot(a: Scalar, b: Scalar) -> Scalar:
         return NEG_INF
     if a is POS_INF or b is POS_INF:
         return POS_INF
-    return a + b
+    try:
+        return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+    except AttributeError:
+        _refuse(a, b)
 
 
 def residual(a: Scalar, b: Scalar) -> Scalar:
@@ -153,23 +205,32 @@ def residual(a: Scalar, b: Scalar) -> Scalar:
         return POS_INF
     if a is NEG_INF:
         return NEG_INF
-    return a - b
+    try:
+        return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+    except AttributeError:
+        _refuse(a, b)
 
 
 def trop_min(a: Scalar, b: Scalar) -> Scalar:
     if a is NEG_INF or b is POS_INF:
-        return a
+        return a if type(a) is Fraction or isinstance(a, _Infinity) else _refuse(a)
     if b is NEG_INF or a is POS_INF:
-        return b
-    return a if a <= b else b
+        return b if type(b) is Fraction or isinstance(b, _Infinity) else _refuse(b)
+    try:
+        return a if a._numerator * b._denominator <= b._numerator * a._denominator else b
+    except AttributeError:
+        _refuse(a, b)
 
 
 def rho(a: Scalar, b: Scalar) -> float:
     """Metric |e^a - e^b| used for all float-valued distance reporting."""
     if a is POS_INF or b is POS_INF:
         raise BadInput("rho is undefined for +inf operands")
-    ea = 0.0 if a is NEG_INF else math.exp(float(a))
-    eb = 0.0 if b is NEG_INF else math.exp(float(b))
+    try:
+        ea = 0.0 if a is NEG_INF else exp(a._numerator / a._denominator)
+        eb = 0.0 if b is NEG_INF else exp(b._numerator / b._denominator)
+    except AttributeError:
+        _refuse(a, b)
     return abs(ea - eb)
 
 
@@ -227,7 +288,7 @@ class TropVector:
         """Coordinatewise <=."""
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        return all(a <= b for a, b in zip(self.coords, other.coords))
+        return max(map(_cmp, self.coords, other.coords)) <= 0
 
 
 def _vector(coords: tuple) -> TropVector:
@@ -267,9 +328,9 @@ class ConvexParams:
         p = scalar(p)
         if t is POS_INF or p is POS_INF:
             raise BadInput("+inf cannot be a convex parameter")
-        if t > ZERO or p > ZERO:
+        if _cmp(t, ZERO) > 0 or _cmp(p, ZERO) > 0:
             raise BadInput(f"parameters must be <= 0, got ({t}, {p})")
-        if oplus(t, p) != ZERO:
+        if _cmp(oplus(t, p), ZERO):
             raise BadInput(f"max(t, p) is {oplus(t, p)}, expected 0")
         self.t = t
         self.p = p

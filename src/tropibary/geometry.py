@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import reduce
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -24,6 +25,7 @@ from .core import (
     ConvexParams,
     Scalar,
     TropVector,
+    _cmp,
     odot,
     oplus_all,
     residual,
@@ -134,8 +136,8 @@ def hull_membership(poly: TropPolytope, x: TropVector) -> Optional[tuple[Scalar,
     """
     if x.dim != poly.dim:
         raise DimensionMismatch("point dimension does not match the polytope")
-    coeffs = [min([ZERO, *map(residual, x.coords, g.coords)]) for g in poly.generators]
-    if oplus_all(coeffs) != ZERO:
+    coeffs = [reduce(trop_min, map(residual, x.coords, g.coords), ZERO) for g in poly.generators]
+    if _cmp(oplus_all(coeffs), ZERO):
         return None
     if poly.combination(coeffs) != x:
         return None
@@ -448,7 +450,7 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
         attain = [
             k
             for k, p in enumerate(pts)
-            if odot(caps[k], p[0]) == c and odot(caps[k], p[1]) == c
+            if _cmp(odot(caps[k], p[0]), c) == 0 and _cmp(odot(caps[k], p[1]), c) == 0
         ]
         if not attain:
             infeasible += 1
@@ -466,11 +468,11 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
         if barycenter_point(mu) != c_i:
             raise TropibaryError("constructed sample missed the target barycenter")
         val = mu(test)
-        if not (val >= c):
+        if _cmp(val, c) < 0:
             raise TropibaryError(f"min-table value {val} fell below {c}")
         for p, w in mu.atoms:
-            if odot(w, p[0]) == c:
-                if p[0] != p[1] or not (w >= c):
+            if _cmp(odot(w, p[0]), c) == 0:
+                if _cmp(p[0], p[1]) or _cmp(w, c) < 0:
                     raise TropibaryError("a coordinate witness left the diagonal")
         if rho(val, Fraction(-2)) < gap:
             raise TropibaryError("sample closer to nu than the certified gap")

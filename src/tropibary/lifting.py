@@ -37,6 +37,7 @@ from .core import (
     ConvexParams,
     Scalar,
     TropVector,
+    _cmp,
     odot,
     oplus,
     oplus_all,
@@ -109,7 +110,7 @@ def _mirrored(witness: LiftWitness) -> LiftWitness:
 def _oriented(lift, first, second, params: ConvexParams, *rest) -> LiftWitness:
     """The mirror rule: constructions are written for params (t, 0), so
     params with p < 0 lift the swapped inputs and mirror the witness."""
-    if params.p < ZERO:
+    if _cmp(params.p, ZERO) < 0:
         return _mirrored(lift(second, first, params.swapped(), *rest))
     return lift(first, second, params, *rest)
 
@@ -157,7 +158,7 @@ def _lift_finite(first, second, params, target) -> LiftWitness:
     bet = second.density()
     alpha = target.density()
     t = params.t
-    if t == ZERO:
+    if _cmp(t, ZERO) == 0:
         return _lift_equal_params(space, lam, bet, alpha)
     if t is NEG_INF:
         return LiftWitness(first, target, ConvexParams(NEG_INF, 0), "t<p/t=-inf")
@@ -172,9 +173,9 @@ def _lift_equal_params(space, lam, bet, alpha) -> LiftWitness:
     the pivot-lower case of the swapped inputs (the tied set is symmetric).
     """
     n = space.n
-    lower = {i for i in range(n) if lam[i] < bet[i]}
-    higher = {i for i in range(n) if lam[i] > bet[i]}
-    zeros = [i for i in range(n) if alpha[i] == ZERO]
+    lower = {i for i in range(n) if _cmp(lam[i], bet[i]) < 0}
+    higher = {i for i in range(n) if _cmp(lam[i], bet[i]) > 0}
+    zeros = [i for i in range(n) if _cmp(alpha[i], ZERO) == 0]
     if any(i not in lower and i not in higher for i in zeros):
         return _pivot(space, lam, bet, alpha, lower, higher, "tied")
     if any(i in lower for i in zeros):
@@ -190,7 +191,7 @@ def _pivot(space, lam, bet, alpha, lower, higher, pivot: str) -> LiftWitness:
     if c is NEG_INF:
         raise OutsideValidityRegion("target carries no weight off the lower set")
     for i in sorted(lower):
-        if not alpha[i] >= odot(c, lam[i]):
+        if _cmp(alpha[i], odot(c, lam[i])) < 0:
             floor = (
                 f"first weight {lam[i]} on the lower set"
                 if pivot == "tied"
@@ -198,7 +199,7 @@ def _pivot(space, lam, bet, alpha, lower, higher, pivot: str) -> LiftWitness:
             )
             raise OutsideValidityRegion(f"target[{i}] = {alpha[i]} < {floor}")
     for i in sorted(higher):
-        if not alpha[i] >= bet[i]:
+        if _cmp(alpha[i], bet[i]) < 0:
             raise OutsideValidityRegion(
                 f"target[{i}] = {alpha[i]} < second weight {bet[i]} on the higher set"
             )
@@ -216,9 +217,9 @@ def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
     """Branch for params (t, 0) with finite t < 0."""
     n = space.n
     shifted = [odot(t, lam[i]) for i in range(n)]
-    in_lower = {i for i in range(n) if shifted[i] < bet[i]}
-    in_higher = {i for i in range(n) if shifted[i] > bet[i]}
-    if not any(alpha[i] == ZERO for i in in_lower):
+    in_lower = {i for i in range(n) if _cmp(shifted[i], bet[i]) < 0}
+    in_higher = {i for i in range(n) if _cmp(shifted[i], bet[i]) > 0}
+    if not any(_cmp(alpha[i], ZERO) == 0 for i in in_lower):
         raise OutsideValidityRegion(
             "target has no zero-weight atom where the second measure strictly dominates"
         )
@@ -226,7 +227,7 @@ def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
     if not retained:
         c = ZERO
         tag = "t<p/empty-complement"
-    elif any(lam[i] == ZERO for i in in_lower):
+    elif any(_cmp(lam[i], ZERO) == 0 for i in in_lower):
         c = oplus_all(residual(alpha[i], odot(t, lam[i])) for i in retained)
         tag = "t<p/zero-anchored-lower"
     else:
@@ -235,19 +236,19 @@ def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
     if c is NEG_INF:
         raise OutsideValidityRegion("target weights vanish on the retained support")
     shift = odot(t, c)
-    if shift > ZERO:
+    if _cmp(shift, ZERO) > 0:
         raise OutsideValidityRegion(f"combined shift {shift} exceeds 0")
     for i in range(n):
         if i in in_lower:
-            if not alpha[i] >= odot(shift, lam[i]):
+            if _cmp(alpha[i], odot(shift, lam[i])) < 0:
                 raise OutsideValidityRegion(
                     f"target[{i}] = {alpha[i]} < shifted first weight {odot(shift, lam[i])}"
                 )
-        elif i in in_higher and not alpha[i] >= bet[i]:
+        elif i in in_higher and _cmp(alpha[i], bet[i]) < 0:
             raise OutsideValidityRegion(
                 f"target[{i}] = {alpha[i]} < second weight {bet[i]} on the higher set"
             )
-        if i not in in_lower and lam[i] is NEG_INF and not alpha[i] <= shift:
+        if i not in in_lower and lam[i] is NEG_INF and _cmp(alpha[i], shift) > 0:
             raise OutsideValidityRegion(
                 f"target[{i}] = {alpha[i]} exceeds the shift {shift} off the first support"
             )
@@ -330,12 +331,12 @@ def lift_fiber_surjection(
     pushed = pushforward(f, nu).density()
     image = combine(mu, a, params).density()
     for j, (x, y) in enumerate(zip(pushed, image)):
-        if x != y:
+        if _cmp(x, y):
             raise InconsistentFiber(f"coordinate {j}: pushforward gives {x}, combination gives {y}")
 
     def split(side: IdemMeasure, weight: Scalar) -> IdemMeasure:
         # one of t, p is 0, and nu_i - 0 is nu_i
-        shifted = nu.density() if weight == ZERO else [residual(v, weight) for v in nu.density()]
+        shifted = nu.density() if _cmp(weight, ZERO) == 0 else [residual(v, weight) for v in nu.density()]
         d = side.density()
         return IdemMeasure.from_weights(f.source, [trop_min(d[k], v) for k, v in zip(f.table, shifted)])
 
@@ -356,12 +357,12 @@ def _lift_coordinate(x, y, params, target, bounds) -> LiftWitness:
     The parameters are never moved; only the point pair does.
     """
     lo, hi = bounds
-    if not (type(lo) is Fraction and type(hi) is Fraction and lo <= hi):
+    if not (type(lo) is Fraction and type(hi) is Fraction and _cmp(lo, hi) <= 0):
         raise BadInput("interval bounds must be finite and ordered")
     for value, name in ((x, "first point"), (y, "second point"), (target, "target")):
         if type(value) is not Fraction:
             raise BadInput(f"{name} must be finite")
-        if not (lo <= value <= hi):
+        if _cmp(value, lo) < 0 or _cmp(value, hi) > 0:
             raise BadInput(f"{name} {value} outside [{lo}, {hi}]")
     return _oriented(_lift_scalar, x, y, params, target, lo, hi)
 
@@ -371,16 +372,16 @@ def _lift_scalar(x, y, params, target, lo, hi) -> LiftWitness:
     move both components."""
     alpha = params.t
     ax = odot(alpha, x)
-    if ax < y:
-        if not target > ax:
+    if _cmp(ax, y) < 0:
+        if _cmp(target, ax) <= 0:
             raise OutsideValidityRegion(f"target {target} does not exceed the shifted first point {ax}")
         return LiftWitness(x, target, params, "s=second")
-    if ax > y and not target > y:
+    if _cmp(ax, y) > 0 and _cmp(target, y) <= 0:
         raise OutsideValidityRegion(f"target {target} does not exceed the second point {y}")
     moved = residual(target, alpha)
-    if not (lo <= moved <= hi):
+    if _cmp(moved, lo) < 0 or _cmp(moved, hi) > 0:
         raise OutsideValidityRegion(f"lifted first point {moved} leaves [{lo}, {hi}]")
-    if ax > y:
+    if _cmp(ax, y) > 0:
         return LiftWitness(moved, y, params, "s=first")
     return LiftWitness(moved, target, params, "s=tied")
 
@@ -487,7 +488,7 @@ def lift_beta(nu: IdemMeasure, target, host) -> IdemMeasure:
     if len(atoms) == 1:
         out = host.dirac(target)
     else:
-        z = next((k for k, (_, w) in enumerate(atoms) if w == ZERO), None)
+        z = next((k for k, (_, w) in enumerate(atoms) if _cmp(w, ZERO) == 0), None)
         if z is None:
             raise NoZeroWeightPrefix("no zero-weight atom to lead the split")
         atoms = [atoms[z]] + atoms[:z] + atoms[z + 1 :]

@@ -38,11 +38,14 @@ from .core import (
     RatLike,
     Scalar,
     TropVector,
+    _cmp,
+    _sign,
     odot,
     oplus,
     oplus_all,
     rho,
     scalar,
+    trop_min,
 )
 from .errors import (
     BadInput,
@@ -219,7 +222,7 @@ class IdemMeasure:
             for i, w in checked:
                 weights[i] = oplus(weights[i], w)
             top = oplus_all(weights)
-            if renormalize and top is not NEG_INF and top != ZERO:
+            if renormalize and top is not NEG_INF and _cmp(top, ZERO):
                 weights = [odot(w, -top) for w in weights]
             self._fill(space, tuple(weights))
             return
@@ -233,7 +236,7 @@ class IdemMeasure:
         top = oplus_all(merged.values()) if merged else NEG_INF
         if top is NEG_INF:
             raise NotNormalized("a measure needs at least one atom above -inf")
-        if top != ZERO:
+        if _cmp(top, ZERO):
             if not renormalize:
                 raise NotNormalized(f"max weight is {top}, expected 0")
             merged = {a: odot(w, -top) for a, w in merged.items()}
@@ -260,7 +263,7 @@ class IdemMeasure:
             if w is POS_INF:
                 raise BadInput("+inf cannot be a weight")
             kept.append((i, w))
-            sign = w.numerator
+            sign = _sign(w)
             if sign > 0:
                 above_zero = True
             elif sign == 0:
@@ -362,7 +365,7 @@ def _dense(space: FiniteSpace, weights: tuple) -> IdemMeasure:
 
 def _times(c: Scalar, weights: tuple):
     """c odot each weight, lazily; the weights themselves when c is 0."""
-    if c is not NEG_INF and not c.numerator:
+    if c is not NEG_INF and not _sign(c):
         return weights
     return map(odot, repeat(c), weights)
 
@@ -478,7 +481,7 @@ def coordinate_projection(dim: int, j: int) -> PointFunction:
 
 
 def pairwise_min(i: int, j: int) -> PointFunction:
-    return PointFunction(f"min[{i},{j}]", lambda p: p[i] if p[i] <= p[j] else p[j])
+    return PointFunction(f"min[{i},{j}]", lambda p: trop_min(p[i], p[j]))
 
 
 def random_affine(dim: int, rng: random.Random) -> PointFunction:

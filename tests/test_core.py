@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tropibary.core import (
@@ -314,3 +314,122 @@ def test_sentinel_hashes_ignore_the_hash_seed(child_env):
         for seed in ("1", "2")
     }
     assert len(outs) == 1
+
+
+# -- the kernel is pinned to Fraction's own operators ------------------------
+
+# Denominators the kernel's gcd steps treat differently: dyadic (the
+# samplers' lattice), odd, a huge prime-like one, and small ones.
+wide_denominator = st.one_of(
+    st.integers(0, 64).map(lambda k: 2**k),
+    st.integers(0, 10**6).map(lambda k: 2 * k + 1),
+    st.just(10**30 + 7),
+    st.integers(1, 60),
+)
+wide_q = st.builds(Fraction, st.integers(-(10**40), 10**40), wide_denominator)
+wide_scalar = st.one_of(wide_q, st.sampled_from([NEG_INF, POS_INF]))
+# A pair whose sum or difference is 0 goes through the kernel's last
+# reduction step, and a tie between two equal objects shows which one
+# oplus and trop_min hand back, so some pairs are (a, -a) or (a, copy of a).
+wide_pair = st.one_of(
+    st.tuples(wide_scalar, wide_scalar),
+    wide_q.map(lambda a: (a, -a)),
+    wide_q.map(lambda a: (a, Fraction(a.numerator, a.denominator))),
+)
+
+
+def same_scalar(got, want):
+    """Identical sentinel, or a Fraction equal to want in every reading."""
+    if not isinstance(want, Fraction):
+        return got is want
+    return (type(got), got.numerator, got.denominator, hash(got), str(got)) == (
+        Fraction, want.numerator, want.denominator, hash(want), str(want)
+    )
+
+
+def reference_rho(a, b):
+    try:
+        return abs(
+            (0.0 if a is NEG_INF else math.exp(float(a))) - (0.0 if b is NEG_INF else math.exp(float(b)))
+        )
+    except OverflowError:
+        return OverflowError
+
+
+@given(wide_pair, wide_pair)
+@example((Fraction(-3, 2**40), Fraction(5, 2**12)), (Fraction(7, 3**5), Fraction(-2, 15)))
+@example((Fraction(1, 10**30 + 7), Fraction(-1, 10**30 + 7)), (Fraction(-5, 8), Fraction(5, 8)))
+@example((Fraction(10**40, 2**64), Fraction(-3, 10**30 + 7)), (Fraction(0), Fraction(0)))
+@example((NEG_INF, Fraction(1, 3)), (Fraction(-1, 2), POS_INF))
+@example((POS_INF, NEG_INF), (NEG_INF, NEG_INF))
+def test_kernel_results_are_the_fraction_operators_results(ab, cd):
+    a, b = ab
+    c, d = cd
+    if a is NEG_INF or b is NEG_INF:
+        want_sum = NEG_INF
+    elif a is POS_INF or b is POS_INF:
+        want_sum = POS_INF
+    else:
+        want_sum = a + b
+    assert same_scalar(odot(a, b), want_sum)
+    if a is POS_INF or b is POS_INF:
+        with pytest.raises(BadInput):
+            residual(a, b)
+        with pytest.raises(BadInput):
+            rho(a, b)
+    else:
+        want_diff = POS_INF if b is NEG_INF else NEG_INF if a is NEG_INF else a - b
+        assert same_scalar(residual(a, b), want_diff)
+        try:
+            got_rho = rho(a, b)
+        except OverflowError:
+            got_rho = OverflowError
+        assert got_rho == reference_rho(a, b)
+    assert oplus(a, b) is max(a, b)
+    assert trop_min(a, b) is min(a, b)
+    assert oplus_all([a, NEG_INF, b, c, d]) is max(a, b, c, d)
+    assert oplus_all([]) is NEG_INF
+    if POS_INF not in (a, b, c, d):
+        assert TropVector([a, c]).leq(TropVector([b, d])) is (a <= b and c <= d)
+
+
+NON_SCALARS = [0.5, 1, True, "1/2", None]
+BINARY_KERNEL = [odot, oplus, residual, trop_min, rho]
+
+
+@pytest.mark.parametrize("bad", NON_SCALARS, ids=repr)
+@pytest.mark.parametrize("fn", BINARY_KERNEL, ids=lambda f: f.__name__)
+def test_kernel_refuses_non_scalars(fn, bad):
+    for args in ((Fraction(1, 2), bad), (bad, Fraction(-3))):
+        with pytest.raises(BadInput, match=r"is not a scalar; build scalars with scalar\(\)$") as info:
+            fn(*args)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+    with pytest.raises(BadInput, match="not a scalar"):
+        oplus_all([Fraction(0), bad])
+    with pytest.raises(BadInput, match="not a scalar"):
+        oplus_all([NEG_INF, bad])
+
+
+@pytest.mark.parametrize("bad", NON_SCALARS, ids=repr)
+def test_operands_a_sentinel_hands_back_are_refused_too(bad):
+    for call in (
+        lambda: oplus(NEG_INF, bad),
+        lambda: oplus(bad, NEG_INF),
+        lambda: trop_min(POS_INF, bad),
+        lambda: trop_min(bad, POS_INF),
+    ):
+        with pytest.raises(BadInput, match="not a scalar"):
+            call()
+    # -inf absorbs the other operand of odot without reading it
+    assert odot(NEG_INF, bad) is NEG_INF
+
+
+def test_errors_from_the_callers_items_keep_their_wording():
+    def items():
+        yield Fraction(1)
+        raise AttributeError("the caller's own fault")
+
+    with pytest.raises(AttributeError, match="^the caller's own fault$"):
+        oplus_all(items())
+    with pytest.raises(BadInput, match="^residual is undefined for \\+inf operands$"):
+        oplus_all(residual(Fraction(0), x) for x in (Fraction(1), POS_INF))
