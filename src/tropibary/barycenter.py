@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import TropVector, _vector, odot, oplus_all
+from .core import TropVector, _combination, odot
 from .errors import BadInput, SpaceMismatch
 from .measures import FiniteSpace, IdemMeasure
 
@@ -40,8 +40,7 @@ def _point_atoms(mu: IdemMeasure) -> list:
 def barycenter_point(mu: IdemMeasure) -> TropVector:
     """Barycenter point of a measure over (embedded) points."""
     pairs = _point_atoms(mu)
-    dim = pairs[0][0].dim
-    return _vector(tuple([oplus_all(odot(w, p[j]) for p, w in pairs) for j in range(dim)]))
+    return _combination([p for p, _ in pairs], [w for _, w in pairs])
 
 
 def barycenter_of_measures(big: IdemMeasure, space: Optional[FiniteSpace] = None) -> IdemMeasure:

@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from functools import lru_cache
 from typing import Optional
 
 from . import io as codecs
@@ -394,11 +395,17 @@ _HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: parsing leaves it
+    unchanged, and `_Parser.error` writes to the `sys.stderr` of the call."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     started = time.monotonic()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "verify":
             _, ok = _cmd_verify(args)
             return 0 if ok else 1

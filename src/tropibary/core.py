@@ -17,14 +17,23 @@ operator dispatch or ABC check; a sum is built reduced by
 `object.__new__(Fraction)`, equal to `a + b` in numerator, denominator,
 hash and str.  A non-scalar operand (float, int, str) that the kernel
 reads or returns raises `BadInput` pointing to `scalar()`.
+
+The point layer keeps to the same slots.  `scalar()` reads a string
+once: the numbers of its one `SCALAR_TEXT` match give the reduced
+Fraction directly, with no second parse by `Fraction(text)`.  A
+`TropVector` computes its hash on first use and keeps it in a slot (a
+copy or an unpickled vector starts without one); equality compares the
+coordinates by identity, then by numerator and denominator.  A
+combination of points takes each output coordinate in one `oplus_all`
+over the terms, with no intermediate vectors.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import exp, gcd, inf
-from typing import Iterable, NoReturn, Union
+from math import exp, gcd, inf, lcm
+from typing import Callable, Iterable, NoReturn, Optional, Sequence, Union
 
 from .errors import BadInput, DimensionMismatch
 
@@ -92,19 +101,43 @@ def scalar(value: RatLike) -> Scalar:
     if isinstance(value, bool) or isinstance(value, float):
         raise BadInput(f"refusing inexact scalar input {value!r}; pass int, Fraction, or 'p/q' string")
     if isinstance(value, str):
-        if not SCALAR_TEXT.fullmatch(value):
+        q = _parse(value)
+        if q is None:
             raise BadInput(f"{value!r} is not a rational or -inf")
-        if value == "-inf":
-            return NEG_INF
-        if value == "+inf":
-            return POS_INF
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise BadInput(f"{value!r} is not a rational or -inf") from None
+        return q
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise BadInput(f"cannot build a scalar from {value!r}")
+
+
+def _parse(text: str) -> Optional[Scalar]:
+    """The scalar that a `SCALAR_TEXT` string spells, read off its one
+    match and built reduced, equal to `Fraction(text)` in numerator,
+    denominator, hash and str; None for any other string, a zero
+    denominator, or more digits than `int()` converts."""
+    m = SCALAR_TEXT.fullmatch(text)
+    if m is None:
+        return None
+    if text[-1] == "f":
+        return NEG_INF if text[0] == "-" else POS_INF
+    slash = m.start(1)
+    try:
+        if slash >= 0:
+            n, d = int(text[:slash]), int(text[slash + 1:])
+        elif "." in text:
+            whole, _, digits = text.partition(".")
+            n, d = int(whole + digits), 10 ** len(digits)
+        else:
+            n, d = int(text), 1
+    except ValueError:
+        return None
+    if not d:
+        return None
+    g = gcd(n, d)
+    q = object.__new__(Fraction)
+    q._numerator = n // g
+    q._denominator = d // g
+    return q
 
 
 def _refuse(*operands) -> NoReturn:
@@ -140,6 +173,14 @@ def _cmp(a: Scalar, b: Scalar) -> int:
         return 1
     x, y = a._numerator * b._denominator, b._numerator * a._denominator
     return (x > y) - (x < y)
+
+
+def _point_key(points: Iterable[TropVector]) -> Callable[[TropVector], tuple]:
+    """A sort key that orders these vectors, all of them finite, as their
+    coordinate tuples order, by comparing integers: each coordinate's
+    numerator at the common denominator of all of them."""
+    scale = lcm(*{c._denominator for p in points for c in p.coords})
+    return lambda p: tuple([c._numerator * (scale // c._denominator) for c in p.coords])
 
 
 def _sign(q: Fraction) -> int:
@@ -235,12 +276,17 @@ def rho(a: Scalar, b: Scalar) -> float:
 
 
 class TropVector:
-    """Point of R_max^d with exact coordinates."""
+    """Point of R_max^d with exact coordinates.
 
-    __slots__ = ("coords",)
+    `coords` is not reassigned after construction: the hash is computed
+    on first use and kept in `_hash`.
+    """
+
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable[RatLike]):
         self.coords = tuple([scalar(c) for c in coords])
+        self._hash = None
         if any(c is POS_INF for c in self.coords):
             raise BadInput("+inf cannot be stored in a vector")
         if not self.coords:
@@ -257,10 +303,28 @@ class TropVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropVector):
             return NotImplemented
-        return self.coords == other.coords
+        if len(self.coords) != len(other.coords):
+            return False
+        # reduced fractions are equal exactly when their slots are
+        for a, b in zip(self.coords, other.coords):
+            if a is not b and (
+                a is NEG_INF
+                or b is NEG_INF
+                or a._numerator != b._numerator
+                or a._denominator != b._denominator
+            ):
+                return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.coords)
+        return h
+
+    def __reduce__(self):
+        # a copy or an unpickled vector hashes afresh
+        return _vector, (self.coords,)
 
     def __repr__(self) -> str:
         return "TropVector([" + ", ".join(str(c) for c in self.coords) + "])"
@@ -299,6 +363,7 @@ def _vector(coords: tuple) -> TropVector:
     """
     v = object.__new__(TropVector)
     v.coords = coords
+    v._hash = None
     return v
 
 
@@ -357,4 +422,21 @@ def s_point(x: TropVector, y: TropVector, params: ConvexParams) -> TropVector:
     """Convex combination of two points: t odot x oplus p odot y."""
     if x.dim != y.dim:
         raise DimensionMismatch(f"dim {x.dim} vs {y.dim}")
-    return x.shift(params.t).join(y.shift(params.p))
+    return _combination((x, y), (params.t, params.p))
+
+
+def _combination(points: Sequence[TropVector], coeffs: Sequence[RatLike]) -> TropVector:
+    """oplus over i of coeffs[i] odot points[i], for points of one
+    dimension: each coordinate is one `oplus_all` over the terms.  A -inf
+    coefficient drops its point, a 0 one adds the point's coordinates as
+    they are, and +inf is refused as `TropVector.shift` refuses it."""
+    rows = []
+    for point, c in zip(points, coeffs):
+        c = scalar(c)
+        if c is POS_INF:
+            raise BadInput("+inf cannot be stored in a vector")
+        if c is not NEG_INF:
+            rows.append(point.coords if not c._numerator else [odot(c, x) for x in point.coords])
+    if not rows:
+        return _vector((NEG_INF,) * points[0].dim)
+    return _vector(tuple(map(oplus_all, zip(*rows))))

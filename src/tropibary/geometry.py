@@ -26,6 +26,7 @@ from .core import (
     Scalar,
     TropVector,
     _cmp,
+    _combination,
     odot,
     oplus_all,
     residual,
@@ -109,10 +110,7 @@ class TropPolytope:
     def combination(self, coeffs: Sequence[Scalar]) -> TropVector:
         if len(coeffs) != len(self.generators):
             raise BadInput("one coefficient per generator")
-        out = self.generators[0].shift(coeffs[0])
-        for g, c in zip(self.generators[1:], coeffs[1:]):
-            out = out.join(g.shift(c))
-        return out
+        return _combination(self.generators, coeffs)
 
     def contains(self, x: TropVector) -> bool:
         return hull_membership(self, x) is not None

@@ -38,6 +38,8 @@ from .geometry import Box, Certificate, TropPolytope
 from .measures import FiniteSpace, FunctionTable, IdemMeasure, SpaceMap
 
 SCHEMA_VERSION = 1
+# The longest value an error line quotes in full.
+QUOTE_CAP = 200
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +73,17 @@ def validate_document(doc: object, schema_name: str):
     except RecursionError:  # the message quotes the value, and repr recursed
         raise SchemaError(f"{schema_name}: a value nests too deeply") from None
     if exc is not None:
-        raise SchemaError(f"{schema_name}: {exc.message} at {exc.json_path}")
+        raise SchemaError(f"{schema_name}: {_capped(exc)} at {exc.json_path}")
+
+
+def _capped(exc: jsonschema.ValidationError) -> str:
+    """jsonschema's message, with the offending value it quotes cut to
+    `QUOTE_CAP` characters and an ellipsis, so that the error line does
+    not grow with the document."""
+    quoted = repr(exc.instance)
+    if len(quoted) <= QUOTE_CAP:
+        return exc.message
+    return exc.message.replace(quoted, quoted[:QUOTE_CAP] + "...")
 
 
 # -- compiled acceptance check ---------------------------------------------------

@@ -32,13 +32,14 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .core import (
     NEG_INF,
     POS_INF,
-    SCALAR_TEXT,
     ZERO,
     ConvexParams,
     RatLike,
     Scalar,
     TropVector,
     _cmp,
+    _parse,
+    _point_key,
     _sign,
     odot,
     oplus,
@@ -119,11 +120,12 @@ def _finite_q(v: RatLike) -> Fraction:
     if isinstance(v, float) or isinstance(v, bool):
         raise BadInput(f"refusing inexact value {v!r}")
     try:
-        if isinstance(v, str) and not SCALAR_TEXT.fullmatch(v):
-            raise ValueError(v)
-        return Fraction(v)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise BadInput(f"{v!r} is not a finite rational") from None
+        q = _parse(v) if isinstance(v, str) else Fraction(v)
+    except (ValueError, TypeError):
+        q = None
+    if type(q) is not Fraction:
+        raise BadInput(f"{v!r} is not a finite rational")
+    return q
 
 
 class FunctionTable:
@@ -228,8 +230,10 @@ class IdemMeasure:
             return
         merged: dict = {}
         for atom, weight in checked:
-            merged[atom] = oplus(merged.get(atom, NEG_INF), weight)
-        if len({_atom_key(a)[0] for a in merged}) > 1:
+            first = merged.setdefault(atom, weight)
+            if first is not weight:
+                merged[atom] = oplus(first, weight)
+        if len({type(a) for a in merged}) > 1:
             raise BadInput("atoms of mixed kinds in one measure")
         if len(dims) > 1:
             raise DimensionMismatch("point atoms of mixed dimension")
@@ -241,7 +245,11 @@ class IdemMeasure:
                 raise NotNormalized(f"max weight is {top}, expected 0")
             merged = {a: odot(w, -top) for a, w in merged.items()}
         kept = [(a, w) for a, w in merged.items() if w is not NEG_INF]
-        kept.sort(key=lambda aw: _atom_key(aw[0]))
+        if type(kept[0][0]) is TropVector:
+            key = _point_key([a for a, _ in kept])
+            kept.sort(key=lambda aw: key(aw[0]))
+        else:
+            kept.sort(key=lambda aw: _atom_key(aw[0]))
         if space is not None:
             raise BadInput("measures on a finite space must use index atoms")
         self.atoms = tuple(kept)

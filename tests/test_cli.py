@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from tropibary import lifting
+from tropibary import cli, lifting
 from tropibary.cli import main
 
 SPACE = {"labels": ["a", "b"]}
@@ -424,6 +424,24 @@ def test_stdout_matches_golden(capsys, docs, name):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def test_one_parser_serves_every_request(capsys, docs):
+    """main builds its parser once per process: a request the parser
+    refuses leaves it as it was, and every golden request, made twice,
+    prints its golden bytes both times."""
+    twice = [(name, argv) for name, argv in GOLDEN_REQUESTS.items() for _ in range(2)]
+    cli._parser.cache_clear()
+    for name, argv in [(None, ("eval", "--measure")), *twice, (None, ("frobnicate",))]:
+        code, out, err = run(capsys, *resolve(argv, docs))
+        if name is None:
+            assert (code, out) == (1, "")
+            assert err.startswith("usage: tropibary")
+            assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        else:
+            assert code == 0
+            assert out.encode() == (GOLDEN / f"{name}.out").read_bytes(), name
+    assert cli._parser.cache_info().misses == 1
+
+
 class TestFailures:
     def test_missing_file(self, capsys, docs):
         code, _, err = run(capsys, "eval", "--measure", "/nonexistent.json", "--table", docs["table"])
@@ -452,6 +470,14 @@ class TestFailures:
         code, _, err = run(capsys, "eval", "--measure", "only.json")
         assert code == 1
         assert "error:" in err
+
+    def test_scalar_beyond_the_int_conversion_limit_is_one_error_line(self, capsys, docs, tmp_path):
+        weight = "-" + "1" * 5000
+        bad = write(tmp_path / "digits.json", {"space": SPACE, **atoms(("a", "0"), ("b", weight))})
+        code, out, err = run(capsys, "eval", "--measure", bad, "--table", docs["table"])
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert error_line(err, tmp_path) == f"error: {weight!r} is not a rational or -inf"
 
     def test_oracle_over_budget_is_one_error_line(self, capsys, docs, monkeypatch):
         monkeypatch.setattr(lifting, "ORACLE_BUDGET", 2)

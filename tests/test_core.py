@@ -10,12 +10,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tropibary import measures
 from tropibary.core import (
     NEG_INF,
     POS_INF,
+    SCALAR_TEXT,
     ZERO,
     ConvexParams,
     TropVector,
+    _vector,
     odot,
     oplus,
     oplus_all,
@@ -28,6 +31,7 @@ from tropibary.core import (
     vector,
 )
 from tropibary.errors import BadInput, DimensionMismatch
+from tropibary.geometry import TropPolytope
 
 finite_q = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 any_scalar = st.one_of(finite_q, st.just(NEG_INF))
@@ -433,3 +437,129 @@ def test_errors_from_the_callers_items_keep_their_wording():
         oplus_all(items())
     with pytest.raises(BadInput, match="^residual is undefined for \\+inf operands$"):
         oplus_all(residual(Fraction(0), x) for x in (Fraction(1), POS_INF))
+
+
+# -- the point layer's fast paths against the Fraction semantics they replace --
+
+# Every finite spelling SCALAR_TEXT allows: signs, leading zeros, -0, p/q
+# with any denominator (0 too), decimals with or without a whole part.
+rational_text = st.from_regex(r"[+-]?[0-9]{1,24}(/[0-9]{1,24})?|[+-]?[0-9]{0,12}\.[0-9]{1,12}", fullmatch=True)
+
+
+@given(rational_text)
+@example("-0")
+@example("+0/5")
+@example("007/014")
+@example("-12/0")
+@example("0/0")
+@example("-.50")
+@example("+00.000")
+@example("3.")  # not a SCALAR_TEXT string: refused like any other
+@example("-" + "1" * 5000)  # more digits than int() converts
+def test_scalar_text_is_read_as_fraction_reads_it(text):
+    try:
+        want = Fraction(text) if SCALAR_TEXT.fullmatch(text) else None
+    except (ZeroDivisionError, ValueError):
+        want = None
+    for parse, words in ((scalar, "is not a rational or -inf"), (measures._finite_q, "is not a finite rational")):
+        if want is None:
+            with pytest.raises(BadInput) as info:
+                parse(text)
+            assert str(info.value) == f"{text!r} {words}"
+        else:
+            assert same_scalar(parse(text), want)
+
+
+@pytest.mark.parametrize(
+    "value, words",
+    [
+        ("-inf", "'-inf' is not a finite rational"),
+        ("+inf", "'+inf' is not a finite rational"),
+        (NEG_INF, "-inf is not finite"),
+        (None, "None is not a finite rational"),
+        (0.5, "refusing inexact value 0.5"),
+    ],
+)
+def test_table_values_refuse_what_is_not_a_finite_rational(value, words):
+    with pytest.raises(BadInput) as info:
+        measures._finite_q(value)
+    assert str(info.value) == words
+
+
+def rebuilt(q):
+    """An equal scalar that is a different object."""
+    return q if q is NEG_INF else Fraction(q.numerator, q.denominator)
+
+
+coordinate_lists = st.lists(any_scalar, min_size=1, max_size=4)
+
+
+@given(coordinate_lists, st.one_of(coordinate_lists, coordinate_lists.map(lambda cs: [rebuilt(c) for c in cs])))
+@example([ZERO, NEG_INF], [Fraction(0), NEG_INF])
+@example([NEG_INF], [ZERO])
+@example([Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)])
+@example([Fraction(1, 2), Fraction(-1, 3)], [Fraction(1, 2), Fraction(-1, 4)])
+def test_vector_equality_and_hash_are_the_coordinate_tuples(a, b):
+    for make in (TropVector, lambda cs: _vector(tuple(cs))):
+        v, w = make(a), make(b)
+        assert (v == w) is (tuple(a) == tuple(b))
+        assert (v != w) is (tuple(a) != tuple(b))
+        assert hash(v) == hash(tuple(a)) and hash(w) == hash(tuple(b))
+        for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            # v's hash is cached by now; a copy hashes its own coordinates
+            assert copied._hash is None
+            assert copied == v and hash(copied) == hash(tuple(a))
+            assert (copied == w) is (tuple(a) == tuple(b))
+
+
+def folded_combination(points, coeffs):
+    """The combination as two-vector shifts and joins, one point at a time."""
+    out = points[0].shift(coeffs[0])
+    for point, c in zip(points[1:], coeffs[1:]):
+        out = out.join(point.shift(c))
+    return out
+
+
+combination_coefficient = st.one_of(any_scalar, st.just(ZERO))
+points_and_coefficients = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.lists(finite_q, min_size=dim, max_size=dim).map(TropVector), min_size=1, max_size=5, unique=True
+    )
+).flatmap(
+    lambda points: st.tuples(
+        st.just(points), st.lists(combination_coefficient, min_size=len(points), max_size=len(points))
+    )
+)
+
+
+@given(points_and_coefficients)
+@example(([TropVector([0, -1]), TropVector([-1, 0])], [NEG_INF, NEG_INF]))
+@example(([TropVector([0, -1]), TropVector([-1, 0])], [ZERO, ZERO]))
+@example(([TropVector(["-1/2"]), TropVector(["1/3"])], [NEG_INF, Fraction(-1, 6)]))
+def test_combination_is_the_fold_of_shifts_and_joins(case):
+    points, coeffs = case
+    want = folded_combination(points, coeffs)
+    got = TropPolytope(points).combination(coeffs)
+    assert len(got.coords) == len(want.coords)
+    assert all(map(same_scalar, got.coords, want.coords))
+    assert hash(got) == hash(want.coords)
+
+
+@given(coordinate_lists, st.data(), st.sampled_from([("0", "0"), ("0", "-inf"), ("-inf", "0"), ("-1/3", "0")]))
+def test_s_point_is_the_join_of_two_shifts(xs, data, tp):
+    x = TropVector(xs)
+    y = TropVector(data.draw(st.lists(any_scalar, min_size=len(xs), max_size=len(xs))))
+    params = ConvexParams(*tp)
+    want = x.shift(params.t).join(y.shift(params.p))
+    assert all(map(same_scalar, s_point(x, y, params).coords, want.coords))
+
+
+def test_combination_refusals_keep_their_wording():
+    poly = TropPolytope([TropVector([0, -1]), TropVector([-1, 0])])
+    with pytest.raises(BadInput, match=r"^one coefficient per generator$"):
+        poly.combination([ZERO])
+    with pytest.raises(BadInput, match=r"^\+inf cannot be stored in a vector$"):
+        poly.combination([NEG_INF, POS_INF])
+    with pytest.raises(BadInput, match="inexact"):
+        poly.combination([ZERO, 0.5])
+    assert poly.combination(["0", "-1/2"]) == TropVector(["0", "-1/2"])

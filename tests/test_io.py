@@ -14,6 +14,7 @@ from tropibary.core import NEG_INF, SCALAR_TEXT, ZERO, ConvexParams, TropVector,
 from tropibary.errors import BadInput, SchemaError
 from tropibary.geometry import Box, TropPolytope, certify_id_oplus_not_open
 from tropibary.io import (
+    QUOTE_CAP,
     _acceptor,
     _compile,
     _validator,
@@ -183,6 +184,13 @@ class TestValidationAndFiles:
             validate_document({"atoms": [{"at": "a", "w": "nan"}]}, "measure")
         with pytest.raises(SchemaError):
             validate_document({"atoms": [{"at": "a", "w": "1.2.3"}]}, "measure")
+
+    def test_a_long_quoted_value_is_cut_to_the_cap(self):
+        value = {"a": [1] * 1100}
+        with pytest.raises(SchemaError) as caught:
+            validate_document({"version": 1, "atoms": value}, "measure")
+        quoted = repr(value)[:QUOTE_CAP] + "..."
+        assert str(caught.value) == f"measure: {quoted} is not of type 'array' at $.atoms"
 
     def test_wrong_version_rejected(self):
         doc = {"version": 2, "atoms": [{"at": ["0"], "w": "0"}]}

@@ -291,6 +291,55 @@ def assert_matches_reference(space, build, pairs, renormalize=False):
     assert hash(got) == hash(built)
 
 
+# Coordinates on a small grid, so that atoms repeat, with two denominators
+# off the grid, so that the sort meets unlike denominators.
+point_coordinate = st.sampled_from([scalar(Fraction(k, 4)) for k in range(-4, 1)] + [Fraction(-1, 3), Fraction(2, 7)])
+
+
+@st.composite
+def point_pairs(draw):
+    """Up to 8 (point, weight) pairs in one dimension, points may repeat."""
+    dim = draw(st.integers(1, 3))
+    point = st.lists(point_coordinate, min_size=dim, max_size=dim).map(TropVector)
+    return draw(st.lists(st.tuples(point, grid_weight), max_size=8))
+
+
+def reference_point_atoms(pairs, renormalize):
+    """`reference_atoms` for point atoms, keyed and sorted by the tuple of
+    each point's Fraction coordinates."""
+    best = {}
+    for p, w in pairs:
+        w = scalar(w)
+        if p.coords not in best or w > best[p.coords]:
+            best[p.coords] = w
+    top = max(best.values(), default=NEG_INF)
+    if top is NEG_INF:
+        raise NotNormalized("a measure needs at least one atom above -inf")
+    if top != ZERO:
+        if not renormalize:
+            raise NotNormalized(f"max weight is {top}, expected 0")
+        best = {c: odot(w, -top) for c, w in best.items()}
+    return tuple(sorted((c, w) for c, w in best.items() if w is not NEG_INF))
+
+
+class TestPointAtoms:
+    @given(point_pairs(), st.booleans())
+    @example([(TropVector([0]), ZERO), (TropVector([0]), scalar("-1"))], False)
+    @example([(TropVector([Fraction(2, 7)]), scalar("-1")), (TropVector(["-1/3"]), ZERO)], False)
+    @example([(TropVector(["-1/3", 0]), ZERO), (TropVector(["-1/4", "-1"]), ZERO)], False)
+    @example([(TropVector([0]), NEG_INF)], True)
+    @example([(TropVector([0]), "-1/2")], True)
+    def test_canonical_form_matches_the_fraction_reference(self, pairs, renormalize):
+        want = outcome(lambda: reference_point_atoms(pairs, renormalize))
+        got = outcome(lambda: IdemMeasure(pairs, renormalize=renormalize))
+        if not isinstance(got, IdemMeasure):
+            assert got == want
+            return
+        assert [(a.coords, w) for a, w in got.atoms] == list(want)
+        assert repr(got) == "IdemMeasure({" + ", ".join(f"{TropVector(c)!r}: {w}" for c, w in want) + "})"
+        assert got == IdemMeasure(list(reversed(got.atoms)))
+
+
 class TestDensePath:
     @given(weight_lists(), st.booleans())
     @example((3, [NEG_INF] * 3), False)
