@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import exp, gcd, inf, lcm
 from typing import Callable, Iterable, NoReturn, Optional, Sequence, Union
 
-from .errors import BadInput, DimensionMismatch
+from .errors import BadInput, DimensionMismatch, capped
 
 # What a scalar string may be: the scalar pattern of the JSON schemas
 # (-inf, an integer or p/q, a decimal), plus the transient +inf.  Matched
@@ -103,11 +103,11 @@ def scalar(value: RatLike) -> Scalar:
     if isinstance(value, str):
         q = _parse(value)
         if q is None:
-            raise BadInput(f"{value!r} is not a rational or -inf")
+            raise BadInput(f"{capped(repr(value))} is not a rational or -inf")
         return q
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    raise BadInput(f"cannot build a scalar from {value!r}")
+    raise BadInput(f"cannot build a scalar from {capped(repr(value))}")
 
 
 def _parse(text: str) -> Optional[Scalar]:
@@ -143,7 +143,7 @@ def _parse(text: str) -> Optional[Scalar]:
 def _refuse(*operands) -> NoReturn:
     """Raise BadInput for the first kernel operand that is not a scalar."""
     bad = next(x for x in operands if type(x) is not Fraction and not isinstance(x, _Infinity))
-    raise BadInput(f"{bad!r} is not a scalar; build scalars with scalar()") from None
+    raise BadInput(f"{capped(repr(bad))} is not a scalar; build scalars with scalar()") from None
 
 
 def _sum(na: int, da: int, nb: int, db: int) -> Fraction:

@@ -9,6 +9,16 @@ negative results to exit code 2.
 """
 
 
+# The longest input text an error message quotes in full.
+QUOTE_CAP = 200
+
+
+def capped(text: str) -> str:
+    """text cut to `QUOTE_CAP` characters and an ellipsis, so that an
+    error line that quotes its input does not grow with it."""
+    return text if len(text) <= QUOTE_CAP else text[:QUOTE_CAP] + "..."
+
+
 class TropibaryError(Exception):
     """Base class for every error raised by this package."""
 
@@ -43,10 +53,6 @@ class NonConvexElement(BadInput):
 
 class EmptyTestFamily(BadInput):
     """measure_dist was called with no test functions to compare on."""
-
-
-class NoZeroWeightPrefix(BadInput):
-    """A measure offered to the barycenter lift has no zero-weight atom."""
 
 
 class BudgetExceeded(BadInput):

@@ -1,6 +1,5 @@
 """Max-plus convex geometry: boxes, finitely generated hulls, extremal
-points, affinity checking, and the two replayable non-openness
-certificates.
+points, and the two replayable non-openness certificates.
 
 A hull here is always normalized: memberships are combinations
 ``oplus_i lam_i odot v_i`` whose coefficient maximum is 0.  Membership is
@@ -16,7 +15,7 @@ import random
 from functools import reduce
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .barycenter import barycenter_point
 from .core import (
@@ -187,34 +186,6 @@ def _random_coeffs(poly: TropPolytope, rng: random.Random, grid) -> list[Scalar]
     return coeffs
 
 
-@dataclass(frozen=True)
-class AffineCheckResult:
-    ok: bool
-    counterexample: Optional[tuple] = None
-
-
-def affine_check(
-    f: Callable[[TropVector], TropVector],
-    points: Sequence[TropVector],
-    samples: int = 100,
-    seed: int = 0,
-) -> AffineCheckResult:
-    """Sampled check that f commutes with max-plus convex combinations."""
-    rng = random.Random(seed)
-    grid = [Fraction(n, 8) for n in range(-16, 1)]
-    for _ in range(samples):
-        a = rng.choice(points)
-        b = rng.choice(points)
-        t = rng.choice(grid) if rng.random() < 0.9 else NEG_INF
-        p = ZERO if t < ZERO or rng.random() < 0.5 else rng.choice(grid)
-        params = ConvexParams(t, p)
-        lhs = f(s_point(a, b, params))
-        rhs = s_point(f(a), f(b), params)
-        if lhs != rhs:
-            return AffineCheckResult(False, (a, b, params, lhs, rhs))
-    return AffineCheckResult(True, None)
-
-
 # -- replayable certificates -------------------------------------------------
 
 
@@ -352,15 +323,6 @@ def _below(bound: Fraction, rng: random.Random) -> Scalar:
 def y_polytope() -> TropPolytope:
     """Hook-shaped planar hull with a diagonal spike into the corner."""
     return TropPolytope([TropVector([-2, -1]), TropVector([-1, -2]), TropVector([0, 0])])
-
-
-def on_y_pieces(p: TropVector) -> bool:
-    x, y = p.coords
-    if y == -1 and -2 <= x <= -1:
-        return True
-    if x == -1 and -2 <= y <= -1:
-        return True
-    return x == y and -1 <= x <= 0
 
 
 def phi_min() -> PointFunction:

@@ -33,13 +33,11 @@ import jsonschema
 
 from .approximation import BoxElement, Cover, IndexElement, PolytopeElement
 from .core import ConvexParams, Scalar, TropVector, scalar
-from .errors import BadInput, SchemaError
+from .errors import BadInput, SchemaError, capped
 from .geometry import Box, Certificate, TropPolytope
 from .measures import FiniteSpace, FunctionTable, IdemMeasure, SpaceMap
 
 SCHEMA_VERSION = 1
-# The longest value an error line quotes in full.
-QUOTE_CAP = 200
 
 
 @lru_cache(maxsize=None)
@@ -77,13 +75,17 @@ def validate_document(doc: object, schema_name: str):
 
 
 def _capped(exc: jsonschema.ValidationError) -> str:
-    """jsonschema's message, with the offending value it quotes cut to
-    `QUOTE_CAP` characters and an ellipsis, so that the error line does
-    not grow with the document."""
-    quoted = repr(exc.instance)
-    if len(quoted) <= QUOTE_CAP:
-        return exc.message
-    return exc.message.replace(quoted, quoted[:QUOTE_CAP] + "...")
+    """jsonschema's message, with the input it quotes cut by `capped`
+    so that the error line does not grow with the document: the
+    offending value, or for additionalProperties the list of unexpected
+    keys, which the message quotes instead."""
+    message = exc.message
+    if exc.validator == "additionalProperties":
+        # "Additional properties are not allowed ('a', 'b' were unexpected)"
+        quoted = message[message.index("(") + 1 :].rsplit(" ", 2)[0]
+    else:
+        quoted = repr(exc.instance)
+    return message.replace(quoted, capped(quoted))
 
 
 # -- compiled acceptance check ---------------------------------------------------
@@ -372,7 +374,7 @@ def _atoms_from_json(doc: dict, space: Optional[FiniteSpace]) -> list:
         at = entry["at"]
         if isinstance(at, str):
             if space is None:
-                raise SchemaError(f"atom label {at!r} given without a space")
+                raise SchemaError(f"atom label {capped(repr(at))} given without a space")
             pairs.append((space.index_of(at), scalar(entry["w"])))
             continue
         vec = vector_from_json(at)

@@ -51,10 +51,10 @@ from .errors import (
     BadInput,
     BudgetExceeded,
     InconsistentFiber,
-    NoZeroWeightPrefix,
     NonConvexElement,
     OutsideValidityRegion,
     SpaceMismatch,
+    capped,
     certify,
 )
 from .geometry import Box
@@ -433,7 +433,7 @@ def lift_s_box(
 
 
 class BoxHost:
-    """Box compactum as a lift host: points, their combinations, box lifts."""
+    """Box compactum as a lift host: barycenters of points, box lifts."""
 
     def __init__(self, box: Box):
         self.box = box
@@ -446,9 +446,6 @@ class BoxHost:
 
     def lift_s(self, x, y, params, target) -> LiftWitness:
         return lift_s_box(x, y, params, target, self.box)
-
-    def dirac(self, point) -> IdemMeasure:
-        return IdemMeasure.dirac(point)
 
     def contains(self, point) -> bool:
         return isinstance(point, TropVector) and self.box.contains(point)
@@ -466,9 +463,6 @@ class MeasureHost:
     def lift_s(self, x, y, params, target) -> LiftWitness:
         return lift_s_finite(x, y, params, target)
 
-    def dirac(self, m) -> IdemMeasure:
-        return IdemMeasure.dirac(m)
-
     def contains(self, m) -> bool:
         return isinstance(m, IdemMeasure) and m.space == self.space
 
@@ -476,28 +470,40 @@ class MeasureHost:
 def lift_beta(nu: IdemMeasure, target, host) -> IdemMeasure:
     """Lift the barycenter map: a measure near nu whose barycenter is target.
 
-    Works by induction on the atom count.  A single atom lifts to the
-    dirac at the target.  Otherwise the atom list is reordered so a
-    zero-weight atom leads, the last atom is split off, the two-point
-    combination is lifted through the host's oracle, and the rest
-    recurses on the lifted intermediate target.
+    The paper's induction on the atom count, run as one pass.  Z, the
+    first atom of weight 0, leads; the other atoms x_1, ..., x_{k-1}
+    (weights w_m) follow in canonical order.  The barycenter is affine,
+    so one forward pass gives the prefix barycenters b_0 = Z and
+    b_m = b_{m-1} oplus w_m odot x_m.  Then, for m = k-1 down to 1,
+    `host.lift_s` lifts the combination b_{m-1} oplus w_m odot x_m to
+    the current target: the lifted x_m gets the lifted weight p_m, and
+    the lifted b_{m-1} is the target of the next step down.  Z is
+    replaced by the last target.  An atom's final weight is its p_m plus
+    the t of every lift above it; duplicates merge by max.  The
+    witness's barycenter is certified once.
+
+    A host provides `bary`, `lift_s` and `contains`; the target and
+    every atom must be points of the host.
     """
     if not host.contains(target):
-        raise BadInput(f"target {target!r} is not a point of the host")
+        raise BadInput(f"target {capped(repr(target))} is not a point of the host")
+    for atom, _ in nu.atoms:
+        if not host.contains(atom):
+            raise BadInput(f"atom {capped(repr(atom))} is not a point of the host")
     atoms = list(nu.atoms)
-    if len(atoms) == 1:
-        out = host.dirac(target)
-    else:
-        z = next((k for k, (_, w) in enumerate(atoms) if _cmp(w, ZERO) == 0), None)
-        if z is None:
-            raise NoZeroWeightPrefix("no zero-weight atom to lead the split")
-        atoms = [atoms[z]] + atoms[:z] + atoms[z + 1 :]
-        last_atom, last_weight = atoms[-1]
-        nu1 = IdemMeasure(atoms[:-1], space=nu.space)
-        y0 = host.bary(nu1)
-        w = host.lift_s(y0, last_atom, ConvexParams(0, last_weight), target)
-        nu1_lift = lift_beta(nu1, w.lifted_first, host)
-        out = combine(nu1_lift, host.dirac(w.lifted_second), w.params)
+    z = next(k for k, (_, w) in enumerate(atoms) if _cmp(w, ZERO) == 0)
+    atoms.insert(0, atoms.pop(z))
+    prefix = [atoms[0][0]]
+    for x, w in atoms[1:-1]:
+        prefix.append(recombine(prefix[-1], x, ConvexParams(0, w)))
+    pairs = []
+    above, shift = target, ZERO
+    for (x, w), below in zip(reversed(atoms[1:]), reversed(prefix)):
+        lift = host.lift_s(below, x, ConvexParams(0, w), above)
+        pairs.append((lift.lifted_second, odot(lift.params.p, shift)))
+        above, shift = lift.lifted_first, odot(lift.params.t, shift)
+    pairs.append((above, shift))
+    out = IdemMeasure(pairs)
     certify(host.bary(out) == target, "lifted measure's barycenter misses the target")
     return out
 

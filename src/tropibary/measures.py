@@ -54,6 +54,7 @@ from .errors import (
     EmptyTestFamily,
     NotNormalized,
     SpaceMismatch,
+    capped,
 )
 
 
@@ -94,7 +95,7 @@ class FiniteSpace:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise BadInput(f"unknown label {label!r}") from None
+            raise BadInput(f"unknown label {capped(repr(label))}") from None
 
     def _key(self):
         return (self.n, self.labels, self.points)
@@ -124,7 +125,7 @@ def _finite_q(v: RatLike) -> Fraction:
     except (ValueError, TypeError):
         q = None
     if type(q) is not Fraction:
-        raise BadInput(f"{v!r} is not a finite rational")
+        raise BadInput(f"{capped(repr(v))} is not a finite rational")
     return q
 
 
@@ -180,7 +181,7 @@ def _atom_key(atom: Atom):
         return (1, atom.coords)
     if isinstance(atom, IdemMeasure):
         return (2, tuple((_atom_key(a), w) for a, w in atom.atoms))
-    raise BadInput(f"unsupported atom {atom!r}")
+    raise BadInput(f"unsupported atom {capped(repr(atom))}")
 
 
 class IdemMeasure:
@@ -217,7 +218,7 @@ class IdemMeasure:
                     raise BadInput("point atoms must have finite coordinates")
                 dims.add(atom.dim)
             elif not isinstance(atom, IdemMeasure):
-                raise BadInput(f"unsupported atom {atom!r}")
+                raise BadInput(f"unsupported atom {capped(repr(atom))}")
             checked.append((atom, weight))
         if space is not None and all(isinstance(a, int) for a, _ in checked):
             weights = [NEG_INF] * space.n
@@ -355,11 +356,6 @@ class IdemMeasure:
         return f"IdemMeasure({{{inner}}})"
 
 
-def eval_measure(mu: IdemMeasure, phi) -> Scalar:
-    """Function form of mu(phi)."""
-    return mu(phi)
-
-
 def _dense(space: FiniteSpace, weights: tuple) -> IdemMeasure:
     """The measure on `space` whose weight tuple is `weights`.
 
@@ -437,11 +433,6 @@ def pushforward(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
     for j, w in zip(f.table, mu._weights):
         weights[j] = oplus(weights[j], w)
     return _dense(f.target, tuple(weights))
-
-
-def map_atoms(fn: Callable[[Atom], Atom], mu: IdemMeasure) -> IdemMeasure:
-    """Pushforward along an arbitrary atom function (points, measures)."""
-    return IdemMeasure([(fn(a), w) for a, w in mu.atoms])
 
 
 # -- distance surrogate ----------------------------------------------------
@@ -584,8 +575,9 @@ def measure_dist(
         if mu.space is not None and mu.space == nu.space:
             tests = _space_tests(mu.space)
         elif mu.space is None and nu.space is None:
-            dims = {a.dim for a, _ in mu.atoms if isinstance(a, TropVector)}
-            dims |= {a.dim for a, _ in nu.atoms if isinstance(a, TropVector)}
+            if not all(isinstance(m.atoms[0][0], TropVector) for m in (mu, nu)):
+                raise BadInput("measures over measures have no default test family")
+            dims = {mu.atoms[0][0].dim, nu.atoms[0][0].dim}
             if len(dims) != 1:
                 raise DimensionMismatch("point measures of mixed dimension")
             tests = _point_tests(dims.pop())

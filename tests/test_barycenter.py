@@ -9,7 +9,7 @@ from tropibary.core import ConvexParams, TropVector, odot, s_point, scalar
 from tropibary.errors import BadInput, NonConvexElement, SpaceMismatch
 from tropibary.geometry import Box
 from tropibary.lifting import BoxHost
-from tropibary.measures import FiniteSpace, IdemMeasure, combine, map_atoms, random_affine
+from tropibary.measures import FiniteSpace, IdemMeasure, combine, random_affine
 
 coord_q = st.fractions(min_value=-4, max_value=0, max_denominator=16)
 weight_q = st.fractions(min_value=-4, max_value=0, max_denominator=16)
@@ -106,7 +106,8 @@ class TestNaturality:
         def f(p: TropVector) -> TropVector:
             return TropVector([c(p) for c in coords])
 
-        assert barycenter_point(map_atoms(f, mu)) == f(barycenter_point(mu))
+        image = IdemMeasure([(f(a), w) for a, w in mu.atoms])
+        assert barycenter_point(image) == f(barycenter_point(mu))
 
 
 class TestMeasureOfMeasures:

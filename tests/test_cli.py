@@ -2,11 +2,13 @@
 
 import csv
 import io
+import itertools
 import json
 import pathlib
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -232,6 +234,23 @@ class TestLift:
             {"at": ["-2", "-99/100"], "w": "0"},
             {"at": ["-9/10", "-2"], "w": "0"},
         ]
+
+    def test_beta_lift_of_1100_atoms_is_a_report(self, capsys, tmp_path):
+        # more atoms than the default recursion limit
+        grid = [f"-{n}/32" for n in range(64)]
+        points = list(itertools.islice(itertools.product(grid, grid), 1100))
+        weights = ["0"] + [f"-{n % 16}/8" for n in range(1, 1100)]
+        instance = {"kind": "barycenter-box", "low": ["-2", "-2"], "high": ["0", "0"],
+                    "measure": atoms(*((list(p), w) for p, w in zip(points, weights)))}
+        target = [max(Fraction(w) + Fraction(p[j]) for p, w in zip(points, weights)) for j in range(2)]
+        doc = report(
+            capsys,
+            "lift", "beta",
+            "--instance", write(tmp_path / "instance.json", instance),
+            "--target", write(tmp_path / "target.json", {"point": [str(c) for c in target]}),
+        )
+        assert doc["outputs"]["exactness"] is True
+        assert len(doc["outputs"]["witness"]["atoms"]) <= 1100
 
     def test_beta_lift_needs_matching_instance(self, capsys, docs):
         code, _, err = run(
@@ -477,7 +496,8 @@ class TestFailures:
         code, out, err = run(capsys, "eval", "--measure", bad, "--table", docs["table"])
         assert (code, out) == (1, "")
         assert "Traceback" not in err
-        assert error_line(err, tmp_path) == f"error: {weight!r} is not a rational or -inf"
+        # the quoted weight is cut at QUOTE_CAP (200) characters
+        assert error_line(err, tmp_path) == "error: '-" + "1" * 198 + "... is not a rational or -inf"
 
     def test_oracle_over_budget_is_one_error_line(self, capsys, docs, monkeypatch):
         monkeypatch.setattr(lifting, "ORACLE_BUDGET", 2)

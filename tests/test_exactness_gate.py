@@ -56,6 +56,15 @@ def sabotage_residual(mp):
     mp.setattr(lifting, "residual", nudged(lifting.residual))
 
 
+class NudgedWitness(IdemMeasure):
+    """lift_beta's witness assembly with every lifted point moved by NUDGE."""
+
+    __slots__ = ()
+
+    def __init__(self, pairs):
+        super().__init__([(point.shift(NUDGE), w) for point, w in pairs])
+
+
 # name -> (sabotage of one construction step, call that is exact without it)
 CASES = {
     "lift_s_finite": (
@@ -93,7 +102,7 @@ CASES = {
         ),
     ),
     "lift_beta": (
-        lambda mp: mp.setattr(BoxHost, "dirac", lambda self, point: IdemMeasure.dirac(point.shift(NUDGE))),
+        lambda mp: mp.setattr(lifting, "IdemMeasure", NudgedWitness),
         lambda: lift_beta(IdemMeasure.dirac(TropVector(["-1/2", "-3/2"])), TropVector([-1, -1]), BoxHost(BOX)),
     ),
     "cover_approximation": (

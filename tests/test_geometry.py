@@ -1,27 +1,20 @@
-"""Boxes, finitely generated hulls, extremal points, and affinity checks."""
+"""Boxes, finitely generated hulls, extremal points, and the hook hull."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from tropibary.core import (
-    NEG_INF,
-    ZERO,
-    ConvexParams,
-    TropVector,
-    s_point,
-    scalar,
-)
+from tropibary.core import NEG_INF, ZERO, TropVector, scalar
 from tropibary.errors import BadInput, DimensionMismatch
 from tropibary.geometry import (
     Box,
     TropPolytope,
-    affine_check,
+    _sample_y_point,
     extremal_points,
     hull_membership,
     id_space,
     nu_t,
-    on_y_pieces,
     phi_min,
     render_polytope_svg,
     separating_table,
@@ -152,24 +145,6 @@ class TestExtremalPoints:
         assert extremal_points(TropPolytope([v("0", "0")])) == (v("0", "0"),)
 
 
-class TestAffineCheck:
-    def test_shift_is_affine(self):
-        res = affine_check(lambda p: p.shift(scalar("-1/4")), [v("0", "-1"), v("-1", "0")], samples=150, seed=2)
-        assert res.ok and res.counterexample is None
-
-    def test_coordinate_min_is_not_affine(self):
-        def squash(p):
-            m = min(p.coords)
-            return TropVector([m, m])
-
-        res = affine_check(squash, [v("0", "-1"), v("-1", "0")], samples=200, seed=3)
-        assert not res.ok
-        a, b, params, lhs, rhs = res.counterexample
-        assert squash(s_point(a, b, params)) == lhs
-        assert s_point(squash(a), squash(b), params) == rhs
-        assert lhs != rhs
-
-
 class TestTwoPointPath:
     def test_id_space_shape(self):
         space = id_space()
@@ -189,21 +164,28 @@ class TestTwoPointPath:
         assert IdemMeasure.dirac(0, id_space())(phi) == ZERO
 
 
+def on_hook(p: TropVector) -> bool:
+    """p lies on one of the hook hull's three pieces: the segments
+    y = -1 and x = -1 from -2 to -1, and the diagonal from -1 to 0."""
+    x, y = p.coords
+    if y == -1 and -2 <= x <= -1:
+        return True
+    if x == -1 and -2 <= y <= -1:
+        return True
+    return x == y and -1 <= x <= 0
+
+
 class TestHookPieces:
     def test_piece_membership(self):
-        assert on_y_pieces(v("-3/2", "-1"))
-        assert on_y_pieces(v("-1", "-3/2"))
-        assert on_y_pieces(v("-1/2", "-1/2"))
-        assert on_y_pieces(v("-1", "-1")) and on_y_pieces(v("0", "0"))
-        assert not on_y_pieces(v("-2", "-2"))
-        assert not on_y_pieces(v("-1/2", "-1"))
+        # the y-beta certificate samples the hull through _sample_y_point
+        rng = random.Random(11)
+        for _ in range(300):
+            p = _sample_y_point(rng)
+            assert on_hook(p)
+            assert hull_membership(y_polytope(), p) is not None
 
     def test_hull_points_lie_on_pieces(self):
         # the hull is exactly the three one-dimensional pieces
-        import random
-
-        from fractions import Fraction
-
         poly = y_polytope()
         rng = random.Random(5)
         grid = [Fraction(-k, 8) for k in range(0, 17)]
@@ -211,7 +193,7 @@ class TestHookPieces:
             coeffs = [scalar(rng.choice(grid)) if rng.random() < 0.8 else NEG_INF for _ in range(3)]
             coeffs[rng.randrange(3)] = ZERO
             p = poly.combination(coeffs)
-            assert on_y_pieces(p)
+            assert on_hook(p)
             assert hull_membership(poly, p) is not None
 
     def test_min_table_on_hook(self):

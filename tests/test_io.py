@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from tropibary.approximation import BoxElement, Cover, IndexElement, PolytopeElement
 from tropibary.core import NEG_INF, SCALAR_TEXT, ZERO, ConvexParams, TropVector, scalar
-from tropibary.errors import BadInput, SchemaError
+from tropibary.errors import QUOTE_CAP, BadInput, SchemaError
 from tropibary.geometry import Box, TropPolytope, certify_id_oplus_not_open
 from tropibary.io import (
-    QUOTE_CAP,
     _acceptor,
     _compile,
     _validator,
@@ -191,6 +190,14 @@ class TestValidationAndFiles:
             validate_document({"version": 1, "atoms": value}, "measure")
         quoted = repr(value)[:QUOTE_CAP] + "..."
         assert str(caught.value) == f"measure: {quoted} is not of type 'array' at $.atoms"
+
+    def test_a_long_list_of_unexpected_keys_is_cut_to_the_cap(self):
+        extra = [f"x{i:03}" for i in range(300)]
+        doc = {"atoms": [{"at": ["0"], "w": "0"}], **dict.fromkeys(extra, 0)}
+        with pytest.raises(SchemaError) as caught:
+            validate_document(doc, "measure")
+        keys = ", ".join(repr(k) for k in extra)[:QUOTE_CAP] + "..."
+        assert str(caught.value) == f"measure: Additional properties are not allowed ({keys} were unexpected) at $"
 
     def test_wrong_version_rejected(self):
         doc = {"version": 2, "atoms": [{"at": ["0"], "w": "0"}]}

@@ -17,8 +17,6 @@ from tropibary.measures import (
     combine,
     default_tests_for_points,
     default_tests_for_space,
-    eval_measure,
-    map_atoms,
     measure_dist,
     pushforward,
 )
@@ -98,14 +96,13 @@ class TestEvaluation:
     def test_eval_is_max_of_weight_plus_value(self, three_space):
         mu = IdemMeasure([(0, "0"), (1, "-1/2")], space=three_space)
         phi = FunctionTable(three_space, ["0", "1", "-5"])
-        assert type(eval_measure(mu, phi)) is Fraction and eval_measure(mu, phi) == scalar("1/2")
         assert type(mu(phi)) is Fraction and mu(phi) == scalar("1/2")
 
     def test_eval_respects_space(self, three_space):
         other = FiniteSpace(2)
         mu = IdemMeasure([(0, "0")], space=three_space)
         with pytest.raises(SpaceMismatch):
-            eval_measure(mu, FunctionTable(other, ["0", "0"]))
+            mu(FunctionTable(other, ["0", "0"]))
 
     @given(st.data())
     def test_functional_characterization(self, data):
@@ -193,11 +190,6 @@ class TestPushforward:
         target = FiniteSpace(2)
         assert SpaceMap(three_space, target, [0, 1, 0]).is_surjective
         assert not SpaceMap(three_space, target, [0, 0, 0]).is_surjective
-
-    def test_map_atoms_relabels_points(self):
-        mu = IdemMeasure([(TropVector(("-1", "0")), "0")])
-        out = map_atoms(lambda p: p.shift(scalar("-1")), mu)
-        assert out.atoms[0][0] == TropVector(("-2", "-1"))
 
 
 # -- the dense path against a reference built atom by atom ----------------
@@ -417,6 +409,21 @@ class TestMeasureDist:
         assert math.isclose(
             measure_dist(mu, nu, tests=tests), measure_dist(nu, mu, tests=tests)
         )
+
+    def test_measures_of_measures_have_no_default_family(self, three_space):
+        inner = IdemMeasure([(0, "0"), (1, "-1/2")], space=three_space)
+        other = IdemMeasure([(2, "0")], space=three_space)
+        big = IdemMeasure([(inner, "0"), (other, "-1")])
+        with pytest.raises(BadInput) as caught:
+            measure_dist(big, IdemMeasure([(inner, "0")]))
+        assert type(caught.value) is BadInput
+        assert str(caught.value) == "measures over measures have no default test family"
+
+    def test_mixed_point_dimensions_still_refused(self):
+        mu = IdemMeasure([(TropVector(["0"]), "0")])
+        nu = IdemMeasure([(TropVector(["0", "0"]), "0")])
+        with pytest.raises(DimensionMismatch, match="point measures of mixed dimension"):
+            measure_dist(mu, nu)
 
 
 eighths = st.integers(min_value=-16, max_value=16).map(lambda k: Fraction(k, 8))
