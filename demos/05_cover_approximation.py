@@ -4,7 +4,6 @@ collapse to their conditional barycenter, the total barycenter is
 preserved exactly, and refining the cover drives the error to zero."""
 
 from tropibary.approximation import (
-    BoxElement,
     Cover,
     cover_approximation,
     cover_pieces,
@@ -27,16 +26,16 @@ def pm(*pairs):
     return IdemMeasure([(TropVector(coords), scalar(w)) for coords, w in pairs])
 
 
-def box_el(lo, hi):
-    return BoxElement(Box(TropVector(lo), TropVector(hi)))
+def box(lo, hi):
+    return Box(TropVector(lo), TropVector(hi))
 
 
 def halves():
-    return Cover([box_el(("-2", "-2"), ("-1", "0")), box_el(("-1", "-2"), ("0", "0"))])
+    return Cover([box(("-2", "-2"), ("-1", "0")), box(("-1", "-2"), ("0", "0"))])
 
 
 def singletons(mu):
-    return Cover([box_el(tuple(map(str, p.coords)), tuple(map(str, p.coords))) for p, _ in mu.atoms])
+    return Cover([Box(p, p) for p, _ in mu.atoms])
 
 
 def main():
@@ -75,8 +74,8 @@ def main():
         (("-7/8", "-9/16"), "-1/16"),
         (("-9/16", "-7/8"), "-1/16"),
     )
-    box = Box(TropVector(("-2", "-2")), TropVector(("0", "0")))
-    chain = [Cover.grid(box, 1), Cover.grid(box, 2), singletons(crossing)]
+    square = box(("-2", "-2"), ("0", "0"))
+    chain = [Cover.grid(square, 1), Cover.grid(square, 2), singletons(crossing)]
     rows = refinement_sweep(crossing, chain)
     for k, dist in rows:
         label = ("whole box", "2x2 grid", "one box per atom")[k]

@@ -1,15 +1,16 @@
 """Cover-based finite-support approximation with exact barycenter
 preservation.
 
-A cover is a finite family of max-plus convex subsets of the host.  Each
-atom of a measure goes to exactly one element: the first, in cover
-order, that holds it.  The approximation collapses the atoms given to
-each element to a single dirac at their conditional barycenter,
-weighted by the heaviest of them.  So it never has more atoms than the
-measure, and its barycenter equals the barycenter of the input exactly.
-Every call checks both that and the rebuilt measure through
-`errors.certify`, which raises `InexactWitness` on a mismatch, also
-under `python -O`.
+A cover is a finite family of max-plus convex subsets of the host: each
+element is a `Box`, a `TropPolytope`, or, over an embedded finite
+space, an `IndexElement` naming some of its points.  Each atom of a
+measure goes to exactly one element: the first, in cover order, that
+holds it.  The approximation collapses the atoms given to each element
+to a single dirac at their conditional barycenter, weighted by the
+heaviest of them.  So it never has more atoms than the measure, and its
+barycenter equals the barycenter of the input exactly.  Every call
+checks both that and the rebuilt measure through `errors.certify`,
+which raises `InexactWitness` on a mismatch, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -23,60 +24,6 @@ from .core import Scalar, TropVector, odot, oplus_all
 from .errors import BadInput, NonConvexElement, UncoveredAtom, certify
 from .geometry import Box, TropPolytope
 from .measures import FiniteSpace, IdemMeasure, measure_dist
-
-
-class BoxElement:
-    """Axis-aligned sub-box as a cover element (max-plus convex)."""
-
-    __slots__ = ("box",)
-
-    def __init__(self, box: Box):
-        self.box = box
-
-    def contains_point(self, x: TropVector) -> bool:
-        return self.box.contains(x)
-
-    def subset_of(self, other: "CoverElement") -> bool:
-        if isinstance(other, BoxElement):
-            return other.box.low.leq(self.box.low) and self.box.high.leq(other.box.high)
-        if isinstance(other, PolytopeElement):
-            return all(other.contains_point(c) for c in self.box.corners_polytope().generators)
-        return False
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BoxElement) and self.box == other.box
-
-    def __hash__(self) -> int:
-        return hash(("box", self.box.low, self.box.high))
-
-    def __repr__(self) -> str:
-        return f"BoxElement({self.box!r})"
-
-
-class PolytopeElement:
-    """Tropical polytope as a cover element."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: TropPolytope):
-        self.poly = poly
-
-    def contains_point(self, x: TropVector) -> bool:
-        return self.poly.contains(x)
-
-    def subset_of(self, other: "CoverElement") -> bool:
-        if isinstance(other, (BoxElement, PolytopeElement)):
-            return all(other.contains_point(g) for g in self.poly.generators)
-        return False
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolytopeElement) and self.poly == other.poly
-
-    def __hash__(self) -> int:
-        return hash(("poly", self.poly.generators))
-
-    def __repr__(self) -> str:
-        return f"PolytopeElement({self.poly!r})"
 
 
 class IndexElement:
@@ -102,9 +49,6 @@ class IndexElement:
                 return i
         return None
 
-    def subset_of(self, other: "CoverElement") -> bool:
-        return isinstance(other, IndexElement) and self.indices <= other.indices
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IndexElement) and self.indices == other.indices
 
@@ -115,7 +59,7 @@ class IndexElement:
         return f"IndexElement({sorted(self.indices)})"
 
 
-CoverElement = Union[BoxElement, PolytopeElement, IndexElement]
+CoverElement = Union[Box, TropPolytope, IndexElement]
 
 
 class Cover:
@@ -137,7 +81,7 @@ class Cover:
         """One element per atom; the approximation returns mu itself."""
         if mu.space is not None:
             return Cover([IndexElement([a]) for a, _ in mu.atoms])
-        return Cover([PolytopeElement(TropPolytope([a])) for a, _ in mu.atoms])
+        return Cover([TropPolytope([a]) for a, _ in mu.atoms])
 
     @staticmethod
     def grid(box: Box, splits: int) -> "Cover":
@@ -158,7 +102,7 @@ class Cover:
         for cuts in itertools.product(*axes):
             low = TropVector([c[0] for c in cuts])
             high = TropVector([c[1] for c in cuts])
-            cells.append(BoxElement(Box(low, high)))
+            cells.append(Box(low, high))
         return Cover(cells)
 
     def __eq__(self, other) -> bool:
@@ -184,8 +128,8 @@ def _element_holds(element: CoverElement, atom, space: Optional[FiniteSpace]) ->
     if isinstance(element, IndexElement):
         return isinstance(atom, int) and atom in element.indices
     if isinstance(atom, int):
-        return element.contains_point(space.points[atom])
-    return element.contains_point(atom)
+        return element.contains(space.points[atom])
+    return element.contains(atom)
 
 
 def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
@@ -197,11 +141,17 @@ def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
     by several elements is counted once and every piece holds at least
     one atom of mu.  Elements that receive no atom are skipped.  Each
     piece's barycenter must stay inside its element (NonConvexElement
-    otherwise: the element was not max-plus convex after all).
+    otherwise: the element was not max-plus convex after all).  An index
+    outside mu's space is BadInput up front.
     """
     space = mu.space
     if space is not None:
         embedding(space)
+        for k, element in enumerate(cover.elements):
+            if isinstance(element, IndexElement) and max(element.indices) >= space.n:
+                raise BadInput(
+                    f"cover element {k} names index {max(element.indices)}, but the space has {space.n} points"
+                )
     groups: dict[int, list] = {}
     for atom, weight in mu.atoms:
         for k, element in enumerate(cover.elements):
@@ -223,7 +173,7 @@ def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
                     f"barycenter {point!r} escaped element {k} of the cover"
                 )
         else:
-            if not element.contains_point(point):
+            if not element.contains(point):
                 raise NonConvexElement(
                     f"barycenter {point!r} escaped element {k} of the cover"
                 )
@@ -256,11 +206,24 @@ def cover_approximation(mu: IdemMeasure, cover: Cover) -> IdemMeasure:
     return nu
 
 
+def _inside(small: CoverElement, big: CoverElement) -> bool:
+    """small is a subset of big.  Index sets nest by inclusion and never
+    with geometric elements.  A box inside a box compares bounds; a box
+    inside a polytope is checked at its corners, and a polytope inside
+    either at its generators, which suffices since big is convex."""
+    if isinstance(small, IndexElement) or isinstance(big, IndexElement):
+        both = isinstance(small, IndexElement) and isinstance(big, IndexElement)
+        return both and small.indices <= big.indices
+    if isinstance(small, Box):
+        if isinstance(big, Box):
+            return big.low.leq(small.low) and small.high.leq(big.high)
+        small = small.corners_polytope()
+    return all(big.contains(g) for g in small.generators)
+
+
 def refines(fine: Cover, coarse: Cover) -> bool:
     """Every element of the fine cover sits inside some coarse element."""
-    return all(
-        any(e.subset_of(big) for big in coarse.elements) for e in fine.elements
-    )
+    return all(any(_inside(e, big) for big in coarse.elements) for e in fine.elements)
 
 
 def refinement_sweep(mu: IdemMeasure, chain: Sequence[Cover]) -> list[tuple[int, float]]:

@@ -28,7 +28,6 @@ from .barycenter import barycenter_point
 from .core import ConvexParams
 from .errors import BadInput, Rejection, TropibaryError
 from .geometry import (
-    Box,
     certify_id_oplus_not_open,
     certify_y_beta_not_open,
     extremal_points,
@@ -48,7 +47,7 @@ from .lifting import (
     recombine,
     witness_distance,
 )
-from .measures import IdemMeasure, combine, measure_dist, pushforward
+from .measures import combine, measure_dist, pushforward
 from .verify import SCALES, SUITES, run_all, run_suite
 
 DEFAULT_SEED = 7
@@ -156,10 +155,10 @@ def _cmd_lift_s(instance: dict, target_doc: dict, oracle: bool) -> dict:
     kind = instance["kind"]
     if kind == "combination-measures":
         space = codecs.space_from_json(instance["space"])
-        first = IdemMeasure(codecs._atoms_from_json(instance["first"], space), space=space)
-        second = IdemMeasure(codecs._atoms_from_json(instance["second"], space), space=space)
+        first = codecs.measure_from_json(instance["first"], space)
+        second = codecs.measure_from_json(instance["second"], space)
         params = codecs.params_from_json(instance["params"])
-        target = IdemMeasure(codecs._atoms_from_json(target_doc["measure"], space), space=space)
+        target = codecs.measure_from_json(target_doc["measure"], space)
         lift, search, region = lift_s_finite, brute_force_lift_s, ()
     elif kind == "interval":
         bounds = tuple(codecs.scalar_from_json(v) for v in instance["bounds"])
@@ -169,7 +168,7 @@ def _cmd_lift_s(instance: dict, target_doc: dict, oracle: bool) -> dict:
         target = codecs.scalar_from_json(target_doc["scalar"])
         lift, search, region = lift_s_interval, brute_force_lift_interval, (bounds,)
     elif kind == "box":
-        box = Box(codecs.vector_from_json(instance["low"]), codecs.vector_from_json(instance["high"]))
+        box = codecs.box_from_json(instance)
         first = codecs.vector_from_json(instance["x"])
         second = codecs.vector_from_json(instance["y"])
         params = codecs.params_from_json(instance["params"])
@@ -193,8 +192,8 @@ def _cmd_lift_s(instance: dict, target_doc: dict, oracle: bool) -> dict:
 
 
 def _cmd_lift_beta(instance: dict, target_doc: dict, oracle: bool) -> dict:
-    box = Box(codecs.vector_from_json(instance["low"]), codecs.vector_from_json(instance["high"]))
-    nu = IdemMeasure(codecs._atoms_from_json(instance["measure"], None))
+    box = codecs.box_from_json(instance)
+    nu = codecs.measure_from_json(instance["measure"])
     target = codecs.vector_from_json(target_doc["point"])
     out = lift_beta(nu, target, BoxHost(box))
     payload = {

@@ -204,18 +204,6 @@ class Certificate:
     data: dict
     verdict: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "data": self.data,
-            "verdict": self.verdict,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "Certificate":
-        return Certificate(doc["claim"], doc["params"], doc["data"], doc["verdict"])
-
     def recheck(self) -> bool:
         """Rebuild from the stored parameters and compare.  A certificate
         that no certifier could have made (an unknown claim, parameters
@@ -331,15 +319,18 @@ def phi_min() -> PointFunction:
 
 _Y_PARAM_GRID = [Fraction(k, 16) for k in range(0, 17)]  # 0 .. 1 by 1/16
 
+_Y_DROPS = [-u for u in _Y_PARAM_GRID]  # 0 .. -1 by 1/16
+
+# The hook's three legs at each u of the grid: (-1-u, -1), (-1, -1-u)
+# and the diagonal (-1+u, -1+u), built once.
+_Y_HOOK_POINTS = tuple(
+    (TropVector([-1 - u, -1]), TropVector([-1, -1 - u]), TropVector([-1 + u, -1 + u])) for u in _Y_PARAM_GRID
+)
+
 
 def _sample_y_point(rng: random.Random) -> TropVector:
-    u = rng.choice(_Y_PARAM_GRID)
-    piece = rng.randrange(3)
-    if piece == 0:
-        return TropVector([Fraction(-1) - u, Fraction(-1)])
-    if piece == 1:
-        return TropVector([Fraction(-1), Fraction(-1) - u])
-    return TropVector([Fraction(-1) + u, Fraction(-1) + u])
+    legs = rng.choice(_Y_HOOK_POINTS)
+    return legs[rng.randrange(3)]
 
 
 # The y-beta digest hashes, per sample, the text repr(mu.atoms) gave when
@@ -387,7 +378,7 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     nu_val = nu(test)
     if nu_val != -2:
         raise TropibaryError(f"nu evaluates the min table to {nu_val}, expected -2")
-    gap = rho(c, Fraction(-2))
+    gap = rho(c, nu_val)
     rng = random.Random(seed)
     digest = hashlib.sha256()
     exhibits = []
@@ -395,14 +386,15 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     infeasible = 0
     attempts = 0
     normalizer = TropVector([-1, -1])
+    diagonal = [TropVector([c - u * c, c - u * c]) for u in _Y_PARAM_GRID]  # c + u(0 - c)
     while feasible < samples:
         attempts += 1
         if attempts > samples * 20:
             raise InfeasibleBarycenter(f"sampling could not keep hitting {c_i!r}")
         pts = [normalizer] + [_sample_y_point(rng) for _ in range(rng.randrange(4))]
         if rng.random() < 0.8:
-            v = c + rng.choice(_Y_PARAM_GRID) * (Fraction(0) - c) if c != 0 else Fraction(0)
-            pts.append(TropVector([v, v]))
+            # at c = 0 the diagonal is the origin alone, and nothing is drawn
+            pts.append(rng.choice(diagonal) if c != 0 else diagonal[0])
         caps = []
         for p in pts:
             cap = trop_min(trop_min(residual(c, p[0]), residual(c, p[1])), ZERO)
@@ -423,7 +415,7 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
             elif rng.random() < 0.2:
                 weights.append(NEG_INF)
             else:
-                weights.append(odot(caps[k], -rng.choice(_Y_PARAM_GRID)))
+                weights.append(odot(caps[k], rng.choice(_Y_DROPS)))
         mu = IdemMeasure([(p, w) for p, w in zip(pts, weights) if w is not NEG_INF])
         if barycenter_point(mu) != c_i:
             raise TropibaryError("constructed sample missed the target barycenter")
@@ -434,7 +426,7 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
             if _cmp(odot(w, p[0]), c) == 0:
                 if _cmp(p[0], p[1]) or _cmp(w, c) < 0:
                     raise TropibaryError("a coordinate witness left the diagonal")
-        if rho(val, Fraction(-2)) < gap:
+        if rho(val, nu_val) < gap:
             raise TropibaryError("sample closer to nu than the certified gap")
         feasible += 1
         digest.update(_y_sample_text(mu.atoms).encode())

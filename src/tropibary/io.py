@@ -31,7 +31,7 @@ from typing import Callable, Optional, Union
 
 import jsonschema
 
-from .approximation import BoxElement, Cover, IndexElement, PolytopeElement
+from .approximation import Cover, IndexElement
 from .core import ConvexParams, Scalar, TropVector, scalar
 from .errors import BadInput, SchemaError, capped
 from .geometry import Box, Certificate, TropPolytope
@@ -368,7 +368,9 @@ def measure_to_json(mu: IdemMeasure) -> dict:
     return doc
 
 
-def _atoms_from_json(doc: dict, space: Optional[FiniteSpace]) -> list:
+def measure_from_json(doc: dict, space: Optional[FiniteSpace] = None) -> IdemMeasure:
+    if space is None and "space" in doc:
+        space = space_from_json(doc["space"])
     pairs = []
     for entry in doc["atoms"]:
         at = entry["at"]
@@ -388,13 +390,7 @@ def _atoms_from_json(doc: dict, space: Optional[FiniteSpace]) -> list:
             pairs.append((space.points.index(vec), scalar(entry["w"])))
         except ValueError:
             raise SchemaError(f"atom {at} is not an embedded point of the space") from None
-    return pairs
-
-
-def measure_from_json(doc: dict, space: Optional[FiniteSpace] = None) -> IdemMeasure:
-    if space is None and "space" in doc:
-        space = space_from_json(doc["space"])
-    return IdemMeasure(_atoms_from_json(doc, space), space=space)
+    return IdemMeasure(pairs, space=space)
 
 
 # -- geometry ------------------------------------------------------------------
@@ -422,12 +418,10 @@ def box_from_json(doc: dict) -> Box:
 def cover_to_json(cover: Cover) -> dict:
     elements = []
     for e in cover.elements:
-        if isinstance(e, BoxElement):
-            elements.append({"kind": "box", **box_to_json(e.box)})
-        elif isinstance(e, PolytopeElement):
-            elements.append(
-                {"kind": "polytope", "generators": [vector_to_json(g) for g in e.poly.generators]}
-            )
+        if isinstance(e, Box):
+            elements.append({"kind": "box", **box_to_json(e)})
+        elif isinstance(e, TropPolytope):
+            elements.append({"kind": "polytope", "generators": [vector_to_json(g) for g in e.generators]})
         else:
             elements.append({"kind": "indices", "indices": sorted(e.indices)})
     return {"version": SCHEMA_VERSION, "elements": elements}
@@ -437,17 +431,23 @@ def cover_from_json(doc: dict) -> Cover:
     elements: list = []
     for e in doc["elements"]:
         if e["kind"] == "box":
-            elements.append(BoxElement(box_from_json(e)))
+            elements.append(box_from_json(e))
         elif e["kind"] == "polytope":
-            elements.append(PolytopeElement(TropPolytope([vector_from_json(g) for g in e["generators"]])))
+            elements.append(polytope_from_json(e))
         else:
             elements.append(IndexElement(e["indices"]))
     return Cover(elements)
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    return {"version": SCHEMA_VERSION, **cert.to_json_dict()}
+    return {
+        "version": SCHEMA_VERSION,
+        "claim": cert.claim,
+        "params": cert.params,
+        "data": cert.data,
+        "verdict": cert.verdict,
+    }
 
 
 def certificate_from_json(doc: dict) -> Certificate:
-    return Certificate.from_json_dict(doc)
+    return Certificate(doc["claim"], doc["params"], doc["data"], doc["verdict"])

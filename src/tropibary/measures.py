@@ -321,9 +321,6 @@ class IdemMeasure:
             raise BadInput("densities exist only over a finite space")
         return self._weights
 
-    def support(self) -> tuple:
-        return tuple(a for a, _ in self.atoms)
-
     @property
     def atom_count(self) -> int:
         return len(self.atoms)

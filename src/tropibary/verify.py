@@ -369,6 +369,17 @@ def suite_fiber(rng, seed, knobs, tally) -> list:
 # -- suite: interval and box lifts -------------------------------------------
 
 
+def _first_accepted(point, box, delta, lift):
+    """The first of `sampling.lattice_targets_near(point, box, delta)`
+    that `lift` accepts, with its witness, or None if it refuses them all."""
+    for cand in sampling.lattice_targets_near(point, box, delta):
+        try:
+            return cand, lift(cand)
+        except Rejection:
+            continue
+    return None
+
+
 def _lift_on_interval(x, y, params, target, box):
     return lift_s_interval(x, y, params, target, box.interval(0))
 
@@ -396,17 +407,12 @@ def suite_point_lifts(rng, seed, knobs, tally) -> list:
             first, second = coords(x), coords(y)
             last = None
             for j in range(1, knobs["lift_depth"] + 1):
-                w = None
-                for cand in sampling.lattice_targets_near(image, box, sampling.dyadic_delta(j)):
-                    target = coords(cand)
-                    try:
-                        w = lift(first, second, params, target, box)
-                        break
-                    except Rejection:
-                        w = None
-                if w is None:
+                delta = sampling.dyadic_delta(j)
+                picked = _first_accepted(image, box, delta, lambda c: lift(first, second, params, coords(c), box))
+                if picked is None:
                     exact.check(False, f"no target near depth {j} accepted")
                     continue
+                target, w = coords(picked[0]), picked[1]
                 params_kept.check(w.params == params, f"params moved to {w.params!r}")
                 exact.check(
                     recombine(w.lifted_first, w.lifted_second, w.params) == target,
@@ -432,14 +438,7 @@ def suite_barycenter_lift(rng, seed, knobs, tally) -> list:
     for _ in range(knobs["beta"]):
         nu = sampling.random_point_measure(rng, box, k_max=4)
         center = barycenter_point(nu)
-        picked = None
-        for cand in sampling.lattice_targets_near(center, box, Fraction(1, 128)):
-            try:
-                out = lift_beta(nu, cand, host)
-                picked = (cand, out)
-                break
-            except Rejection:
-                continue
+        picked = _first_accepted(center, box, Fraction(1, 128), lambda c: lift_beta(nu, c, host))
         near.check(picked is not None, f"no target near {center!r} accepted")
         if picked is None:
             continue
@@ -447,16 +446,11 @@ def suite_barycenter_lift(rng, seed, knobs, tally) -> list:
         exact.check(barycenter_point(out) == cand, f"{barycenter_point(out)!r} != {cand!r}")
         dists = []
         for j in range(7, knobs["lift_depth"] + 1):
-            got = None
-            for cand_j in sampling.lattice_targets_near(center, box, sampling.dyadic_delta(j)):
-                try:
-                    got = lift_beta(nu, cand_j, host)
-                    break
-                except Rejection:
-                    continue
-            if got is None:
+            found = _first_accepted(center, box, sampling.dyadic_delta(j), lambda c: lift_beta(nu, c, host))
+            if found is None:
                 shrink.check(False, f"depth {j}: nothing accepted")
                 break
+            cand_j, got = found
             exact.check(
                 barycenter_point(got) == cand_j,
                 f"depth {j}: witness barycenter missed",

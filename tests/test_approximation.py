@@ -5,10 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropibary.approximation import (
-    BoxElement,
     Cover,
     IndexElement,
-    PolytopeElement,
     cover_approximation,
     cover_pieces,
     cover_reconstruction,
@@ -30,7 +28,15 @@ def pm(*pairs):
 
 
 def box_el(lo, hi):
-    return BoxElement(Box(TropVector(lo), TropVector(hi)))
+    return Box(TropVector(lo), TropVector(hi))
+
+
+def poly_el(*generators):
+    return TropPolytope([TropVector(g) for g in generators])
+
+
+def idx_el(*indices):
+    return IndexElement(indices)
 
 
 class TestCoverPieces:
@@ -109,9 +115,7 @@ class TestCoverApproximation:
 
     def test_polytope_elements_work(self):
         mu = pm((("-1", "-1"), "0"), (("-1/2", "-3/2"), "-1/2"))
-        hull = PolytopeElement(
-            TropPolytope([TropVector(("-1", "-1")), TropVector(("-1/2", "-3/2"))])
-        )
+        hull = poly_el(("-1", "-1"), ("-1/2", "-3/2"))
         nu = cover_approximation(mu, Cover([hull]))
         assert nu.atom_count == 1
         assert barycenter_point(nu) == barycenter_point(mu)
@@ -168,11 +172,52 @@ class TestCoverValidation:
         with pytest.raises(BadInput):
             IndexElement([])
 
-    def test_box_subset_of_polytope(self):
-        hull = PolytopeElement(
-            TropPolytope(
-                [TropVector(("-1", "-1")), TropVector(("0", "0")), TropVector(("-1", "0")), TropVector(("0", "-1"))]
-            )
-        )
-        assert box_el(("-1", "-1"), ("-1/2", "-1/2")).subset_of(hull)
-        assert not box_el(("-2", "-1"), ("-1/2", "-1/2")).subset_of(hull)
+
+# One cover element inside another, for every pair of element kinds.
+# Index elements and geometric elements never nest.
+SQUARE = poly_el(("-1", "-1"), ("0", "0"), ("-1", "0"), ("0", "-1"))
+HOOK = poly_el(("-2", "-1"), ("-1", "-2"), ("0", "0"))
+PLANE = box_el(("-2", "-2"), ("0", "0"))
+UNIT = box_el(("-1", "-1"), ("0", "0"))
+NESTING = {
+    "box-in-box": (box_el(("-1", "-1"), ("-1/2", "-1/2")), PLANE, True),
+    "box-not-in-box": (box_el(("-2", "-1"), ("0", "0")), UNIT, False),
+    "box-in-polytope": (box_el(("-1", "-1"), ("-1/2", "-1/2")), SQUARE, True),
+    "box-not-in-polytope": (box_el(("-2", "-1"), ("-1/2", "-1/2")), SQUARE, False),
+    "polytope-in-box": (poly_el(("-1", "-1"), ("-1/2", "-3/2")), PLANE, True),
+    "polytope-not-in-box": (poly_el(("-1", "-1"), ("1/2", "0")), PLANE, False),
+    "polytope-in-polytope": (poly_el(("-1", "-1")), HOOK, True),
+    "polytope-not-in-polytope": (poly_el(("-1", "-1"), ("-2", "-2")), HOOK, False),
+    "index-in-index": (idx_el(0), idx_el(0, 1), True),
+    "index-not-in-index": (idx_el(0, 2), idx_el(0, 1), False),
+    "index-not-in-box": (idx_el(0), PLANE, False),
+    "index-not-in-polytope": (idx_el(0), HOOK, False),
+    "box-not-in-index": (PLANE, idx_el(0), False),
+    "polytope-not-in-index": (HOOK, idx_el(0), False),
+}
+
+
+@pytest.mark.parametrize("small, big, inside", NESTING.values(), ids=NESTING.keys())
+def test_refines_every_pair_of_kinds(small, big, inside):
+    assert refines(Cover([small]), Cover([big])) == inside
+
+
+COVER_EQUALITY = {
+    "same-boxes": (Cover([UNIT]), Cover([box_el(("-1", "-1"), ("0", "0"))]), True),
+    "box-against-its-corners": (Cover([UNIT]), Cover([SQUARE]), False),
+    "generator-order": (
+        Cover([poly_el(("-1", "0"), ("0", "-1"))]),
+        Cover([poly_el(("0", "-1"), ("-1", "0"))]),
+        True,
+    ),
+    "index-against-box": (Cover([idx_el(0)]), Cover([PLANE]), False),
+    "index-against-polytope": (Cover([idx_el(0)]), Cover([HOOK]), False),
+    "same-index-sets": (Cover([idx_el(1, 0)]), Cover([idx_el(0, 1)]), True),
+    "element-order": (Cover([PLANE, HOOK]), Cover([HOOK, PLANE]), False),
+}
+
+
+@pytest.mark.parametrize("first, second, equal", COVER_EQUALITY.values(), ids=COVER_EQUALITY.keys())
+def test_cover_equality_across_kinds(first, second, equal):
+    assert (first == second) == equal
+    assert (second == first) == equal

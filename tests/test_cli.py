@@ -87,6 +87,12 @@ DOCUMENTS = {
     "pm_zero_den": atoms((["-1", "1/0"], "0")),
     "poly_zero_den": {"generators": [["-1", "1/0"], ["0", "-2"]]},
     "cover_zero_den": {"elements": [{"kind": "box", "low": ["-2", "-2"], "high": ["0", "1/0"]}]},
+    # a schema-valid index cover naming a point the space does not have
+    "em3": {
+        "space": {"labels": ["a", "b", "c"], "points": [["-1", "0"], ["0", "-2"], ["0", "0"]]},
+        **atoms(("a", "0"), ("b", "-1/4")),
+    },
+    "cover_index_out": {"elements": [{"kind": "indices", "indices": [0, 1, 7]}, {"kind": "indices", "indices": [2]}]},
     "inst_int_zero_den": {
         "kind": "interval",
         "bounds": ["-2", "0"],
@@ -390,6 +396,7 @@ MALFORMED = [
     ("eval", "--measure", "@latin1", "--table", "@table"),
     ("barycenter", "@deep"),
     ("approx", "--measure", "@m", "--cover", "@cover1"),
+    ("approx", "--measure", "@em3", "--cover", "@cover_index_out"),
 ]
 
 

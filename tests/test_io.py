@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropibary.approximation import BoxElement, Cover, IndexElement, PolytopeElement
+from tropibary.approximation import Cover, IndexElement
 from tropibary.core import NEG_INF, SCALAR_TEXT, ZERO, ConvexParams, TropVector, scalar
 from tropibary.errors import QUOTE_CAP, BadInput, SchemaError
 from tropibary.geometry import Box, TropPolytope, certify_id_oplus_not_open
@@ -145,17 +145,16 @@ class TestGeometryDocs:
     def test_geometric_cover_roundtrip(self):
         cover = Cover(
             [
-                BoxElement(Box(TropVector([-1, -1]), TropVector([0, 0]))),
-                PolytopeElement(TropPolytope([TropVector([-2, -2]), TropVector([-1, -1])])),
+                Box(TropVector([-1, -1]), TropVector([0, 0])),
+                TropPolytope([TropVector([-2, -2]), TropVector([-1, -1])]),
             ]
         )
         doc = cover_to_json(cover)
         validate_document(doc, "cover")
         again = cover_from_json(doc)
-        assert isinstance(again.elements[0], BoxElement)
-        assert again.elements[0].box == cover.elements[0].box
-        assert isinstance(again.elements[1], PolytopeElement)
-        assert again.elements[1].poly == cover.elements[1].poly
+        assert isinstance(again.elements[0], Box)
+        assert isinstance(again.elements[1], TropPolytope)
+        assert again == cover
 
     def test_index_cover_roundtrip(self):
         cover = Cover([IndexElement([2, 0]), IndexElement([1])])
@@ -255,8 +254,8 @@ def _codec_documents() -> list:
         cover_to_json(
             Cover(
                 [
-                    BoxElement(Box(TropVector([-1, -1]), TropVector([0, 0]))),
-                    PolytopeElement(TropPolytope([TropVector([-2, -2]), TropVector([-1, -1])])),
+                    Box(TropVector([-1, -1]), TropVector([0, 0])),
+                    TropPolytope([TropVector([-2, -2]), TropVector([-1, -1])]),
                 ]
             )
         ),
