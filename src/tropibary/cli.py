@@ -26,7 +26,7 @@ from . import io as codecs
 from .approximation import cover_approximation, refinement_sweep
 from .barycenter import barycenter_point
 from .core import ConvexParams
-from .errors import BadInput, Rejection, TropibaryError
+from .errors import BadInput, Rejection, TropibaryError, capped
 from .geometry import (
     certify_id_oplus_not_open,
     certify_y_beta_not_open,
@@ -81,7 +81,12 @@ def _resolve_seed(value: Optional[int]) -> int:
     if value is not None:
         return value
     env = os.environ.get("TROPIBARY_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise BadInput(f"TROPIBARY_SEED: invalid int value: {capped(repr(env))}") from None
 
 
 # -- subcommand handlers -------------------------------------------------------

@@ -386,10 +386,10 @@ def measure_from_json(doc: dict, space: Optional[FiniteSpace] = None) -> IdemMea
         # coordinate atoms on a finite space resolve through its embedding
         if space.points is None:
             raise SchemaError("coordinate atoms need an embedded space")
-        try:
-            pairs.append((space.points.index(vec), scalar(entry["w"])))
-        except ValueError:
-            raise SchemaError(f"atom {at} is not an embedded point of the space") from None
+        i = space.index_of_point(vec)
+        if i is None:
+            raise SchemaError(f"atom {capped(repr(at))} is not an embedded point of the space")
+        pairs.append((i, scalar(entry["w"])))
     return IdemMeasure(pairs, space=space)
 
 

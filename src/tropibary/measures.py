@@ -61,7 +61,7 @@ from .errors import (
 class FiniteSpace:
     """Finite compactum {0, ..., n-1}, optionally embedded in R_max^d."""
 
-    __slots__ = ("n", "labels", "points")
+    __slots__ = ("n", "labels", "points", "_label_index", "_point_index")
 
     def __init__(
         self,
@@ -73,7 +73,8 @@ class FiniteSpace:
             raise BadInput("a finite space needs at least one point")
         self.n = n
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
-        if len(self.labels) != n or len(set(self.labels)) != n:
+        self._label_index = {label: i for i, label in enumerate(self.labels)}
+        if len(self.labels) != n or len(self._label_index) != n:
             raise BadInput("labels must be distinct and match the space size")
         if points is not None:
             pts = tuple(points)
@@ -82,25 +83,32 @@ class FiniteSpace:
             dims = {p.dim for p in pts}
             if len(dims) != 1:
                 raise DimensionMismatch("embedded points of mixed dimension")
-            if len(set(pts)) != n:
+            self._point_index = {p: i for i, p in enumerate(pts)}
+            if len(self._point_index) != n:
                 raise BadInput("embedded points must be distinct")
             for p in pts:
                 if not p.is_finite:
                     raise BadInput("embedded points must have finite coordinates")
             self.points = pts
         else:
-            self.points = None
+            self.points = self._point_index = None
 
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._label_index[label]
+        except (KeyError, TypeError):
             raise BadInput(f"unknown label {capped(repr(label))}") from None
+
+    def index_of_point(self, p: TropVector) -> Optional[int]:
+        """The index of embedded point p, None when p is not one."""
+        return self._point_index.get(p)
 
     def _key(self):
         return (self.n, self.labels, self.points)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteSpace):
             return NotImplemented
         return self._key() == other._key()
@@ -490,23 +498,10 @@ def random_affine(dim: int, rng: random.Random) -> PointFunction:
     return PointFunction(label, lambda p: _affine_at(affine, p.coords), affine=affine)
 
 
-# The default families are pure functions of their arguments and are
-# built often (every measure_dist and witness_distance call), so each is
-# built once and kept as a tuple; the public builders hand out copies.
-
-
-@lru_cache(maxsize=64)
-def _space_tests(space: FiniteSpace) -> tuple:
-    tests = []
-    for i in range(space.n):
-        vals = [-INDICATOR_DEPTH] * space.n
-        vals[i] = Fraction(0)
-        tests.append(FunctionTable(space, vals))
-    if space.points is not None:
-        d = space.points[0].dim
-        for j in range(d):
-            tests.append(FunctionTable(space, [p[j] for p in space.points]))
-    return tuple(tests)
+# The default point family is a pure function of its dimension and is
+# built often (every measure_dist and witness_distance call on points),
+# so it is built once and kept as a tuple; the public builder hands out
+# copies.
 
 
 @lru_cache(maxsize=64)
@@ -523,13 +518,41 @@ def _point_tests(dim: int) -> tuple:
 def default_tests_for_space(space: FiniteSpace) -> list:
     """Indicator-style tables (0 at one atom, -1000 elsewhere), plus the
     coordinate projections when the space is embedded."""
-    return list(_space_tests(space))
+    tests = []
+    for i in range(space.n):
+        vals = [-INDICATOR_DEPTH] * space.n
+        vals[i] = Fraction(0)
+        tests.append(FunctionTable(space, vals))
+    if space.points is not None:
+        d = space.points[0].dim
+        for j in range(d):
+            tests.append(FunctionTable(space, [p[j] for p in space.points]))
+    return tests
 
 
 def default_tests_for_points(dim: int) -> list:
     """Projections, pairwise mins, and 32 random affine functions drawn
     from seed 0."""
     return list(_point_tests(dim))
+
+
+def _space_values(mu: IdemMeasure) -> list:
+    """mu on each table of `default_tests_for_space(mu.space)`, in order,
+    in one pass over the weights.
+
+    The indicator of point i takes mu to w_i oplus (m_i odot -1000), where
+    m_i is the largest weight at any other point.  m_i is 0 unless i is
+    the only point of weight 0, and then w_i = 0 is the larger term, so
+    the value is w_i oplus -1000 at every point.  The projections cost
+    one pass over the atoms each.
+    """
+    floor = -INDICATOR_DEPTH
+    values = [oplus(w, floor) for w in mu._weights]
+    points = mu.space.points
+    if points is not None:
+        for j in range(points[0].dim):
+            values.append(oplus_all(odot(w, points[i][j]) for i, w in mu.atoms))
+    return values
 
 
 def _evaluator(mu: IdemMeasure) -> Callable:
@@ -558,6 +581,13 @@ def measure_dist(
     With the default family this dominates weight-wise convergence on a
     common finite space, and tracks atom motion for point measures.
 
+    On a common finite space the default family is not built: each
+    measure's value on every table of `default_tests_for_space` comes
+    from its weight tuple in one pass (`_space_values`), so the cost is
+    O(n + n_atoms * dim) instead of O(n^2).  The values are the same
+    exact scalars as the tables give, so the float is the same.  An
+    explicit `tests` family is evaluated test by test.
+
     For a measure over points of one dimension, every test with
     `PointFunction.affine` set (the projections and the random affine
     functions of the default family) is evaluated at the barycenter:
@@ -570,8 +600,8 @@ def measure_dist(
     """
     if tests is None:
         if mu.space is not None and mu.space == nu.space:
-            tests = _space_tests(mu.space)
-        elif mu.space is None and nu.space is None:
+            return max(map(rho, _space_values(mu), _space_values(nu)))
+        if mu.space is None and nu.space is None:
             if not all(isinstance(m.atoms[0][0], TropVector) for m in (mu, nu)):
                 raise BadInput("measures over measures have no default test family")
             dims = {mu.atoms[0][0].dim, nu.atoms[0][0].dim}

@@ -327,6 +327,32 @@ class TestCounterexampleAndSeeds:
         doc = report(capsys, "counterexample", "id-oplus", "--i", "2", "--samples", "5", "--seed", "3")
         assert doc["seed"] == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ext", "--polytope", "@poly"),
+            ("counterexample", "y-beta", "--i", "2", "--samples", "5"),
+            ("verify", "--suite", "measures", "--scale", "tiny"),
+        ],
+        ids=["ext", "counterexample", "verify"],
+    )
+    def test_non_integer_env_seed_is_one_error_line(self, capsys, monkeypatch, docs, argv):
+        argv = resolve(argv, docs)
+        monkeypatch.setenv("TROPIBARY_SEED", "abc")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err.splitlines()[0] == "error: TROPIBARY_SEED: invalid int value: 'abc'"
+        # --seed wins, and then the variable is not read
+        code, _, err = run(capsys, *argv, "--seed", "3")
+        assert code == 0, err
+
+    def test_long_env_seed_is_quoted_to_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("TROPIBARY_SEED", "x" * 1000)
+        code, out, err = run(capsys, "counterexample", "id-oplus", "--i", "2", "--samples", "5")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == "error: TROPIBARY_SEED: invalid int value: '" + "x" * 199 + "..."
+
 
 class TestVerifyCommand:
     def test_single_suite_tiny(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -118,6 +119,50 @@ class TestMeasures:
         doc = {"space": space_to_json(space), "atoms": [{"at": ["-1", "-1"], "w": "0"}]}
         with pytest.raises(SchemaError, match="not an embedded point"):
             measure_from_json(doc)
+
+    def test_unknown_embedded_point_is_quoted_to_the_cap(self):
+        space = FiniteSpace(2, points=(TropVector([0, -1]), TropVector([-1, 0])))
+        at = ["-1"] * 1100
+        doc = {"space": space_to_json(space), "atoms": [{"at": at, "w": "0"}]}
+        with pytest.raises(SchemaError) as caught:
+            measure_from_json(doc)
+        quoted = repr(at)[:QUOTE_CAP] + "..."
+        assert str(caught.value) == f"atom {quoted} is not an embedded point of the space"
+
+    @given(st.permutations(range(6)), st.booleans())
+    def test_atoms_in_any_order_decode_to_one_measure(self, order, by_point):
+        points = [TropVector([k, -k]) for k in range(6)]
+        space = FiniteSpace(6, labels="uvwxyz", points=points)
+        weights = ["0", "-1/2", "-inf", "0", "-3", "-1/8"]
+        atoms = [
+            {"at": vector_to_json(points[i]) if by_point else space.labels[i], "w": weights[i]}
+            for i in order
+        ]
+        mu = measure_from_json({"space": space_to_json(space), "atoms": atoms})
+        assert mu == IdemMeasure.from_weights(space, weights)
+
+    @pytest.mark.parametrize(
+        "space, at, message",
+        [
+            ({"labels": ["a", "b", "a"]}, "a", "labels must be distinct and match the space size"),
+            ({"points": [["0", "-1"], ["0", "-1"]]}, ["0", "-1"], "embedded points must be distinct"),
+            ({"labels": ["a", "b"]}, "c", "unknown label 'c'"),
+        ],
+    )
+    def test_space_refusals_keep_their_wording(self, space, at, message):
+        with pytest.raises(BadInput) as caught:
+            measure_from_json({"space": space, "atoms": [{"at": at, "w": "0"}]})
+        assert str(caught.value) == message
+
+    def test_large_embedded_document_decodes_in_linear_time(self):
+        n = 4000
+        points = [[str(k), str(-k)] for k in range(n)]
+        atoms = [{"at": p, "w": "0" if k == n - 1 else f"-{k + 1}/8"} for k, p in enumerate(points)]
+        doc = {"space": {"points": points}, "atoms": atoms[::-1]}
+        started = time.perf_counter()
+        mu = measure_from_json(doc)
+        assert time.perf_counter() - started < 1.0
+        assert mu.atom_count == n and mu.weight_of(n - 1) == ZERO
 
     def test_label_without_space_rejected(self):
         with pytest.raises(SchemaError, match="without a space"):

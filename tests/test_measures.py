@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -477,6 +478,65 @@ class TestBarycenterFactoredDist:
         tables = default_tests_for_space(plane_space)
         tables.pop()
         assert len(default_tests_for_space(plane_space)) == 3 + 2
+
+
+finite_spaces = st.one_of(
+    st.integers(min_value=1, max_value=8).map(FiniteSpace),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda dim: st.lists(
+            st.tuples(*[eighths] * dim), min_size=1, max_size=8, unique=True
+        ).map(lambda pts: FiniteSpace(len(pts), points=[TropVector(p) for p in pts]))
+    ),
+)
+# -inf, ties after renormalizing, and weights at and below the indicator depth
+family_weight = st.one_of(
+    st.just(NEG_INF),
+    eighths,
+    st.sampled_from([Fraction(-1000), Fraction(-8001, 8), Fraction(-2000)]),
+)
+
+
+def measure_pairs_on(space: FiniteSpace):
+    weights = st.lists(family_weight, min_size=space.n, max_size=space.n).filter(
+        lambda ws: any(w is not NEG_INF for w in ws)
+    )
+    measure = weights.map(lambda ws: IdemMeasure.from_weights(space, ws, renormalize=True))
+    return st.tuples(st.just(space), measure, measure)
+
+
+def on(space, *weights):
+    return (space, *(IdemMeasure.from_weights(space, ws) for ws in weights))
+
+
+class TestOnePassSpaceFamily:
+    """Without `tests`, measure_dist on a finite space evaluates the default
+    family in one pass; it must give the floats of the tables themselves."""
+
+    @given(finite_spaces.flatmap(measure_pairs_on))
+    @example(on(FiniteSpace(1), [ZERO], [ZERO]))
+    @example(on(FiniteSpace(2), [ZERO, ZERO], [ZERO, scalar("-1")]))
+    @example(on(FiniteSpace(3), [NEG_INF, ZERO, NEG_INF], [ZERO, scalar("-1001"), NEG_INF]))
+    @example(
+        on(
+            FiniteSpace(2, points=[TropVector(["0", "-1"]), TropVector(["-1", "0"])]),
+            [ZERO, ZERO],
+            [NEG_INF, ZERO],
+        )
+    )
+    def test_matches_the_tables(self, case):
+        space, mu, nu = case
+        tables = default_tests_for_space(space)
+        assert measure_dist(mu, nu) == measure_dist(mu, nu, tests=tables)
+        for m in (mu, nu):
+            assert measures._space_values(m) == [m(phi) for phi in tables]
+
+    def test_linear_in_the_number_of_points(self):
+        space = FiniteSpace(2000)
+        mu = IdemMeasure.from_weights(space, [ZERO] + [scalar(-k) for k in range(1, 2000)])
+        nu = IdemMeasure.from_weights(space, [NEG_INF] * 1999 + [ZERO])
+        started = time.perf_counter()
+        assert measure_dist(mu, nu) == 1.0
+        assert time.perf_counter() - started < 1.0
 
 
 class TestFunctionTable:
