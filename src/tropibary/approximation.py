@@ -44,10 +44,8 @@ class IndexElement:
 
     def admit_point(self, x: TropVector, space: FiniteSpace) -> Optional[int]:
         """Index of the subset point the vector x coincides with, if any."""
-        for i in sorted(self.indices):
-            if space.points[i] == x:
-                return i
-        return None
+        i = space.index_of_point(x)
+        return i if i in self.indices else None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IndexElement) and self.indices == other.indices

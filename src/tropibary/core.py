@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import exp, gcd, inf, lcm
+from math import exp, expm1, gcd, inf, lcm, log
 from typing import Callable, Iterable, NoReturn, Optional, Sequence, Union
 
 from .errors import BadInput, DimensionMismatch, capped
@@ -221,7 +221,7 @@ def odot(a: Scalar, b: Scalar) -> Scalar:
 
     Because odot distributes over oplus, a measure applied to a max-plus
     affine function equals that function at the measure's barycenter
-    (see `measures.measure_dist`, which relies on this).
+    (see `measures._point_values`, which relies on this).
     """
     if a is NEG_INF or b is NEG_INF:
         return NEG_INF
@@ -264,7 +264,13 @@ def trop_min(a: Scalar, b: Scalar) -> Scalar:
 
 
 def rho(a: Scalar, b: Scalar) -> float:
-    """Metric |e^a - e^b| used for all float-valued distance reporting."""
+    """Metric |e^a - e^b| used for all float-valued distance reporting.
+
+    Total on scalars other than +inf: an e^x below the float range reads
+    0.0, as `exp` underflow does, equal arguments give 0.0, and a
+    distance above the float range raises BadInput.  Only an exponent
+    outside the float range leaves the fast path, for `_rho_outside`.
+    """
     if a is POS_INF or b is POS_INF:
         raise BadInput("rho is undefined for +inf operands")
     try:
@@ -272,7 +278,51 @@ def rho(a: Scalar, b: Scalar) -> float:
         eb = 0.0 if b is NEG_INF else exp(b._numerator / b._denominator)
     except AttributeError:
         _refuse(a, b)
+    except OverflowError:
+        return _rho_outside(a, b)
     return abs(ea - eb)
+
+
+# Below this gap, 1 - e^-gap equals gap in double precision, and gap
+# itself may not survive conversion to a float.
+_TINY_GAP = Fraction(1, 2**53)
+
+
+def _exponent(x: Scalar) -> float:
+    """x as a float, -inf for NEG_INF and for x below the float range;
+    OverflowError for x above it."""
+    if x is NEG_INF:
+        return -inf
+    try:
+        return x._numerator / x._denominator
+    except OverflowError:
+        if x._numerator < 0:
+            return -inf
+        raise
+
+
+def _rho_outside(a: Scalar, b: Scalar) -> float:
+    """rho when e^a or e^b lies outside the float range, in log space.
+
+    With hi > lo, |e^a - e^b| = e^(hi + log(1 - e^-gap)) for the exact
+    gap = hi - lo.  A tiny gap enters as log(gap), taken from its
+    numerator and denominator, which no float conversion can round to 0.
+    """
+    if a == b:
+        return 0.0
+    hi, lo = (a, b) if b < a else (b, a)
+    try:
+        if lo is NEG_INF:
+            shrink = 0.0
+        else:
+            gap = hi - lo
+            if gap < _TINY_GAP:
+                shrink = log(gap.numerator) - log(gap.denominator)
+            else:
+                shrink = log(-expm1(_exponent(-gap)))
+        return exp(_exponent(hi) + shrink)
+    except OverflowError:
+        raise BadInput(f"the distance |e^{capped(str(a))} - e^{capped(str(b))}| is above the float range") from None
 
 
 class TropVector:

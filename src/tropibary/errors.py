@@ -51,10 +51,6 @@ class NonConvexElement(BadInput):
     """A cover element failed a convexity check (barycenter escaped it)."""
 
 
-class EmptyTestFamily(BadInput):
-    """measure_dist was called with no test functions to compare on."""
-
-
 class BudgetExceeded(BadInput):
     """A brute-force search exceeded its candidate budget."""
 

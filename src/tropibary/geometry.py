@@ -35,7 +35,7 @@ from .core import (
     trop_min,
 )
 from .errors import BadInput, DimensionMismatch, InfeasibleBarycenter, TropibaryError
-from .measures import FiniteSpace, FunctionTable, IdemMeasure, PointFunction, combine
+from .measures import FiniteSpace, FunctionTable, IdemMeasure, combine
 
 
 class Box:
@@ -313,8 +313,9 @@ def y_polytope() -> TropPolytope:
     return TropPolytope([TropVector([-2, -1]), TropVector([-1, -2]), TropVector([0, 0])])
 
 
-def phi_min() -> PointFunction:
-    return PointFunction("min[0,1]", lambda p: trop_min(p[0], p[1]))
+def phi_min(p: TropVector) -> Scalar:
+    """min(x, y): the test that keeps the hook's measures apart."""
+    return trop_min(p[0], p[1])
 
 
 _Y_PARAM_GRID = [Fraction(k, 16) for k in range(0, 17)]  # 0 .. 1 by 1/16
@@ -367,7 +368,6 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     a = TropVector([-2, -1])
     b = TropVector([-1, -2])
     nu = IdemMeasure([(a, ZERO), (b, ZERO)])
-    test = phi_min()
     c = Fraction(-1) + Fraction(1, i)
     c_i = TropVector([c, c])
     if hull_membership(hull, c_i) is None:
@@ -375,7 +375,7 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     center = barycenter_point(nu)
     if center != TropVector([-1, -1]):
         raise TropibaryError(f"barycenter of nu is {center!r}, expected (-1,-1)")
-    nu_val = nu(test)
+    nu_val = nu(phi_min)
     if nu_val != -2:
         raise TropibaryError(f"nu evaluates the min table to {nu_val}, expected -2")
     gap = rho(c, nu_val)
@@ -419,7 +419,7 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
         mu = IdemMeasure([(p, w) for p, w in zip(pts, weights) if w is not NEG_INF])
         if barycenter_point(mu) != c_i:
             raise TropibaryError("constructed sample missed the target barycenter")
-        val = mu(test)
+        val = mu(phi_min)
         if _cmp(val, c) < 0:
             raise TropibaryError(f"min-table value {val} fell below {c}")
         for p, w in mu.atoms:

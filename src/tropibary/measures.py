@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
     NEG_INF,
@@ -51,7 +51,6 @@ from .core import (
 from .errors import (
     BadInput,
     DimensionMismatch,
-    EmptyTestFamily,
     NotNormalized,
     SpaceMismatch,
     capped,
@@ -101,6 +100,8 @@ class FiniteSpace:
 
     def index_of_point(self, p: TropVector) -> Optional[int]:
         """The index of embedded point p, None when p is not one."""
+        if self._point_index is None:
+            return None
         return self._point_index.get(p)
 
     def _key(self):
@@ -440,177 +441,79 @@ def pushforward(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
     return _dense(f.target, tuple(weights))
 
 
-# -- distance surrogate ----------------------------------------------------
-
-INDICATOR_DEPTH = Fraction(1000)
-
-
-class PointFunction:
-    """Named continuous test function on points, exact on rationals.
-
-    `affine`, when set, is ``(coeffs, const)`` and says that the function
-    is max-plus affine: phi(x) = const oplus max_j (coeffs[j] odot x_j).
-    For such a phi and a point measure mu, mu(phi) = phi(beta(mu)) exactly,
-    where beta(mu) is the barycenter, and `measure_dist` evaluates phi
-    there instead of atom by atom.  Leave it None for any other function.
-    """
-
-    __slots__ = ("name", "fn", "affine")
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[TropVector], Scalar],
-        affine: Optional[tuple[tuple[Scalar, ...], Scalar]] = None,
-    ):
-        self.name = name
-        self.fn = fn
-        self.affine = affine
-
-    def __call__(self, p: TropVector) -> Scalar:
-        return self.fn(p)
-
-    def __repr__(self) -> str:
-        return f"PointFunction({self.name})"
-
-
-def _affine_at(affine: tuple, coords: Sequence[Scalar]) -> Scalar:
-    coeffs, const = affine
-    return oplus(oplus_all(odot(a, c) for a, c in zip(coeffs, coords)), const)
-
-
-def coordinate_projection(dim: int, j: int) -> PointFunction:
-    unit = tuple(ZERO if k == j else NEG_INF for k in range(dim))
-    return PointFunction(f"proj[{j}]", lambda p: p[j], affine=(unit, NEG_INF))
-
-
-def pairwise_min(i: int, j: int) -> PointFunction:
-    return PointFunction(f"min[{i},{j}]", lambda p: trop_min(p[i], p[j]))
-
-
-def random_affine(dim: int, rng: random.Random) -> PointFunction:
-    """max_j (a_j + p_j) oplus c with small random rational coefficients."""
-    grid = [Fraction(k, 8) for k in range(-16, 1)]
-    coeffs = tuple(rng.choice(grid) for _ in range(dim))
-    const = rng.choice(grid)
-    label = "affine[" + ",".join(str(c) for c in coeffs) + f";{const}]"
-    affine = (coeffs, const)
-    return PointFunction(label, lambda p: _affine_at(affine, p.coords), affine=affine)
-
-
-# The default point family is a pure function of its dimension and is
-# built often (every measure_dist and witness_distance call on points),
-# so it is built once and kept as a tuple; the public builder hands out
-# copies.
+# -- distance ---------------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
-def _point_tests(dim: int) -> tuple:
-    tests = [coordinate_projection(dim, j) for j in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            tests.append(pairwise_min(i, j))
+def _affine_tests(dim: int) -> tuple:
+    """32 max-plus affine functions phi(x) = const oplus max_j (coeffs[j]
+    odot x_j) on R_max^dim, as (coeffs, const) pairs: coefficients on the
+    grid -2, -15/8, ..., 0, drawn from `random.Random(0)`."""
+    grid = [Fraction(k, 8) for k in range(-16, 1)]
     rng = random.Random(0)
-    tests += [random_affine(dim, rng) for _ in range(32)]
+    tests = []
+    for _ in range(32):
+        coeffs = tuple(rng.choice(grid) for _ in range(dim))
+        tests.append((coeffs, rng.choice(grid)))
     return tuple(tests)
 
 
-def default_tests_for_space(space: FiniteSpace) -> list:
-    """Indicator-style tables (0 at one atom, -1000 elsewhere), plus the
-    coordinate projections when the space is embedded."""
-    tests = []
-    for i in range(space.n):
-        vals = [-INDICATOR_DEPTH] * space.n
-        vals[i] = Fraction(0)
-        tests.append(FunctionTable(space, vals))
-    if space.points is not None:
-        d = space.points[0].dim
-        for j in range(d):
-            tests.append(FunctionTable(space, [p[j] for p in space.points]))
-    return tests
-
-
-def default_tests_for_points(dim: int) -> list:
-    """Projections, pairwise mins, and 32 random affine functions drawn
-    from seed 0."""
-    return list(_point_tests(dim))
-
-
-def _space_values(mu: IdemMeasure) -> list:
-    """mu on each table of `default_tests_for_space(mu.space)`, in order,
-    in one pass over the weights.
-
-    The indicator of point i takes mu to w_i oplus (m_i odot -1000), where
-    m_i is the largest weight at any other point.  m_i is 0 unless i is
-    the only point of weight 0, and then w_i = 0 is the larger term, so
-    the value is w_i oplus -1000 at every point.  The projections cost
-    one pass over the atoms each.
-    """
-    floor = -INDICATOR_DEPTH
-    values = [oplus(w, floor) for w in mu._weights]
+def _space_values(mu: IdemMeasure) -> tuple:
+    """The values `measure_dist` compares for a measure on a finite space:
+    its weight tuple, then, when the space is embedded, its value on each
+    coordinate projection, one pass over the atoms each."""
     points = mu.space.points
-    if points is not None:
-        for j in range(points[0].dim):
-            values.append(oplus_all(odot(w, points[i][j]) for i, w in mu.atoms))
+    if points is None:
+        return mu._weights
+    projections = (oplus_all(odot(w, points[i][j]) for i, w in mu.atoms) for j in range(points[0].dim))
+    return mu._weights + tuple(projections)
+
+
+def _point_values(mu: IdemMeasure) -> list:
+    """The values `measure_dist` compares for a measure over points.
+
+    In order: the barycenter's coordinates (mu on each projection), mu on
+    min(x_i, x_j) for each i < j, and each of `_affine_tests` at the
+    barycenter.  For max-plus affine phi, mu(phi) = phi(beta(mu)) holds
+    exactly, because odot distributes over oplus and the weights of mu
+    peak at 0, so an affine value costs O(dim) instead of O(atoms * dim).
+    """
+    atoms = mu.atoms
+    dim = atoms[0][0].dim
+    beta = [oplus_all(odot(w, p[j]) for p, w in atoms) for j in range(dim)]
+    values = list(beta)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            values.append(oplus_all(odot(w, trop_min(p[i], p[j])) for p, w in atoms))
+    for coeffs, const in _affine_tests(dim):
+        values.append(oplus(oplus_all(map(odot, coeffs, beta)), const))
     return values
 
 
-def _evaluator(mu: IdemMeasure) -> Callable:
-    """phi -> mu(phi), with affine tests taken at the barycenter of mu."""
-    first = mu.atoms[0][0]
-    if not isinstance(first, TropVector):
-        return mu
-    dim = first.dim
-    beta = tuple(mu(coordinate_projection(dim, j)) for j in range(dim))
+def measure_dist(mu: IdemMeasure, nu: IdemMeasure) -> float:
+    """Distance for reporting: the max of rho(a, b) = |e^a - e^b| over
+    matching values a of mu and b of nu.
 
-    def evaluate(phi) -> Scalar:
-        if isinstance(phi, PointFunction) and phi.affine is not None and len(phi.affine[0]) == dim:
-            return _affine_at(phi.affine, beta)
-        return mu(phi)
+    On a common finite space the values are the weights (`_space_values`),
+    so the distance dominates weight-wise convergence, plus the coordinate
+    projections when the space is embedded.  For measures over points of
+    one dimension they are the barycenter, the pairwise minima and 32
+    fixed affine tests (`_point_values`), so the distance tracks atom
+    motion.  Both cost one pass over the atoms per value kind.
 
-    return evaluate
-
-
-def measure_dist(
-    mu: IdemMeasure,
-    nu: IdemMeasure,
-    tests: Optional[Sequence] = None,
-) -> float:
-    """Surrogate distance: max over a test family of rho(mu(phi), nu(phi)).
-
-    With the default family this dominates weight-wise convergence on a
-    common finite space, and tracks atom motion for point measures.
-
-    On a common finite space the default family is not built: each
-    measure's value on every table of `default_tests_for_space` comes
-    from its weight tuple in one pass (`_space_values`), so the cost is
-    O(n + n_atoms * dim) instead of O(n^2).  The values are the same
-    exact scalars as the tables give, so the float is the same.  An
-    explicit `tests` family is evaluated test by test.
-
-    For a measure over points of one dimension, every test with
-    `PointFunction.affine` set (the projections and the random affine
-    functions of the default family) is evaluated at the barycenter:
-    mu(phi) = phi(beta(mu)) holds exactly for max-plus affine phi, because
-    odot distributes over oplus and the weights of mu peak at 0.  The
-    barycenter costs one pass over the atoms per coordinate, after which
-    each affine test costs O(dim) instead of O(atoms * dim).  Every other
-    test, and every test on other measures, is evaluated as mu(phi).  The
-    result is the same float either way.
+    The float separates what e^a separates: `exp` underflows to 0.0 below
+    about -745, so weights or values that low read exactly like -inf, and
+    the weights (0, -800) and (0, -inf) are at distance 0.0.  A distance
+    above the float range raises BadInput (see `core.rho`).
     """
-    if tests is None:
-        if mu.space is not None and mu.space == nu.space:
-            return max(map(rho, _space_values(mu), _space_values(nu)))
-        if mu.space is None and nu.space is None:
-            if not all(isinstance(m.atoms[0][0], TropVector) for m in (mu, nu)):
-                raise BadInput("measures over measures have no default test family")
-            dims = {mu.atoms[0][0].dim, nu.atoms[0][0].dim}
-            if len(dims) != 1:
-                raise DimensionMismatch("point measures of mixed dimension")
-            tests = _point_tests(dims.pop())
-        else:
-            raise SpaceMismatch("no default test family across different spaces")
-    if not tests:
-        raise EmptyTestFamily("measure_dist needs at least one test function")
-    at_mu, at_nu = _evaluator(mu), _evaluator(nu)
-    return max(rho(at_mu(phi), at_nu(phi)) for phi in tests)
+    if mu.space is not None and mu.space == nu.space:
+        values = _space_values
+    elif mu.space is None and nu.space is None:
+        if not all(isinstance(m.atoms[0][0], TropVector) for m in (mu, nu)):
+            raise BadInput("measures over measures have no default test family")
+        if mu.atoms[0][0].dim != nu.atoms[0][0].dim:
+            raise DimensionMismatch("point measures of mixed dimension")
+        values = _point_values
+    else:
+        raise SpaceMismatch("no default test family across different spaces")
+    return max(map(rho, values(mu), values(nu)))

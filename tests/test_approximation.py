@@ -79,6 +79,15 @@ class TestCoverPieces:
         with pytest.raises(NonConvexElement):
             cover_pieces(mu, Cover([IndexElement([0, 1])]))
 
+    def test_index_element_admits_its_own_points_only(self):
+        space = FiniteSpace(3, points=(TropVector(("-1", "0")), TropVector(("0", "-1")), TropVector(("0", "0"))))
+        element = IndexElement([2, 0])
+        assert element.admit_point(TropVector(("-1", "0")), space) == 0
+        assert element.admit_point(TropVector(("0", "0")), space) == 2
+        assert element.admit_point(TropVector(("0", "-1")), space) is None
+        assert element.admit_point(TropVector(("-1", "-1")), space) is None
+        assert element.admit_point(TropVector(("0", "0")), FiniteSpace(3)) is None
+
     def test_reconstruction_equals_input(self):
         mu = pm((("-2", "-1"), "0"), (("-1/2", "-1/2"), "-1/2"), (("-1", "-2"), "-1/4"))
         cover = Cover.grid(BOX, 2)

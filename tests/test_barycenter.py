@@ -1,18 +1,27 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropibary.barycenter import barycenter_of_measures, barycenter_point
-from tropibary.core import ConvexParams, TropVector, odot, s_point, scalar
+from tropibary.core import ConvexParams, TropVector, odot, oplus, oplus_all, s_point, scalar
 from tropibary.errors import BadInput, NonConvexElement, SpaceMismatch
 from tropibary.geometry import Box
 from tropibary.lifting import BoxHost
-from tropibary.measures import FiniteSpace, IdemMeasure, combine, random_affine
+from tropibary.measures import FiniteSpace, IdemMeasure, combine
 
 coord_q = st.fractions(min_value=-4, max_value=0, max_denominator=16)
 weight_q = st.fractions(min_value=-4, max_value=0, max_denominator=16)
+
+
+def random_affine(dim: int, rng: random.Random):
+    """p -> c oplus max_j (a_j odot p_j), coefficients on the grid -2..0 by 1/8."""
+    grid = [Fraction(k, 8) for k in range(-16, 1)]
+    coeffs = [rng.choice(grid) for _ in range(dim)]
+    const = rng.choice(grid)
+    return lambda p: oplus(oplus_all(map(odot, coeffs, p.coords)), const)
 
 
 def point_measures(dim=2, k_max=4):

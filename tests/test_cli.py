@@ -291,6 +291,32 @@ class TestApprox:
         assert "needs --cover or --chain" in err
 
 
+class TestDistancesOutsideTheFloatRange:
+    """e^x overflows a float above about 709: a distance that large is one
+    error line, and equal values far up are still at distance 0.0."""
+
+    def one_error_line(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert line.endswith("is above the float range")
+
+    def test_lift_s_far_up_the_interval(self, capsys, tmp_path):
+        instance = {"kind": "interval", "bounds": ["0", "1000"], "x": "800", "y": "700", "params": {"t": "0", "p": "-1"}}
+        argv = ("lift", "s", "--instance", write(tmp_path / "inst.json", instance))
+        self.one_error_line(capsys, *argv, "--target", write(tmp_path / "tgt.json", {"scalar": "801"}))
+
+    def test_approx_far_up_the_plane(self, capsys, tmp_path):
+        cover = write(tmp_path / "cover.json", {"elements": [{"kind": "box", "low": ["0", "0"], "high": ["1000", "1000"]}]})
+        single = write(tmp_path / "single.json", atoms((["800", "800"], "0")))
+        doc = report(capsys, "approx", "--measure", single, "--cover", cover)
+        assert doc["outputs"]["dist"] == 0.0
+        assert doc["outputs"]["measure"]["atoms"] == [{"at": ["800", "800"], "w": "0"}]
+        pair = write(tmp_path / "pair.json", atoms((["800", "799"], "0"), (["799", "800"], "0")))
+        self.one_error_line(capsys, "approx", "--measure", pair, "--cover", cover)
+
+
 class TestGeometryCommands:
     def test_ext_drops_redundant_generator(self, capsys, docs, tmp_path):
         svg = tmp_path / "hull.svg"

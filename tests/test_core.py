@@ -4,6 +4,7 @@ import math
 import pickle
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,35 @@ class TestMetric:
     def test_symmetry_and_identity(self, a, b):
         assert rho(a, b) == rho(b, a)
         assert rho(a, a) == 0.0
+
+    def test_exponents_below_the_float_range_read_zero(self):
+        deep = scalar("-1" + "0" * 400)
+        assert rho(deep, ZERO) == rho(ZERO, deep) == 1.0
+        assert rho(deep, NEG_INF) == rho(deep, scalar(-2000)) == rho(deep, deep - 1) == 0.0
+        assert rho(deep, scalar("-1/2")) == math.exp(-0.5)
+
+    def test_equal_arguments_far_up_are_at_zero(self):
+        for text in ("800", "1" + "0" * 400, "7101/10"):
+            assert rho(scalar(text), scalar(text)) == 0.0
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [("800", "700"), ("1" + "0" * 400, "0"), ("800", "-inf"), ("-1" + "0" * 400, "710")],
+        ids=["800,700", "10^400,0", "800,-inf", "-10^400,710"],
+    )
+    def test_a_distance_above_the_float_range_is_refused(self, a, b):
+        with pytest.raises(BadInput, match="is above the float range$") as info:
+            rho(scalar(a), scalar(b))
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+        assert len(str(info.value)) < 2 * QUOTE_CAP + 50
+
+    def test_close_values_far_up_are_floats(self):
+        top = scalar(710)
+        assert math.isclose(rho(top, top - Fraction(1, 100)), decimal_rho(top, top - Fraction(1, 100)), rel_tol=1e-12)
+        tiny = Fraction(1, 10**500)
+        assert math.isclose(rho(top, top - tiny), math.exp(710 - 500 * math.log(10)), rel_tol=1e-12)
+        below = scalar(709)
+        assert rho(below, scalar("-1" + "0" * 400)) == rho(below, NEG_INF) == math.exp(709)
 
 
 class TestVectors:
@@ -360,6 +390,36 @@ def reference_rho(a, b):
         return OverflowError
 
 
+def decimal_rho(a, b):
+    """|e^a - e^b| to 120 digits, None when it is above the float range.
+
+    Defined for exponents up to 10^5.  Two distinct exponents of
+    `wide_q` differ by at least 10^-61, so e^a and e^b are told apart
+    with room to spare.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 120
+        ea, eb = (Decimal(0) if x is NEG_INF else (Decimal(x.numerator) / x.denominator).exp() for x in (a, b))
+        d = abs(ea - eb)
+        return None if d > Decimal(sys.float_info.max) else float(d)
+
+
+def check_rho_outside(a, b):
+    """rho where e^a or e^b overflows a float: 0.0 for equal arguments,
+    the float of |e^a - e^b| when it is one, BadInput when it is not.
+    Above 10^5 two distinct `wide_q` exponents always land above the
+    float range."""
+    if a == b:
+        assert rho(a, b) == 0.0
+        return
+    want = decimal_rho(a, b) if max(a, b) <= 10**5 else None
+    if want is None:
+        with pytest.raises(BadInput, match="is above the float range$"):
+            rho(a, b)
+    else:
+        assert math.isclose(rho(a, b), want, rel_tol=1e-12)
+
+
 @given(wide_pair, wide_pair)
 @example((Fraction(-3, 2**40), Fraction(5, 2**12)), (Fraction(7, 3**5), Fraction(-2, 15)))
 @example((Fraction(1, 10**30 + 7), Fraction(-1, 10**30 + 7)), (Fraction(-5, 8), Fraction(5, 8)))
@@ -384,11 +444,11 @@ def test_kernel_results_are_the_fraction_operators_results(ab, cd):
     else:
         want_diff = POS_INF if b is NEG_INF else NEG_INF if a is NEG_INF else a - b
         assert same_scalar(residual(a, b), want_diff)
-        try:
-            got_rho = rho(a, b)
-        except OverflowError:
-            got_rho = OverflowError
-        assert got_rho == reference_rho(a, b)
+        want_rho = reference_rho(a, b)
+        if want_rho is OverflowError:
+            check_rho_outside(a, b)
+        else:
+            assert rho(a, b) == want_rho
     assert oplus(a, b) is max(a, b)
     assert trop_min(a, b) is min(a, b)
     assert oplus_all([a, NEG_INF, b, c, d]) is max(a, b, c, d)

@@ -197,9 +197,8 @@ class TestHookPieces:
             assert hull_membership(poly, p) is not None
 
     def test_min_table_on_hook(self):
-        f = phi_min()
-        assert type(f(v("-2", "-1"))) is Fraction and f(v("-2", "-1")) == scalar("-2")
-        assert type(f(v("-1/2", "-1/2"))) is Fraction and f(v("-1/2", "-1/2")) == scalar("-1/2")
+        assert type(phi_min(v("-2", "-1"))) is Fraction and phi_min(v("-2", "-1")) == scalar("-2")
+        assert type(phi_min(v("-1/2", "-1/2"))) is Fraction and phi_min(v("-1/2", "-1/2")) == scalar("-1/2")
 
 
 class TestRendering:

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -8,7 +9,19 @@ from hypothesis import strategies as st
 
 from tropibary import measures
 from tropibary.barycenter import barycenter_point
-from tropibary.core import NEG_INF, POS_INF, ZERO, ConvexParams, TropVector, oplus, odot, rho, scalar
+from tropibary.core import (
+    NEG_INF,
+    POS_INF,
+    ZERO,
+    ConvexParams,
+    TropVector,
+    odot,
+    oplus,
+    oplus_all,
+    rho,
+    scalar,
+    trop_min,
+)
 from tropibary.errors import BadInput, DimensionMismatch, NotNormalized, SpaceMismatch, TropibaryError
 from tropibary.measures import (
     FiniteSpace,
@@ -16,8 +29,6 @@ from tropibary.measures import (
     IdemMeasure,
     SpaceMap,
     combine,
-    default_tests_for_points,
-    default_tests_for_space,
     measure_dist,
     pushforward,
 )
@@ -392,24 +403,63 @@ class TestDensePath:
         assert_matches_reference(target, lambda: pushforward(f, mu), pairs)
 
 
+# Reference families, evaluated test by test as mu(phi): measure_dist must
+# give the float of the max of rho over them.
+
+
+def space_family(space: FiniteSpace) -> list:
+    """Indicator tables (0 at one point, -1000 elsewhere), then the
+    coordinate projections when the space is embedded."""
+    tables = []
+    for i in range(space.n):
+        values = [Fraction(-1000)] * space.n
+        values[i] = ZERO
+        tables.append(FunctionTable(space, values))
+    if space.points is not None:
+        for j in range(space.points[0].dim):
+            tables.append(FunctionTable(space, [p[j] for p in space.points]))
+    return tables
+
+
+def affine_family(dim: int) -> list:
+    """32 max-plus affine tests const oplus max_j (coeffs[j] odot p_j),
+    drawn from seed 0 on the grid -2..0 by 1/8: coefficients, then const."""
+    grid = [Fraction(k, 8) for k in range(-16, 1)]
+    rng = random.Random(0)
+    tests = []
+    for _ in range(32):
+        coeffs = [rng.choice(grid) for _ in range(dim)]
+        const = rng.choice(grid)
+        tests.append(lambda p, coeffs=coeffs, const=const: oplus(oplus_all(map(odot, coeffs, p.coords)), const))
+    return tests
+
+
+def point_family(dim: int) -> list:
+    """Projections, pairwise mins, and the 32 affine tests."""
+    tests = [lambda p, j=j: p[j] for j in range(dim)]
+    tests += [lambda p, i=i, j=j: trop_min(p[i], p[j]) for i in range(dim) for j in range(i + 1, dim)]
+    return tests + affine_family(dim)
+
+
+def reference_dist(mu: IdemMeasure, nu: IdemMeasure, family) -> float:
+    return max(rho(mu(phi), nu(phi)) for phi in family)
+
+
 class TestMeasureDist:
     def test_zero_iff_equal_on_tests(self, three_space):
         mu = IdemMeasure([(0, "0"), (1, "-1/2")], space=three_space)
         nu = IdemMeasure([(0, "0"), (1, "-1/2")], space=three_space)
-        assert measure_dist(mu, nu, tests=default_tests_for_space(three_space)) == 0.0
+        assert measure_dist(mu, nu) == 0.0
 
     def test_positive_on_different_measures(self, three_space):
         mu = IdemMeasure([(0, "0")], space=three_space)
         nu = IdemMeasure([(1, "0")], space=three_space)
-        assert measure_dist(mu, nu, tests=default_tests_for_space(three_space)) > 0.1
+        assert measure_dist(mu, nu) > 0.1
 
     def test_symmetry(self, three_space):
         mu = IdemMeasure([(0, "0"), (2, "-1")], space=three_space)
         nu = IdemMeasure([(1, "0")], space=three_space)
-        tests = default_tests_for_space(three_space)
-        assert math.isclose(
-            measure_dist(mu, nu, tests=tests), measure_dist(nu, mu, tests=tests)
-        )
+        assert math.isclose(measure_dist(mu, nu), measure_dist(nu, mu))
 
     def test_measures_of_measures_have_no_default_family(self, three_space):
         inner = IdemMeasure([(0, "0"), (1, "-1/2")], space=three_space)
@@ -425,6 +475,21 @@ class TestMeasureDist:
         nu = IdemMeasure([(TropVector(["0", "0"]), "0")])
         with pytest.raises(DimensionMismatch, match="point measures of mixed dimension"):
             measure_dist(mu, nu)
+
+    def test_mixed_spaces_refused(self, three_space):
+        on_space = IdemMeasure([(0, "0")], space=three_space)
+        on_points = IdemMeasure([(TropVector(["0"]), "0")])
+        for pair in ((on_space, on_points), (on_points, on_space), (on_space, IdemMeasure.dirac(0, FiniteSpace(2)))):
+            with pytest.raises(SpaceMismatch) as caught:
+                measure_dist(*pair)
+            assert str(caught.value) == "no default test family across different spaces"
+
+    def test_weights_below_the_exp_range_read_as_minus_infinity(self):
+        space = FiniteSpace(2)
+        mu = IdemMeasure.from_weights(space, [ZERO, scalar(-800)])
+        nu = IdemMeasure.from_weights(space, [ZERO, NEG_INF])
+        assert measure_dist(mu, nu) == 0.0
+        assert measure_dist(mu, IdemMeasure.from_weights(space, [ZERO, scalar(-700)])) > 0.0
 
 
 eighths = st.integers(min_value=-16, max_value=16).map(lambda k: Fraction(k, 8))
@@ -444,9 +509,49 @@ def pm(*atoms):
     return IdemMeasure([(TropVector(p), w) for p, w in atoms])
 
 
+# measure_dist of fixed point-measure pairs in dimensions 1 to 4, as the
+# test-family implementation computed them; the floats must not move.
+PINNED_POINT_DISTANCES = [
+    (pm((("0",), 0)), pm((("-1/2",), 0)), 0.3934693402873666),
+    (pm((("-3",), 0), (("1",), "-7/4")), pm((("-1",), 0)), 0.10448711156957236),
+    (pm((("2",), "-1/8"), (("-5/2",), 0)), pm((("3/4",), 0), (("-9",), "-1")), 4.403819103717438),
+    (pm(((0, 0), 0)), pm(((-1, 0), 0), ((0, -1), 0)), 0.6321205588285577),
+    (pm(((-2, -1), 0), ((-1, -2), 0)), pm(((-1, -1), 0)), 0.23254415793482963),
+    (
+        pm((("1/3", "-2/7"), 0), (("5", "-5"), "-3/2")),
+        pm((("-1/3", "2/7"), "-1/5"), ((0, 0), 0)),
+        32.11545195869231,
+    ),
+    (pm(((0, 0, 0), 0)), pm(((0, 0, "-1/16"), 0)), 0.06058693718652419),
+    (
+        pm(((1, -1, 2), 0), ((-2, 3, 0), "-1/2"), ((0, 0, -4), "-2")),
+        pm(((2, 2, 2), 0), ((-1, -1, -1), "-5/8")),
+        7.021176657759208,
+    ),
+    (pm((("-7/3", "1/9", 4), 0)), pm((("4", "-7/3", "1/9"), 0)), 54.50117806527983),
+    (pm(((0, 0, 0, 0), 0)), pm(((-1, -2, -3, -4), 0)), 0.9816843611112658),
+    (
+        pm(((3, -1, "1/2", -2), 0), ((-2, 4, 0, "3/8"), "-3/4"), ((1, 1, 1, 1), "-1/8")),
+        pm(((0, 2, -2, 1), 0), ((5, -5, "5/3", 0), "-7/2")),
+        18.401283818262414,
+    ),
+    (
+        pm(*[((k, -k, "1/8", -2), f"-{k}/8") for k in range(8)]),
+        pm(((0, 0, 0, 0), 0), ((-2, 2, "-1/2", "3/8"), "-3/4")),
+        456.14471326890896,
+    ),
+]
+
+
+@pytest.mark.parametrize("mu, nu, expected", PINNED_POINT_DISTANCES)
+def test_point_distances_are_pinned(mu, nu, expected):
+    assert measure_dist(mu, nu) == expected
+    assert measure_dist(nu, mu) == expected
+
+
 class TestBarycenterFactoredDist:
     """measure_dist evaluates affine tests at the barycenter; the answer
-    must equal the atom-by-atom evaluation of a freshly built family."""
+    must equal the atom-by-atom evaluation of the reference family."""
 
     @given(point_measure_pairs)
     @example((pm(((-1,), 0)), pm(((-1,), 0))))
@@ -462,22 +567,12 @@ class TestBarycenterFactoredDist:
     def test_matches_atom_by_atom_evaluation(self, pair):
         mu, nu = pair
         dim = mu.atoms[0][0].dim
-        fresh = measures._point_tests.__wrapped__(dim)
-        expected = max(rho(mu(phi), nu(phi)) for phi in fresh)
-        assert measure_dist(mu, nu) == expected
+        assert measure_dist(mu, nu) == reference_dist(mu, nu, point_family(dim))
         for m in (mu, nu):
+            assert measures._point_values(m) == [m(phi) for phi in point_family(dim)]
             beta = barycenter_point(m)
-            for phi in fresh:
-                if phi.affine is not None:
-                    assert m(phi) == phi(beta)
-
-    def test_default_families_are_fresh_lists(self, plane_space):
-        tests = default_tests_for_points(2)
-        tests.clear()
-        assert len(default_tests_for_points(2)) == 2 + 1 + 32
-        tables = default_tests_for_space(plane_space)
-        tables.pop()
-        assert len(default_tests_for_space(plane_space)) == 3 + 2
+            for phi in affine_family(dim):
+                assert m(phi) == phi(beta)
 
 
 finite_spaces = st.one_of(
@@ -509,8 +604,9 @@ def on(space, *weights):
 
 
 class TestOnePassSpaceFamily:
-    """Without `tests`, measure_dist on a finite space evaluates the default
-    family in one pass; it must give the floats of the tables themselves."""
+    """On a finite space measure_dist compares weights (and projections)
+    in one pass; it must give the floats of the reference tables, whose
+    -1000 floor no float can see."""
 
     @given(finite_spaces.flatmap(measure_pairs_on))
     @example(on(FiniteSpace(1), [ZERO], [ZERO]))
@@ -523,12 +619,21 @@ class TestOnePassSpaceFamily:
             [NEG_INF, ZERO],
         )
     )
+    @example(on(FiniteSpace(3), [ZERO, scalar(-2000), NEG_INF], [scalar(-2000), ZERO, scalar("-1/8")]))
+    @example(on(FiniteSpace(2), [ZERO, scalar(-(10**400))], [scalar(-(10**400)), ZERO]))
+    @example(
+        on(
+            FiniteSpace(3, points=[TropVector(["0"]), TropVector(["-1"]), TropVector(["1"])]),
+            [ZERO, scalar(-(10**400)), scalar(-2000)],
+            [ZERO, NEG_INF, NEG_INF],
+        )
+    )
     def test_matches_the_tables(self, case):
         space, mu, nu = case
-        tables = default_tests_for_space(space)
-        assert measure_dist(mu, nu) == measure_dist(mu, nu, tests=tables)
-        for m in (mu, nu):
-            assert measures._space_values(m) == [m(phi) for phi in tables]
+        tables = space_family(space)
+        assert measure_dist(mu, nu) == reference_dist(mu, nu, tables)
+        per_value = list(map(rho, measures._space_values(mu), measures._space_values(nu)))
+        assert per_value == [rho(mu(phi), nu(phi)) for phi in tables]
 
     def test_linear_in_the_number_of_points(self):
         space = FiniteSpace(2000)
@@ -537,6 +642,10 @@ class TestOnePassSpaceFamily:
         started = time.perf_counter()
         assert measure_dist(mu, nu) == 1.0
         assert time.perf_counter() - started < 1.0
+
+
+def test_a_space_without_embedding_has_no_points(three_space):
+    assert three_space.index_of_point(TropVector(["0", "0"])) is None
 
 
 class TestFunctionTable:
