@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -27,10 +27,10 @@ from .core import (
     _cmp,
     _combination,
     odot,
+    oplus,
     oplus_all,
     residual,
     rho,
-    s_point,
     scalar,
     trop_min,
 )
@@ -152,6 +152,12 @@ def extremal_points(
     ones.  With samples > 0, every survivor is additionally tested
     against the decomposition definition on sampled combinations; a
     refutation would indicate an internal inconsistency and raises.
+    A sample draws coefficient vectors a and b for y and z and a
+    parameter pair (t, p); since odot distributes over oplus,
+    s(y, z) = t odot y oplus p odot z is the one combination
+    oplus_i (t odot a_i oplus p odot b_i) odot g_i of the generators g_i.
+    That combination is compared with the survivor a coordinate at a
+    time, and y and z are built only when it equals the survivor.
     """
     survivors = list(poly.generators)
     k = 0
@@ -169,14 +175,27 @@ def extremal_points(
         sub = TropPolytope(survivors)
         for v in survivors:
             for _ in range(samples):
-                y = sub.combination(_random_coeffs(sub, rng, grid))
-                z = sub.combination(_random_coeffs(sub, rng, grid))
+                a = _random_coeffs(sub, rng, grid)
+                b = _random_coeffs(sub, rng, grid)
                 t = rng.choice(grid) if rng.random() < 0.9 else NEG_INF
                 p = ZERO if t < ZERO or rng.random() < 0.5 else rng.choice(grid)
-                cand = s_point(y, z, ConvexParams(t, p))
-                if cand == v and y != v and z != v:
-                    raise TropibaryError(f"extremality of {v!r} refuted by a sampled decomposition")
+                params = ConvexParams(t, p)
+                coeffs = [oplus(odot(params.t, x), odot(params.p, y)) for x, y in zip(a, b)]
+                if _combination_is(sub.generators, coeffs, v):
+                    y, z = sub.combination(a), sub.combination(b)
+                    if y != v and z != v:
+                        raise TropibaryError(f"extremality of {v!r} refuted by a sampled decomposition")
     return tuple(survivors)
+
+
+def _combination_is(points: Sequence[TropVector], coeffs: Sequence[Scalar], v: TropVector) -> bool:
+    """Whether oplus_i coeffs[i] odot points[i] equals the finite point v,
+    judged one coordinate at a time up to the first that differs."""
+    rows = [(c, point.coords) for point, c in zip(points, coeffs) if c is not NEG_INF]
+    for j, x in enumerate(v.coords):
+        if _cmp(oplus_all([odot(c, row[j]) for c, row in rows]), x):
+            return False
+    return True
 
 
 def _random_coeffs(poly: TropPolytope, rng: random.Random, grid) -> list[Scalar]:
@@ -239,7 +258,22 @@ def separating_table(space: FiniteSpace) -> FunctionTable:
     return FunctionTable(space, [0, 1])
 
 
-_ID_TAIL_GRID = [Fraction(-k, 16) for k in range(0, 65)]  # 0 .. -4 by 1/16
+_ID_TAIL_GRID = [Fraction(-k, 16) for k in range(1, 65)]  # -1/16 .. -4 by 1/16
+
+
+@lru_cache(maxsize=64)
+def _id_weights(i: int) -> tuple:
+    """The weights a split of nu_(-1/i) may put at atom 0, each as
+    (measure with weights (w, 0), str(w)) on one shared space: (space,
+    the weight eps = -1/i, -inf, then eps + k for each k of
+    _ID_TAIL_GRID)."""
+    space = id_space()
+    eps = Fraction(-1, i)
+
+    def entry(w):
+        return IdemMeasure.from_weights(space, [w, ZERO]), str(w)
+
+    return space, entry(eps), entry(NEG_INF), tuple(entry(eps + k) for k in _ID_TAIL_GRID)
 
 
 def certify_id_oplus_not_open(i: int, samples: int = 10000, seed: int = 7) -> Certificate:
@@ -248,13 +282,15 @@ def certify_id_oplus_not_open(i: int, samples: int = 10000, seed: int = 7) -> Ce
     Targets nu_{-1/i} approach nu_0 = dirac_0 oplus dirac_1, yet every
     split nu_{-1/i} = alpha oplus beta forces alpha's weight at atom 1 to
     be 0, so alpha evaluates the separating table to exactly 1 and stays
-    outside the neighborhood |mu(phi)| < 1/2 of dirac_0.
+    outside the neighborhood |mu(phi)| < 1/2 of dirac_0.  Each half of a
+    sampled split has weight eps = -1/i at atom 0, or one strictly below
+    it: -inf or eps + k for k in _ID_TAIL_GRID.
     """
     if i < 1:
         raise BadInput("the sequence index must be >= 1")
     if samples < 1:
         raise BadInput("a certificate needs at least one sample")
-    space = id_space()
+    space, at_eps, at_neg_inf, below_eps = _id_weights(i)
     phi = separating_table(space)
     eps = Fraction(-1, i)
     target = nu_t(eps, space)
@@ -263,12 +299,14 @@ def certify_id_oplus_not_open(i: int, samples: int = 10000, seed: int = 7) -> Ce
     digest = hashlib.sha256()
     exhibits = []
     obstructed = 0
+
+    def below():
+        return at_neg_inf if rng.random() < 0.15 else rng.choice(below_eps)
+
     for k in range(samples):
         which = rng.randrange(3)
-        a0 = eps if which in (0, 2) else _below(eps, rng)
-        b0 = eps if which in (1, 2) else _below(eps, rng)
-        alpha = IdemMeasure.from_weights(space, [a0, ZERO])
-        beta = IdemMeasure.from_weights(space, [b0, ZERO])
+        alpha, a0 = at_eps if which in (0, 2) else below()
+        beta, b0 = at_eps if which in (1, 2) else below()
         if combine(alpha, beta, params) != target:
             raise TropibaryError("sampled split failed to recombine")
         val = alpha(phi)
@@ -277,7 +315,7 @@ def certify_id_oplus_not_open(i: int, samples: int = 10000, seed: int = 7) -> Ce
         obstructed += 1
         digest.update(f"{a0}|{b0};".encode())
         if len(exhibits) < 8:
-            exhibits.append({"alpha0": str(a0), "beta0": str(b0), "alpha_phi": str(val)})
+            exhibits.append({"alpha0": a0, "beta0": b0, "alpha_phi": str(val)})
     limit_ok = (
         combine(IdemMeasure.dirac(0, space), IdemMeasure.dirac(1, space), params) == nu_t(0, space)
         and abs(IdemMeasure.dirac(0, space)(phi)) < Fraction(1, 2)
@@ -301,13 +339,6 @@ def certify_id_oplus_not_open(i: int, samples: int = 10000, seed: int = 7) -> Ce
     )
 
 
-def _below(bound: Fraction, rng: random.Random) -> Scalar:
-    """Random weight strictly below the bound, occasionally -inf."""
-    if rng.random() < 0.15:
-        return NEG_INF
-    return bound + rng.choice(_ID_TAIL_GRID[1:])
-
-
 def y_polytope() -> TropPolytope:
     """Hook-shaped planar hull with a diagonal spike into the corner."""
     return TropPolytope([TropVector([-2, -1]), TropVector([-1, -2]), TropVector([0, 0])])
@@ -322,16 +353,27 @@ _Y_PARAM_GRID = [Fraction(k, 16) for k in range(0, 17)]  # 0 .. 1 by 1/16
 
 _Y_DROPS = [-u for u in _Y_PARAM_GRID]  # 0 .. -1 by 1/16
 
-# The hook's three legs at each u of the grid: (-1-u, -1), (-1, -1-u)
-# and the diagonal (-1+u, -1+u), built once.
-_Y_HOOK_POINTS = tuple(
-    (TropVector([-1 - u, -1]), TropVector([-1, -1 - u]), TropVector([-1 + u, -1 + u])) for u in _Y_PARAM_GRID
-)
+
+def _y_entry(p: TropVector, c: Fraction) -> tuple:
+    """(p, cap, attains): the largest weight w <= 0 with w odot p <= (c, c)
+    coordinatewise, and whether it reaches c in both coordinates."""
+    cap = trop_min(trop_min(residual(c, p[0]), residual(c, p[1])), ZERO)
+    return p, cap, not _cmp(odot(cap, p[0]), c) and not _cmp(odot(cap, p[1]), c)
 
 
-def _sample_y_point(rng: random.Random) -> TropVector:
-    legs = rng.choice(_Y_HOOK_POINTS)
-    return legs[rng.randrange(3)]
+@lru_cache(maxsize=64)
+def _y_points(i: int) -> tuple:
+    """What the y-beta sampler may draw for the target c_i, each point as a
+    `_y_entry`: (the normalizer (-1, -1), the hook's three legs
+    (-1-u, -1), (-1, -1-u) and (-1+u, -1+u) at each u of _Y_PARAM_GRID,
+    the diagonal points c + u(0 - c) at each u of _Y_PARAM_GRID)."""
+    c = Fraction(-1) + Fraction(1, i)
+    legs = tuple(
+        tuple(_y_entry(TropVector(q), c) for q in ([-1 - u, -1], [-1, -1 - u], [-1 + u, -1 + u]))
+        for u in _Y_PARAM_GRID
+    )
+    diagonal = tuple(_y_entry(TropVector([c - u * c, c - u * c]), c) for u in _Y_PARAM_GRID)
+    return _y_entry(TropVector([-1, -1]), c), legs, diagonal
 
 
 # The y-beta digest hashes, per sample, the text repr(mu.atoms) gave when
@@ -385,38 +427,27 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     feasible = 0
     infeasible = 0
     attempts = 0
-    normalizer = TropVector([-1, -1])
-    diagonal = [TropVector([c - u * c, c - u * c]) for u in _Y_PARAM_GRID]  # c + u(0 - c)
+    normalizer, legs, diagonal = _y_points(i)
     while feasible < samples:
         attempts += 1
         if attempts > samples * 20:
             raise InfeasibleBarycenter(f"sampling could not keep hitting {c_i!r}")
-        pts = [normalizer] + [_sample_y_point(rng) for _ in range(rng.randrange(4))]
+        picks = [normalizer] + [rng.choice(legs)[rng.randrange(3)] for _ in range(rng.randrange(4))]
         if rng.random() < 0.8:
             # at c = 0 the diagonal is the origin alone, and nothing is drawn
-            pts.append(rng.choice(diagonal) if c != 0 else diagonal[0])
-        caps = []
-        for p in pts:
-            cap = trop_min(trop_min(residual(c, p[0]), residual(c, p[1])), ZERO)
-            caps.append(cap)
-        attain = [
-            k
-            for k, p in enumerate(pts)
-            if _cmp(odot(caps[k], p[0]), c) == 0 and _cmp(odot(caps[k], p[1]), c) == 0
-        ]
+            picks.append(rng.choice(diagonal) if c != 0 else diagonal[0])
+        attain = [k for k, (_, _, hits) in enumerate(picks) if hits]
         if not attain:
             infeasible += 1
             continue
         keep = {rng.choice(attain), 0}
-        weights = []
-        for k in range(len(pts)):
+        pairs = []
+        for k, (p, cap, _) in enumerate(picks):
             if k in keep:
-                weights.append(caps[k])
-            elif rng.random() < 0.2:
-                weights.append(NEG_INF)
-            else:
-                weights.append(odot(caps[k], rng.choice(_Y_DROPS)))
-        mu = IdemMeasure([(p, w) for p, w in zip(pts, weights) if w is not NEG_INF])
+                pairs.append((p, cap))
+            elif rng.random() >= 0.2:
+                pairs.append((p, odot(cap, rng.choice(_Y_DROPS))))
+        mu = IdemMeasure(pairs)
         if barycenter_point(mu) != c_i:
             raise TropibaryError("constructed sample missed the target barycenter")
         val = mu(phi_min)

@@ -533,7 +533,7 @@ def _param_candidates(pool: Sequence[Fraction], params: ConvexParams) -> list[Co
     values = list(pool) + [u - v for u in pool for v in pool]
     taus = {ZERO, NEG_INF} | {r for r in values if r <= ZERO}
     cands = {ConvexParams(tau, 0) for tau in taus} | {ConvexParams(0, tau) for tau in taus}
-    return sorted(cands, key=lambda c: (c.dist(params), float(c.t), float(c.p)))
+    return sorted(cands, key=lambda c: (c.dist(params), c.t, c.p))
 
 
 def brute_force_lift_s(
@@ -585,7 +585,7 @@ def brute_force_lift_s(
             if not options:
                 feasible = False
                 break
-            options.sort(key=lambda lb: (rho(lb[0], lam[i]) + rho(lb[1], bet[i]), float(lb[0]), float(lb[1])))
+            options.sort(key=lambda lb: (rho(lb[0], lam[i]) + rho(lb[1], bet[i]), lb[0], lb[1]))
             per_coord.append(options)
         if not feasible:
             continue
@@ -669,7 +669,7 @@ def brute_force_lift_interval(
         r = residual(target, tau)
         if type(r) is Fraction and lo <= r <= hi:
             values.add(r)
-    values = sorted(values, key=lambda v: (rho(v, x) + rho(v, y), float(v)))
+    values = sorted(values, key=lambda v: (rho(v, x) + rho(v, y), v))
     viewed = 0
     best = None
     best_dist = float("inf")
@@ -719,12 +719,11 @@ def brute_force_lift_box(
                 for yv in values:
                     viewed = _tick(viewed)
                     if oplus(odot(cand.t, xv), odot(cand.p, yv)) == target[j]:
-                        options.append((max(rho(xv, x[j]), rho(yv, y[j])), float(xv), float(yv), xv, yv))
+                        options.append((max(rho(xv, x[j]), rho(yv, y[j])), xv, yv))
             if not options:
                 feasible = False
                 break
-            options.sort(key=lambda o: o[:3])
-            d, _, _, xv, yv = options[0]
+            d, xv, yv = min(options)
             total = max(total, d)
             firsts.append(xv)
             seconds.append(yv)
@@ -757,7 +756,7 @@ def brute_force_lift_beta(
             r = residual(target[j], w)
             if type(r) is Fraction and lo <= r <= hi:
                 vals.add(r)
-        pools.append(sorted(vals, key=float))
+        pools.append(sorted(vals))
     points = [TropVector(c) for c in itertools.product(*pools)]
     atom_cands = [(p, w) for p in points for w in weights]
     k_max = nu.atom_count

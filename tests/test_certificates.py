@@ -1,5 +1,6 @@
 """Replayable non-openness certificates: build, verify, reload, recheck."""
 
+import hashlib
 import json
 import pathlib
 
@@ -165,6 +166,95 @@ class TestIssuedCertificates:
             "((TropVector([-1, -1]), TropScalar('0')), "
             "(TropVector([-15/32, -15/32]), TropScalar('-1/32')))"
         )
+
+
+# sha256 of the issued document, `dump_document(certificate_to_json(...))`,
+# for (claim, i, seed, samples), as the certifiers wrote it before they
+# drew from tables cached per i; i = 1 is the c = 0 branch of y-beta.
+PINNED_CERTIFICATES = {
+    ("id-oplus", 1, 0, 1): "ba6d183985217b5c51ca9e7beef4fb0e1546bd45aa8aff945f57a628892262bf",
+    ("id-oplus", 1, 0, 50): "b2d54c7212a0e8ba53035a08b809cd06cc52d8931393f6515a9d39955c5f352f",
+    ("id-oplus", 1, 7, 1): "88f49440f7bdf98021be1299de6999473f111a24dbbad21e7dc07c5911620d75",
+    ("id-oplus", 1, 7, 50): "ff1e5c8a0c24d7ddc1598ab7b54943dc76e3d2ff3111f948c722161aa8bf1dc6",
+    ("id-oplus", 1, 31, 1): "eccd4f0a36ce61d4612cda84e65b1784fd979c6e57c589b1cc053fca8cb60b40",
+    ("id-oplus", 1, 31, 50): "518a426e31847e0c6818902cb852f353390d94149aa6ff584cc20025b9c4fa05",
+    ("id-oplus", 2, 0, 1): "914cd460090c7fb596e42b38763fd5e3950dc70450c76db5e4e09e6e14f243b4",
+    ("id-oplus", 2, 0, 50): "91f732f171c79b648dd424c7d5df9d5ac9d495f3597807923079f47bad2ad54d",
+    ("id-oplus", 2, 7, 1): "83a5eecf791459d657b3d95a654729a5217315b625180148d3d18934a0fd0161",
+    ("id-oplus", 2, 7, 50): "c3ba64590cbd4b5454641d08c1ebaabf26efd687ee6d225f02f21683be08d603",
+    ("id-oplus", 2, 31, 1): "4b8deddb879d3f972a408e18b687ea390c71db8bed5ea4c1a75d0a2f50c369c6",
+    ("id-oplus", 2, 31, 50): "3564bc1b940b5aa91a5b23d7df9c076814e6c4e32b758dd3ae7bb889839f5882",
+    ("id-oplus", 3, 0, 1): "2d9b200ed1bc9cfe087731c21fac26a7692b413d8450f118b487fff85413fe10",
+    ("id-oplus", 3, 0, 50): "6069f8dbbc5a6e730ed09ffd7ed44a25b5271e8dc04d262e7bd77338734ade28",
+    ("id-oplus", 3, 7, 1): "28f46e9371ff791db2b1480b3651edb7056982045fd2827434d48b1992983364",
+    ("id-oplus", 3, 7, 50): "e41f52d03a7549692e33a29f7b1042496543925f19b0ed28c1d455d7c824a942",
+    ("id-oplus", 3, 31, 1): "381981fb56531474876d205e097738209a832ca102b63e46965c4ca4708dfa26",
+    ("id-oplus", 3, 31, 50): "77a46f05adbf414468ce3657d3cdd60c07e0efd5de5c52f6d7f3e8ebe023e39b",
+    ("id-oplus", 4, 0, 1): "9186298677b59bfc20d2f8cc0bfdc8dd592d30ee5f440fb502be5aa51d305ee1",
+    ("id-oplus", 4, 0, 50): "7c41d1481cc2c134ad8cbce82c9e0ae1bb855e189f91693e550b818a9d1fc49b",
+    ("id-oplus", 4, 7, 1): "d601e8fdeff2082a33470661e3a9fb9e76c0bebba6b23d925a991076546e1a90",
+    ("id-oplus", 4, 7, 50): "bccf55b226975a023bfd6bad42400d8f18c351c0c60747c4ab87904a4c497cb8",
+    ("id-oplus", 4, 31, 1): "8e476f78c8a0359e9c9b729cdba0c3c34173d29d8fd27284fd4c9260dd2ef51e",
+    ("id-oplus", 4, 31, 50): "f5343cca9d249ca5a61fa252bef28d1ea4afe2582895ff8a4bca0b694a7bc283",
+    ("id-oplus", 8, 0, 1): "a24e3635e283a8cf99ac48418fabba39e3649adc705c0d2a7394426675b30e42",
+    ("id-oplus", 8, 0, 50): "d2d431f0d7299b03abfb4f1f135ad91d74b853539173403760a331f4a1f75417",
+    ("id-oplus", 8, 7, 1): "cb581f474920f28622aa7b6cd078695f77087f6c37e355c300be84d95a48b68a",
+    ("id-oplus", 8, 7, 50): "778043f46761d26e12f8cae510320a70a90cd0a1ff27c2b46ea9d4c309c47975",
+    ("id-oplus", 8, 31, 1): "5e8f21efc7c9ba48321b188a4cc402dd94a71c5794f0bed5b03b21a824bfdb80",
+    ("id-oplus", 8, 31, 50): "ee66750ffd708078a37650d97a6e24cdd138aae2be5443833040e11303d6b29b",
+    ("id-oplus", 16, 0, 1): "69d8c18b2e476abe7121acc02bdb775ca56579b6cf9f488b8281e5404ffee192",
+    ("id-oplus", 16, 0, 50): "9c6005c84322e528a39cd8c32759118134ceee159e60763a2b3f3cb58337452a",
+    ("id-oplus", 16, 7, 1): "94799dabd314cd83eb042d5b0247ad5e172fa68705f472857cae772f2fdd50d7",
+    ("id-oplus", 16, 7, 50): "e8831fc39375f065ca1cd92853313e399c8fd92fa7f3e2525466537be00718b7",
+    ("id-oplus", 16, 31, 1): "ed124a749b09869bad77e48cdfd6c986c2d77f330aa0a3a738321ac1eee978ae",
+    ("id-oplus", 16, 31, 50): "97eb85e32972df4ec132216e74d46b6a27b9d91168612c29f2c404087d77f99f",
+    ("y-beta", 1, 0, 1): "ede54e8c9c35b5c7590cc8ff46b10e6a05e9160cd5c6cd142399b9c77e8a6df1",
+    ("y-beta", 1, 0, 50): "975157503b9a2864d8e5b1850ff00d14aee6687a781afeb1ead47062acbf1f25",
+    ("y-beta", 1, 7, 1): "8f23f112983f34fb0a2e1e411fff7b35b5be1e9078bff5d644d72e40f5c42236",
+    ("y-beta", 1, 7, 50): "8472693609af21e305fa5470b882ed14db303fe215474c62cc4e4107d2eefead",
+    ("y-beta", 1, 31, 1): "53b85abd36dc6f016b41c653de000627090affd7b8ae71a305edeb9a6dbb3286",
+    ("y-beta", 1, 31, 50): "56b079c9eb07b25ce08bda9f6fb0983f6beeb2b2b1e21e084081f2b1c13b39a1",
+    ("y-beta", 2, 0, 1): "f5e4b383fbafe4d00725c36bcc203e9e5d75c466c3ad1773b35f00c1bc8ae037",
+    ("y-beta", 2, 0, 50): "0837d9135f49ecfd2d1e52cdf76d07d6cc812876e3681722118e0e93b7d4f460",
+    ("y-beta", 2, 7, 1): "5a920111100e99e6ec859ba9a8355fac5ffc31c1f5be65505f9e220fe2927814",
+    ("y-beta", 2, 7, 50): "feacb3daca21c99031d47d76a6fdf5469cd2b49f692e58f192fb0de46bc1b0f5",
+    ("y-beta", 2, 31, 1): "c912ccb5a264eb92c2882efd5a94f62aed551cdca3ff77d0c61fb88a4854cb99",
+    ("y-beta", 2, 31, 50): "7b48deeaccd0059a6a417d3a97112cb195214fb2e01dde003fa9800422ec8352",
+    ("y-beta", 3, 0, 1): "ab290b8543d5de302274bc670313644c7157e1b0693abbbadbde4e3eb56ba521",
+    ("y-beta", 3, 0, 50): "4028664d7ad262d8761cf7c5cdc281ac14fc492be59b4bf10db772a699914070",
+    ("y-beta", 3, 7, 1): "65b458c69a2402ae13082700902a5d144b2a2d6e21fd3cbd0667c0a758f65057",
+    ("y-beta", 3, 7, 50): "00137a03776d2471901b13f9be63a0a7b06bb561eee171994e3bec9986a35dfd",
+    ("y-beta", 3, 31, 1): "02b2447bc102cc05660ef3d7ebdec4be7024a85cefdb551eda41f833810a16b8",
+    ("y-beta", 3, 31, 50): "20dee967e5b6011fd19ffb71ce9788e5eca5c305f297170ee3bfa9b2ff340a1c",
+    ("y-beta", 4, 0, 1): "1a6122270e3dfa04dbd6384cf4fea08ee560e6d2589879ad772b0b985385572b",
+    ("y-beta", 4, 0, 50): "76667fa2c548d03c6b8a704259cc7e41b8f66d880ae60a655622f85fb1e80c77",
+    ("y-beta", 4, 7, 1): "0adb257a9ddc1715cfc2b90e72fdbdd1156cd0484a1d67bdda5de5e86087f9f4",
+    ("y-beta", 4, 7, 50): "6025a79394b012fdac2a6c9a976ade72edaf3e045bdd090b4fc7eb5a0460079d",
+    ("y-beta", 4, 31, 1): "6a745a32f6fe43415111474250d63e71ea9f64e457254ef113e8c83ac840c55b",
+    ("y-beta", 4, 31, 50): "04b32b69a60c71d1614ee60383b6c632147ba42925bf31a33bfb7aace573bedb",
+    ("y-beta", 8, 0, 1): "9984957c918cd67c1c8ace7dd95a245c4589aefdd25f1a442d855526722caf83",
+    ("y-beta", 8, 0, 50): "7a21a7b055643b02a6e32ad7a5310ec1f01d8f3c8702d4037d3f23578bc1cca8",
+    ("y-beta", 8, 7, 1): "edb7ab668e55ed0e7029914e8649b518a7ddf368669254f07632187669ee7d37",
+    ("y-beta", 8, 7, 50): "aac428897902403e111e58fb8a6b1a37b52cd149b5ff78a2eb24bdb0e95c7fa5",
+    ("y-beta", 8, 31, 1): "66e66eb38de1fcd5a62d9fe13b95a1e37864ec1ef9232c761bc012857f25643a",
+    ("y-beta", 8, 31, 50): "db42715bf645aabe97812cf0abfcfac3beab8b86c752cb55349bdb074f5efacd",
+    ("y-beta", 16, 0, 1): "f4af517bdf0f744ef075128b529aefdd7cee5c05ef9b51d46f553114655b86f5",
+    ("y-beta", 16, 0, 50): "4d68b96308217a457f8ec59e849a467415eb125b158877acabc5d0af0b3ac84d",
+    ("y-beta", 16, 7, 1): "a0223d8ebb1ea26b07b30eab048e657e10f7a5f86fbd46e9bf2993dcb11e3ede",
+    ("y-beta", 16, 7, 50): "e741f636f537359ba36e1439026d70eca64276a16e74cd0ccbb1e2bc14a123d6",
+    ("y-beta", 16, 31, 1): "bb3991b2a73e3bd526df91789fec4775154887e75e82f93bc8d7c0b6fcef36e6",
+    ("y-beta", 16, 31, 50): "a9fdaeb027f61f2cd754df15ecb9afeb198449291c5f82eb62e680aa09d10981",
+}
+
+CERTIFIERS = {"id-oplus": certify_id_oplus_not_open, "y-beta": certify_y_beta_not_open}
+
+
+@pytest.mark.parametrize("claim, i, seed, samples", PINNED_CERTIFICATES)
+def test_certificate_bytes_are_pinned(claim, i, seed, samples):
+    cert = CERTIFIERS[claim](i, samples=samples, seed=seed)
+    text = dump_document(certificate_to_json(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CERTIFICATES[claim, i, seed, samples]
+    assert cert.verdict and cert.recheck()
 
 
 class TestSerialization:

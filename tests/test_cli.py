@@ -307,6 +307,18 @@ class TestDistancesOutsideTheFloatRange:
         argv = ("lift", "s", "--instance", write(tmp_path / "inst.json", instance))
         self.one_error_line(capsys, *argv, "--target", write(tmp_path / "tgt.json", {"scalar": "801"}))
 
+    def test_lift_s_oracle_far_down_the_interval(self, capsys, tmp_path):
+        # the oracle ranks its candidates by the exact scalars, none of
+        # which has a float value here
+        far = "-1" + "0" * 400
+        instance = {"kind": "interval", "bounds": [far, "0"], "x": far, "y": far, "params": {"t": "0", "p": "-1"}}
+        argv = ("lift", "s", "--instance", write(tmp_path / "inst.json", instance), "--oracle")
+        code, out, err = run(capsys, *argv, "--target", write(tmp_path / "tgt.json", {"scalar": far}))
+        assert code == 0 and "Traceback" not in err
+        outputs = json.loads(out)["outputs"]
+        assert outputs["exactness"] and outputs["oracle"]["witness_found"]
+        assert outputs["oracle"]["witness"]["first"] == far
+
     def test_approx_far_up_the_plane(self, capsys, tmp_path):
         cover = write(tmp_path / "cover.json", {"elements": [{"kind": "box", "low": ["0", "0"], "high": ["1000", "1000"]}]})
         single = write(tmp_path / "single.json", atoms((["800", "800"], "0")))

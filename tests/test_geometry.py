@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from tropibary.core import NEG_INF, ZERO, TropVector, scalar
-from tropibary.errors import BadInput, DimensionMismatch
+from tropibary import geometry
+from tropibary.core import NEG_INF, ZERO, ConvexParams, TropVector, _combination, odot, oplus, s_point, scalar
+from tropibary.errors import BadInput, DimensionMismatch, TropibaryError
 from tropibary.geometry import (
     Box,
     TropPolytope,
-    _sample_y_point,
+    _y_points,
     extremal_points,
     hull_membership,
     id_space,
@@ -144,6 +145,33 @@ class TestExtremalPoints:
     def test_single_generator(self):
         assert extremal_points(TropPolytope([v("0", "0")])) == (v("0", "0"),)
 
+    def test_sampled_decomposition_refutes_a_kept_redundant_generator(self, monkeypatch):
+        # with pruning switched off, (0, 0) = (0, -1) oplus (-1, 0) survives,
+        # and the sampled check must catch it
+        monkeypatch.setattr(geometry, "hull_membership", lambda poly, x: None)
+        poly = TropPolytope([v("0", "-1"), v("-1", "0"), v("0", "0")])
+        with pytest.raises(TropibaryError, match="refuted"):
+            extremal_points(poly, samples=20, seed=1)
+
+    def test_one_combination_is_the_two_step_combination(self):
+        # s(y, z) with y = oplus_i a_i odot g_i and z = oplus_i b_i odot g_i
+        # is oplus_i (t odot a_i oplus p odot b_i) odot g_i
+        rng = random.Random(3)
+        grid = [Fraction(k, 4) for k in range(-8, 1)] + [NEG_INF]
+        for _ in range(400):
+            dim, k = rng.randrange(1, 4), rng.randrange(1, 5)
+            gens = [TropVector([Fraction(rng.randrange(-8, 1), 4) for _ in range(dim)]) for _ in range(k)]
+            a, b = [rng.choice(grid) for _ in gens], [rng.choice(grid) for _ in gens]
+            a[rng.randrange(k)] = b[rng.randrange(k)] = ZERO
+            t = rng.choice(grid)
+            params = ConvexParams(t, ZERO if t != ZERO else rng.choice(grid))
+            s = s_point(_combination(gens, a), _combination(gens, b), params)
+            coeffs = [oplus(odot(params.t, x), odot(params.p, y)) for x, y in zip(a, b)]
+            assert _combination(gens, coeffs) == s
+            other = TropVector([rng.choice(grid[:-1]) for _ in range(dim)])
+            for target in (s, other):
+                assert geometry._combination_is(gens, coeffs, target) is (target == s)
+
 
 class TestTwoPointPath:
     def test_id_space_shape(self):
@@ -177,12 +205,15 @@ def on_hook(p: TropVector) -> bool:
 
 class TestHookPieces:
     def test_piece_membership(self):
-        # the y-beta certificate samples the hull through _sample_y_point
-        rng = random.Random(11)
-        for _ in range(300):
-            p = _sample_y_point(rng)
-            assert on_hook(p)
-            assert hull_membership(y_polytope(), p) is not None
+        # the y-beta certificate draws its points from _y_points(i)
+        for i in (1, 2, 3, 8):
+            normalizer, legs, diagonal = _y_points(i)
+            c = Fraction(-1) + Fraction(1, i)
+            for p, cap, attains in [normalizer, *diagonal, *(entry for leg in legs for entry in leg)]:
+                assert on_hook(p)
+                assert hull_membership(y_polytope(), p) is not None
+                assert cap == min(c - p[0], c - p[1], 0)
+                assert attains is (cap + p[0] == c == cap + p[1])
 
     def test_hull_points_lie_on_pieces(self):
         # the hull is exactly the three one-dimensional pieces
