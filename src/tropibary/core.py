@@ -133,6 +133,12 @@ def _parse(text: str) -> Optional[Scalar]:
         return None
     if not d:
         return None
+    return _ratio(n, d)
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """n/d for an int d > 0, built reduced by one gcd: equal to
+    `Fraction(n, d)` in numerator, denominator, hash and str."""
     g = gcd(n, d)
     q = object.__new__(Fraction)
     q._numerator = n // g

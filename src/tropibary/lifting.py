@@ -27,17 +27,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .barycenter import barycenter_of_measures, barycenter_point
 from .core import (
     NEG_INF,
-    POS_INF,
     ZERO,
     ConvexParams,
     Scalar,
     TropVector,
     _cmp,
+    _ratio,
     odot,
     oplus,
     oplus_all,
@@ -526,14 +527,47 @@ def _tick(viewed: int) -> int:
 
 def _finite_values(*scalars) -> list[Fraction]:
     """The distinct finite scalars, in the order first seen."""
-    return list(dict.fromkeys(s for s in scalars if type(s) is Fraction))
+    return list({(s._numerator, s._denominator): s for s in scalars if type(s) is Fraction}.values())
 
 
-def _param_candidates(pool: Sequence[Fraction], params: ConvexParams) -> list[ConvexParams]:
-    values = list(pool) + [u - v for u in pool for v in pool]
-    taus = {ZERO, NEG_INF} | {r for r in values if r <= ZERO}
-    cands = {ConvexParams(tau, 0) for tau in taus} | {ConvexParams(0, tau) for tau in taus}
-    return sorted(cands, key=lambda c: (c.dist(params), c.t, c.p))
+def _ranked(scalars: Iterable[Scalar]) -> list[Scalar]:
+    """The distinct scalars in increasing order, -inf first, with no
+    Fraction hash or comparison: finite ones are told apart by numerator
+    and denominator and ordered by their numerators at the common
+    denominator, as `core._point_key` orders points."""
+    finite = {}
+    bottom = []
+    for q in scalars:
+        if q is NEG_INF:
+            bottom = [NEG_INF]
+        elif type(q) is Fraction:
+            finite.setdefault((q._numerator, q._denominator), q)
+        else:
+            raise BadInput(f"{capped(str(q))} has no rank among the scalars")
+    scale = lcm(*(d for _, d in finite))
+    return bottom + sorted(finite.values(), key=lambda q: q._numerator * (scale // q._denominator))
+
+
+def _param_candidates(pool: Sequence[Fraction], params: ConvexParams) -> Iterator[ConvexParams]:
+    """The parameter pairs an oracle tries, nearest to params first.
+
+    The τ set is 0, -inf and every u and u - v (u, v in the pool) that
+    is <= 0.  The candidates are (τ, 0) and (0, τ) for each τ, with
+    (0, 0) once, in the order of (dist to params, t, p), all exact: the
+    τ are ranked once by integer keys at their common denominator, and
+    each τ's two rho terms are computed once.  Each pair goes through
+    the `ConvexParams` constructor only when the search reaches it.
+    """
+    diffs = (residual(u, v) for v in (ZERO, *pool) for u in pool)
+    ranked = _ranked([NEG_INF, ZERO, *(r for r in diffs if r._numerator <= 0)])
+    zero = len(ranked) - 1  # every τ is <= 0
+    near_t = [rho(tau, params.t) for tau in ranked]
+    near_p = [rho(tau, params.p) for tau in ranked]
+    order = [(max(near_t[k], near_p[zero]), k, zero) for k in range(len(ranked))]
+    order += [(max(near_t[zero], near_p[k]), zero, k) for k in range(len(ranked)) if k != zero]
+    order.sort()
+    for _, t, p in order:
+        yield ConvexParams(ranked[t], ranked[p])
 
 
 def brute_force_lift_s(
@@ -571,16 +605,18 @@ def brute_force_lift_s(
             options = []
             lefts = {lam[i], ZERO, NEG_INF}
             r = residual(alpha[i], cand.t)
-            if r is not POS_INF and r <= ZERO:
+            if _cmp(r, ZERO) <= 0:
                 lefts.add(r)
             rights = {bet[i], ZERO, NEG_INF}
             r = residual(alpha[i], cand.p)
-            if r is not POS_INF and r <= ZERO:
+            if _cmp(r, ZERO) <= 0:
                 rights.add(r)
+            rights = [(b, odot(cand.p, b)) for b in rights]
             for l in lefts:
-                for b in rights:
+                left = odot(cand.t, l)
+                for b, right in rights:
                     viewed = _tick(viewed)
-                    if oplus(odot(cand.t, l), odot(cand.p, b)) == alpha[i]:
+                    if not _cmp(oplus(left, right), alpha[i]):
                         options.append((l, b))
             if not options:
                 feasible = False
@@ -589,8 +625,8 @@ def brute_force_lift_s(
             per_coord.append(options)
         if not feasible:
             continue
-        can_zero_l = [any(l == ZERO for l, _ in opts) for opts in per_coord]
-        can_zero_b = [any(b == ZERO for _, b in opts) for opts in per_coord]
+        can_zero_l = [any(not _cmp(l, ZERO) for l, _ in opts) for opts in per_coord]
+        can_zero_b = [any(not _cmp(b, ZERO) for _, b in opts) for opts in per_coord]
         if not (any(can_zero_l) and any(can_zero_b)):
             continue
         found, viewed = _search_assignment(per_coord, can_zero_l, can_zero_b, viewed)
@@ -617,38 +653,52 @@ def brute_force_lift_s(
 def _search_assignment(per_coord, can_zero_l, can_zero_b, viewed: int):
     """Depth-first pick of one option per coordinate with both weight
     vectors forced to reach 0 somewhere; returns the pick (or None) and
-    the updated count of viewed candidates."""
+    the updated count of viewed candidates.
+
+    The search runs on an explicit stack, one frame per coordinate
+    being picked, so a space of any size fits; it visits, and counts,
+    the nodes of the recursive search in the same order.
+    """
     n = len(per_coord)
-
-    def rec(i, chosen, has_l, has_b):
-        nonlocal viewed
+    # reach_l[i]: some coordinate from i on can put a 0 on the first side
+    reach_l = list(itertools.accumulate(reversed(can_zero_l), bool.__or__))[::-1]
+    reach_b = list(itertools.accumulate(reversed(can_zero_b), bool.__or__))[::-1]
+    picked = []
+    frames = []  # (options left, has_l, has_b) of each coordinate being picked
+    has_l = has_b = False
+    while True:
         viewed = _tick(viewed)
+        i = len(picked)
         if i == n:
-            return list(chosen) if has_l and has_b else None
-        if not has_l and not any(can_zero_l[i:]):
-            return None
-        if not has_b and not any(can_zero_b[i:]):
-            return None
-        for l, b in per_coord[i]:
-            chosen.append((l, b))
-            out = rec(i + 1, chosen, has_l or l == ZERO, has_b or b == ZERO)
-            chosen.pop()
-            if out is not None:
-                return out
-        return None
-
-    picked = rec(0, [], False, False)
-    if picked is None:
-        return None, viewed
-    return ([l for l, _ in picked], [b for _, b in picked]), viewed
+            if has_l and has_b:
+                return ([l for l, _ in picked], [b for _, b in picked]), viewed
+        elif (has_l or reach_l[i]) and (has_b or reach_b[i]):
+            frames.append((iter(per_coord[i]), has_l, has_b))
+        while frames:
+            options, has_l, has_b = frames[-1]
+            if len(picked) == len(frames):
+                picked.pop()
+            pick = next(options, None)
+            if pick is not None:
+                picked.append(pick)
+                has_l = has_l or not _cmp(pick[0], ZERO)
+                has_b = has_b or not _cmp(pick[1], ZERO)
+                break
+            frames.pop()
+        else:
+            return None, viewed
 
 
 def _lattice(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
+    """lo + (hi - lo) * k / steps for k = 0, ..., steps, on ints with one
+    gcd a step: with lo = a/b and hi = c/d, the k-th value is
+    (a*d*steps + (c*b - a*d)*k) / (b*d*steps), reduced."""
     for end in (lo, hi):
         if type(end) is not Fraction:
             raise BadInput(f"{end} has no rational value")
-    span = hi - lo
-    return [lo + span * k / steps for k in range(steps + 1)]
+    a, b, c, d = lo._numerator, lo._denominator, hi._numerator, hi._denominator
+    base, step, den = a * d * steps, c * b - a * d, b * d * steps
+    return [_ratio(base + step * k, den) for k in range(steps + 1)]
 
 
 def brute_force_lift_interval(
@@ -663,21 +713,24 @@ def brute_force_lift_interval(
     interval."""
     lo, hi = bounds
     pool = _finite_values(x, y, target, params.t, params.p, lo, hi)
-    cands = _param_candidates(pool, params)
-    values = set(_lattice(lo, hi, 16)) | {x, y, target}
+    values = _lattice(lo, hi, 16) + [x, y, target]
     for tau in (params.t, params.p):
         r = residual(target, tau)
-        if type(r) is Fraction and lo <= r <= hi:
-            values.add(r)
-    values = sorted(values, key=lambda v: (rho(v, x) + rho(v, y), v))
+        if type(r) is Fraction and _cmp(lo, r) <= 0 <= _cmp(hi, r):
+            values.append(r)
+    # ascending, then stably by distance: the order of (distance, value)
+    values = _ranked(values)
+    values.sort(key=lambda v: rho(v, x) + rho(v, y))
     viewed = 0
     best = None
     best_dist = float("inf")
-    for cand in cands:
+    for cand in _param_candidates(pool, params):
+        rights = [(yv, odot(cand.p, yv)) for yv in values]
         for xv in values:
-            for yv in values:
+            left = odot(cand.t, xv)
+            for yv, right in rights:
                 viewed = _tick(viewed)
-                if oplus(odot(cand.t, xv), odot(cand.p, yv)) != target:
+                if _cmp(oplus(left, right), target):
                     continue
                 witness = LiftWitness(xv, yv, cand, "oracle")
                 if mode == "exists":
@@ -700,6 +753,10 @@ def brute_force_lift_box(
     with one shared parameter pair; coordinates decouple once the pair is
     fixed."""
     pool = _finite_values(*x.coords, *y.coords, *target.coords, params.t, params.p)
+    grids = []
+    for j in range(box.dim):
+        lo, hi = box.interval(j)
+        grids.append((lo, hi, set(_lattice(lo, hi, 8)) | {x[j], y[j], target[j]}))
     viewed = 0
     best = None
     best_dist = float("inf")
@@ -707,18 +764,19 @@ def brute_force_lift_box(
         firsts, seconds = [], []
         total = 0.0
         feasible = True
-        for j in range(box.dim):
-            lo, hi = box.interval(j)
-            values = set(_lattice(lo, hi, 8)) | {x[j], y[j], target[j]}
+        for j, (lo, hi, grid) in enumerate(grids):
+            values = set(grid)
             for tau in (cand.t, cand.p):
                 r = residual(target[j], tau)
-                if type(r) is Fraction and lo <= r <= hi:
+                if type(r) is Fraction and _cmp(lo, r) <= 0 <= _cmp(hi, r):
                     values.add(r)
             options = []
+            rights = [(yv, odot(cand.p, yv)) for yv in values]
             for xv in values:
-                for yv in values:
+                left = odot(cand.t, xv)
+                for yv, right in rights:
                     viewed = _tick(viewed)
-                    if oplus(odot(cand.t, xv), odot(cand.p, yv)) == target[j]:
+                    if not _cmp(oplus(left, right), target[j]):
                         options.append((max(rho(xv, x[j]), rho(yv, y[j])), xv, yv))
             if not options:
                 feasible = False
@@ -751,12 +809,12 @@ def brute_force_lift_beta(
     pools = []
     for j in range(box.dim):
         lo, hi = box.interval(j)
-        vals = set(_lattice(lo, hi, 4)) | {target[j]}
+        vals = _lattice(lo, hi, 4) + [target[j]]
         for w in weights:
             r = residual(target[j], w)
-            if type(r) is Fraction and lo <= r <= hi:
-                vals.add(r)
-        pools.append(sorted(vals))
+            if type(r) is Fraction and _cmp(lo, r) <= 0 <= _cmp(hi, r):
+                vals.append(r)
+        pools.append(_ranked(vals))
     points = [TropVector(c) for c in itertools.product(*pools)]
     atom_cands = [(p, w) for p in points for w in weights]
     k_max = nu.atom_count
@@ -766,11 +824,11 @@ def brute_force_lift_beta(
     for k in range(1, k_max + 1):
         for combo in itertools.combinations(atom_cands, k):
             viewed = _tick(viewed)
-            if not any(w == ZERO for _, w in combo):
+            if not any(not _cmp(w, ZERO) for _, w in combo):
                 continue
             coords_ok = True
             for j in range(box.dim):
-                if oplus_all(odot(w, p[j]) for p, w in combo) != target[j]:
+                if _cmp(oplus_all(odot(w, p[j]) for p, w in combo), target[j]):
                     coords_ok = False
                     break
             if not coords_ok:

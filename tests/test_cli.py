@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropibary import cli, lifting
+from tropibary import ConvexParams, FiniteSpace, cli, combine, lifting, sampling
 from tropibary.cli import main
 
 SPACE = {"labels": ["a", "b"]}
@@ -257,6 +258,30 @@ class TestLift:
         )
         assert doc["outputs"]["exactness"] is True
         assert len(doc["outputs"]["witness"]["atoms"]) <= 1100
+
+    def test_lift_s_oracle_over_1100_points_is_a_report(self, capsys, tmp_path):
+        # more points than the default recursion limit; the oracle's
+        # depth-first pick takes one coordinate at a time
+        rng = random.Random(1)
+        space = FiniteSpace(1100)
+        first, second = (sampling.random_measure_on_space(rng, space) for _ in range(2))
+        image = combine(first, second, ConvexParams(0, -1))
+
+        def weights(mu):
+            return {"atoms": [{"at": space.labels[i], "w": str(w)} for i, w in mu.atoms]}
+
+        instance = {"kind": "combination-measures", "space": {"n": 1100}, "first": weights(first),
+                    "second": weights(second), "params": {"t": "0", "p": "-1"}}
+        code, out, err = run(
+            capsys,
+            "lift", "s", "--oracle",
+            "--instance", write(tmp_path / "instance.json", instance),
+            "--target", write(tmp_path / "target.json", {"measure": weights(image)}),
+        )
+        assert code == 0 and "Traceback" not in err
+        outputs = json.loads(out)["outputs"]
+        assert outputs["exactness"] and outputs["oracle"]["witness_found"]
+        assert outputs["oracle"]["witness"]["case_tag"] == "oracle"
 
     def test_beta_lift_needs_matching_instance(self, capsys, docs):
         code, _, err = run(
