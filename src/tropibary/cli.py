@@ -11,6 +11,7 @@ verify rows) or a witness that failed the library's exactness check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io as _io
@@ -307,22 +308,26 @@ def _cmd_counterexample(args) -> dict:
 
 def _cmd_verify(args) -> tuple[dict, bool]:
     seed = _resolve_seed(args.seed)
-    if args.suite == "all":
-        results = run_all(seed=seed, scale=args.scale)
-    else:
-        results = [run_suite(args.suite, seed=seed, scale=args.scale)]
-    rows = [r for sr in results for r in sr.rows]
-    for r in rows:
-        sys.stdout.write(f"{r.verdict.upper():4s} {r.suite}/{r.case}: {r.detail}\n")
-    ok = all(r.ok for r in rows)
-    failed = sum(1 for r in rows if not r.ok)
-    sys.stdout.write(
-        f"verify: {'PASS' if ok else 'FAIL'} "
-        f"({len(rows)} rows, {failed} failed, seed {seed}, scale {args.scale})\n"
-    )
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    try:
+        sink = open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext()
+    except OSError as exc:
+        raise BadInput(f"cannot write {args.csv}: {exc.strerror}") from None
+    with sink:
+        if args.suite == "all":
+            results = run_all(seed=seed, scale=args.scale)
+        else:
+            results = [run_suite(args.suite, seed=seed, scale=args.scale)]
+        rows = [r for sr in results for r in sr.rows]
+        for r in rows:
+            sys.stdout.write(f"{r.verdict.upper():4s} {r.suite}/{r.case}: {r.detail}\n")
+        ok = all(r.ok for r in rows)
+        failed = sum(1 for r in rows if not r.ok)
+        sys.stdout.write(
+            f"verify: {'PASS' if ok else 'FAIL'} "
+            f"({len(rows)} rows, {failed} failed, seed {seed}, scale {args.scale})\n"
+        )
+        if args.csv:
+            writer = csv.writer(sink)
             writer.writerow(["suite", "case", "verdict", "detail"])
             for r in rows:
                 writer.writerow([r.suite, r.case, r.verdict, r.detail])

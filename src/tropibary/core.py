@@ -423,10 +423,6 @@ def _vector(coords: tuple) -> TropVector:
     return v
 
 
-def vector(coords: Iterable[RatLike]) -> TropVector:
-    return TropVector(coords)
-
-
 def point_dist(x: TropVector, y: TropVector) -> float:
     """max_j rho(x_j, y_j)."""
     if x.dim != y.dim:

@@ -564,5 +564,8 @@ def render_polytope_svg(
         x, y = at(p)
         rows.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#383"/>')
     rows.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows))
+    except OSError as exc:
+        raise BadInput(f"cannot write {path}: {exc.strerror}") from None

@@ -19,7 +19,12 @@ target comes back exactly.  The gate is a function call, not an
 
 `brute_force_*` are independent oracles: they enumerate candidate
 witnesses over value-adapted grids and keep whatever recombines exactly,
-never consulting the constructive branch logic.
+never consulting the constructive branch logic.  The finite, interval and
+box oracles are one engine, `_grid_search`, over the coordinate equation
+max(t' + l, p' + r) = target; each gives only its values per coordinate,
+the rank of their solutions and its pick, and the interval oracle is the
+box oracle on a 1-D box.  The β oracle enumerates atom subsets, so it
+keeps its own search and shares only the "exists"/"best" choice.
 """
 
 from __future__ import annotations
@@ -570,6 +575,68 @@ def _param_candidates(pool: Sequence[Fraction], params: ConvexParams) -> Iterato
         yield ConvexParams(ranked[t], ranked[p])
 
 
+def _select(found: Iterable, mode: str, dist):
+    """The first witness a search yields ("exists"), or the nearest by
+    `dist`, the first of equals ("best"); None if it yields none."""
+    if mode == "exists":
+        return next(iter(found), None)
+    best, best_dist = None, float("inf")
+    for witness in found:
+        d = dist(witness)
+        if d < best_dist:
+            best, best_dist = witness, d
+    return best
+
+
+def _grid_search(pool, params, target, columns, pick, build) -> Iterator[LiftWitness]:
+    """The oracle engine: exact witnesses of max(t' + l, p' + r) = target,
+    coordinate by coordinate, for each pair (t', p') of `_param_candidates`.
+
+    `columns(cand)` gives each coordinate's goal, the values l and r may
+    take and a rank key.  Every pair (l, r) that solves the coordinate's
+    equation is an option, one `_tick` per pair viewed; a coordinate with
+    none drops the candidate.  `pick` chooses one ranked option per
+    coordinate, `build` makes each side of the witness from its picks, and
+    the witness passes `_exact` before it is yielded.
+    """
+    viewed = 0
+    for cand in _param_candidates(pool, params):
+        ranked = []
+        for goal, lefts, rights, rank in columns(cand):
+            # max(t' + l, p' + r) = goal: no side above the goal, one side on it
+            rights = [(r, _cmp(odot(cand.p, r), goal)) for r in rights]
+            options = []
+            for l in lefts:
+                left = _cmp(odot(cand.t, l), goal)
+                for r, right in rights:
+                    viewed = _tick(viewed)
+                    if max(left, right) == 0:
+                        options.append((l, r))
+            if not options:
+                break
+            options.sort(key=rank)
+            ranked.append(options)
+        else:
+            picked, viewed = pick(ranked, viewed)
+            if picked is not None:
+                yield _exact(LiftWitness(build(picked[0]), build(picked[1]), cand, "oracle"), target)
+
+
+def _first_pick(ranked, viewed: int):
+    """The first-ranked option of each coordinate."""
+    return ([opts[0][0] for opts in ranked], [opts[0][1] for opts in ranked]), viewed
+
+
+def _zero_pick(ranked, viewed: int):
+    """`_search_assignment`'s pick, when some coordinate can put a 0 on
+    each side."""
+    can_zero_l = [any(not _cmp(l, ZERO) for l, _ in opts) for opts in ranked]
+    can_zero_b = [any(not _cmp(b, ZERO) for _, b in opts) for opts in ranked]
+    if not (any(can_zero_l) and any(can_zero_b)):
+        return None, viewed
+    return _search_assignment(ranked, can_zero_l, can_zero_b, viewed)
+
+
 def brute_force_lift_s(
     first: IdemMeasure,
     second: IdemMeasure,
@@ -581,73 +648,33 @@ def brute_force_lift_s(
     value-adapted candidate grid.
 
     Candidate weights per atom are the obvious attainable values for the
-    coordinate equation max(t'+l, p'+b) = target weight; candidate
-    parameters come from the input values and their differences.  Returns
-    the exact candidate nearest the inputs ("best"), the first exact one
-    ("exists"), or None.
+    coordinate equation max(t'+l, p'+b) = target weight: the input
+    weight, 0, -inf and the target weight less the candidate's parameter
+    when that is <= 0; candidate parameters come from the input values
+    and their differences.  Returns the exact candidate nearest the
+    inputs ("best"), the first exact one ("exists"), or None.
     """
     if first.space is None or first.space != second.space or first.space != target.space:
         raise SpaceMismatch("oracle inputs must share one finite space")
     space = first.space
-    n = space.n
     lam = first.density()
     bet = second.density()
     alpha = target.density()
     pool = _finite_values(*lam, *bet, *alpha, params.t, params.p)
-    viewed = 0
-    best: Optional[LiftWitness] = None
-    best_dist = float("inf")
+    ranks = [lambda o, l=l, b=b: (rho(o[0], l) + rho(o[1], b), o[0], o[1]) for l, b in zip(lam, bet)]
 
-    for cand in _param_candidates(pool, params):
-        per_coord = []
-        feasible = True
-        for i in range(n):
-            options = []
-            lefts = {lam[i], ZERO, NEG_INF}
-            r = residual(alpha[i], cand.t)
-            if _cmp(r, ZERO) <= 0:
-                lefts.add(r)
-            rights = {bet[i], ZERO, NEG_INF}
-            r = residual(alpha[i], cand.p)
-            if _cmp(r, ZERO) <= 0:
-                rights.add(r)
-            rights = [(b, odot(cand.p, b)) for b in rights]
-            for l in lefts:
-                left = odot(cand.t, l)
-                for b, right in rights:
-                    viewed = _tick(viewed)
-                    if not _cmp(oplus(left, right), alpha[i]):
-                        options.append((l, b))
-            if not options:
-                feasible = False
-                break
-            options.sort(key=lambda lb: (rho(lb[0], lam[i]) + rho(lb[1], bet[i]), lb[0], lb[1]))
-            per_coord.append(options)
-        if not feasible:
-            continue
-        can_zero_l = [any(not _cmp(l, ZERO) for l, _ in opts) for opts in per_coord]
-        can_zero_b = [any(not _cmp(b, ZERO) for _, b in opts) for opts in per_coord]
-        if not (any(can_zero_l) and any(can_zero_b)):
-            continue
-        found, viewed = _search_assignment(per_coord, can_zero_l, can_zero_b, viewed)
-        if found is None:
-            continue
-        lam2, bet2 = found
-        witness = _exact(
-            LiftWitness(
-                IdemMeasure.from_weights(space, lam2),
-                IdemMeasure.from_weights(space, bet2),
-                cand,
-                "oracle",
-            ),
-            target,
-        )
-        if mode == "exists":
-            return witness
-        d = witness_distance(witness, first, second, params)
-        if d < best_dist:
-            best, best_dist = witness, d
-    return best
+    def side(weight, goal, tau):
+        r = residual(goal, tau)
+        return {weight, ZERO, NEG_INF, r} if _cmp(r, ZERO) <= 0 else {weight, ZERO, NEG_INF}
+
+    def columns(cand):
+        for i, a in enumerate(alpha):
+            yield a, side(lam[i], a, cand.t), side(bet[i], a, cand.p), ranks[i]
+
+    found = _grid_search(
+        pool, params, target, columns, _zero_pick, lambda w: IdemMeasure.from_weights(space, w)
+    )
+    return _select(found, mode, lambda w: witness_distance(w, first, second, params))
 
 
 def _search_assignment(per_coord, can_zero_l, can_zero_b, viewed: int):
@@ -709,36 +736,16 @@ def brute_force_lift_interval(
     bounds: tuple[Scalar, Scalar],
     mode: str = "best",
 ) -> Optional[LiftWitness]:
-    """Grid search for exact interval-lift witnesses on 16 steps of the
-    interval."""
-    lo, hi = bounds
-    pool = _finite_values(x, y, target, params.t, params.p, lo, hi)
-    values = _lattice(lo, hi, 16) + [x, y, target]
-    for tau in (params.t, params.p):
-        r = residual(target, tau)
-        if type(r) is Fraction and _cmp(lo, r) <= 0 <= _cmp(hi, r):
-            values.append(r)
-    # ascending, then stably by distance: the order of (distance, value)
-    values = _ranked(values)
-    values.sort(key=lambda v: rho(v, x) + rho(v, y))
-    viewed = 0
-    best = None
-    best_dist = float("inf")
-    for cand in _param_candidates(pool, params):
-        rights = [(yv, odot(cand.p, yv)) for yv in values]
-        for xv in values:
-            left = odot(cand.t, xv)
-            for yv, right in rights:
-                viewed = _tick(viewed)
-                if _cmp(oplus(left, right), target):
-                    continue
-                witness = LiftWitness(xv, yv, cand, "oracle")
-                if mode == "exists":
-                    return witness
-                d = max(rho(xv, x), rho(yv, y), cand.dist(params))
-                if d < best_dist:
-                    best, best_dist = witness, d
-    return best
+    """The box oracle on the 1-D box [lo, hi], its witness read back as
+    scalars."""
+    for end in bounds:
+        if type(end) is not Fraction:
+            raise BadInput(f"{end} has no rational value")
+    box = Box(TropVector(bounds[:1]), TropVector(bounds[1:]))
+    found = brute_force_lift_box(TropVector((x,)), TropVector((y,)), params, TropVector((target,)), box, mode)
+    if found is None:
+        return None
+    return LiftWitness(found.lifted_first[0], found.lifted_second[0], found.params, found.case_tag)
 
 
 def brute_force_lift_box(
@@ -751,49 +758,29 @@ def brute_force_lift_box(
 ) -> Optional[LiftWitness]:
     """Grid search for exact box-lift witnesses on 8 steps per coordinate,
     with one shared parameter pair; coordinates decouple once the pair is
-    fixed."""
+    fixed.  Each coordinate's values are its lattice, x, y, the target and
+    the target less either candidate parameter when that lies in the
+    interval; the pick is the option nearest (x, y) in that coordinate."""
     pool = _finite_values(*x.coords, *y.coords, *target.coords, params.t, params.p)
     grids = []
     for j in range(box.dim):
         lo, hi = box.interval(j)
         grids.append((lo, hi, set(_lattice(lo, hi, 8)) | {x[j], y[j], target[j]}))
-    viewed = 0
-    best = None
-    best_dist = float("inf")
-    for cand in _param_candidates(pool, params):
-        firsts, seconds = [], []
-        total = 0.0
-        feasible = True
+    ranks = [
+        lambda o, a=a, b=b: (max(rho(o[0], a), rho(o[1], b)), o[0], o[1]) for a, b in zip(x.coords, y.coords)
+    ]
+
+    def columns(cand):
         for j, (lo, hi, grid) in enumerate(grids):
             values = set(grid)
             for tau in (cand.t, cand.p):
                 r = residual(target[j], tau)
                 if type(r) is Fraction and _cmp(lo, r) <= 0 <= _cmp(hi, r):
                     values.add(r)
-            options = []
-            rights = [(yv, odot(cand.p, yv)) for yv in values]
-            for xv in values:
-                left = odot(cand.t, xv)
-                for yv, right in rights:
-                    viewed = _tick(viewed)
-                    if not _cmp(oplus(left, right), target[j]):
-                        options.append((max(rho(xv, x[j]), rho(yv, y[j])), xv, yv))
-            if not options:
-                feasible = False
-                break
-            d, xv, yv = min(options)
-            total = max(total, d)
-            firsts.append(xv)
-            seconds.append(yv)
-        if not feasible:
-            continue
-        witness = _exact(LiftWitness(TropVector(firsts), TropVector(seconds), cand, "oracle"), target)
-        if mode == "exists":
-            return witness
-        d = max(total, cand.dist(params))
-        if d < best_dist:
-            best, best_dist = witness, d
-    return best
+            yield target[j], values, values, ranks[j]
+
+    found = _grid_search(pool, params, target, columns, _first_pick, TropVector)
+    return _select(found, mode, lambda w: witness_distance(w, x, y, params))
 
 
 def brute_force_lift_beta(
@@ -817,26 +804,15 @@ def brute_force_lift_beta(
         pools.append(_ranked(vals))
     points = [TropVector(c) for c in itertools.product(*pools)]
     atom_cands = [(p, w) for p in points for w in weights]
-    k_max = nu.atom_count
-    viewed = 0
-    best = None
-    best_dist = float("inf")
-    for k in range(1, k_max + 1):
-        for combo in itertools.combinations(atom_cands, k):
-            viewed = _tick(viewed)
-            if not any(not _cmp(w, ZERO) for _, w in combo):
-                continue
-            coords_ok = True
-            for j in range(box.dim):
-                if _cmp(oplus_all(odot(w, p[j]) for p, w in combo), target[j]):
-                    coords_ok = False
-                    break
-            if not coords_ok:
-                continue
-            cand = IdemMeasure(list(combo))
-            if mode == "exists":
-                return cand
-            d = measure_dist(cand, nu)
-            if d < best_dist:
-                best, best_dist = cand, d
-    return best
+
+    def found():
+        viewed = 0
+        for k in range(1, nu.atom_count + 1):
+            for combo in itertools.combinations(atom_cands, k):
+                viewed = _tick(viewed)
+                if any(not _cmp(w, ZERO) for _, w in combo) and all(
+                    not _cmp(oplus_all(odot(w, p[j]) for p, w in combo), target[j]) for j in range(box.dim)
+                ):
+                    yield IdemMeasure(list(combo))
+
+    return _select(found(), mode, lambda m: measure_dist(m, nu))

@@ -416,12 +416,6 @@ class SpaceMap:
     def is_surjective(self) -> bool:
         return set(self.table) == set(range(self.target.n))
 
-    def compose(self, inner: "SpaceMap") -> "SpaceMap":
-        """self after inner."""
-        if inner.target != self.source:
-            raise SpaceMismatch("maps do not compose")
-        return SpaceMap(inner.source, self.target, [self.table[j] for j in inner.table])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpaceMap):
             return NotImplemented

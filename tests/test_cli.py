@@ -486,6 +486,8 @@ MALFORMED = [
     ("barycenter", "@deep"),
     ("approx", "--measure", "@m", "--cover", "@cover1"),
     ("approx", "--measure", "@em3", "--cover", "@cover_index_out"),
+    ("ext", "--polytope", "@poly", "--svg", "@a_directory"),
+    ("verify", "--suite", "measures", "--scale", "tiny", "--csv", "@a_directory"),
 ]
 
 

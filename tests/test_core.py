@@ -29,7 +29,6 @@ from tropibary.core import (
     s_point,
     scalar,
     trop_min,
-    vector,
 )
 from tropibary.errors import QUOTE_CAP, BadInput, DimensionMismatch
 from tropibary.geometry import TropPolytope
@@ -174,7 +173,7 @@ class TestMetric:
 
 class TestVectors:
     def test_construction_and_indexing(self):
-        v = vector(["-1", "0"])
+        v = TropVector(["-1", "0"])
         assert v.dim == 2
         assert type(v[0]) is Fraction and v[0] == scalar("-1")
         assert list(v) == [scalar("-1"), ZERO]
@@ -184,10 +183,10 @@ class TestVectors:
             TropVector(("0", "+inf"))
 
     def test_shift_and_join(self):
-        v = vector(["-1", "0"])
-        w = vector(["0", "-2"])
-        assert v.shift(scalar("-1")) == vector(["-2", "-1"])
-        assert v.join(w) == vector(["0", "0"])
+        v = TropVector(["-1", "0"])
+        w = TropVector(["0", "-2"])
+        assert v.shift(scalar("-1")) == TropVector(["-2", "-1"])
+        assert v.join(w) == TropVector(["0", "0"])
 
     def test_shift_refuses_plus_inf(self):
         with pytest.raises(BadInput, match=r"^\+inf cannot be stored in a vector$"):
@@ -211,15 +210,15 @@ class TestVectors:
             assert hash(out) == hash(TropVector(out.coords))
 
     def test_leq_is_coordinatewise(self):
-        assert vector(["-2", "-1"]).leq(vector(["-1", "-1"]))
-        assert not vector(["0", "-1"]).leq(vector(["-1", "0"]))
+        assert TropVector(["-2", "-1"]).leq(TropVector(["-1", "-1"]))
+        assert not TropVector(["0", "-1"]).leq(TropVector(["-1", "0"]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            vector(["0"]).join(vector(["0", "0"]))
+            TropVector(["0"]).join(TropVector(["0", "0"]))
 
     def test_point_dist_is_sup_of_rho(self):
-        d = point_dist(vector(["-1", "0"]), vector(["-1", "-1"]))
+        d = point_dist(TropVector(["-1", "0"]), TropVector(["-1", "-1"]))
         assert math.isclose(d, rho(ZERO, scalar("-1")))
 
 
@@ -246,8 +245,8 @@ class TestConvexParams:
 
 class TestPointCombination:
     def test_matches_join_of_shifts(self):
-        x = vector(["-1", "0"])
-        y = vector(["0", "-2"])
+        x = TropVector(["-1", "0"])
+        y = TropVector(["0", "-2"])
         p = ConvexParams("0", "-1/2")
         assert s_point(x, y, p) == x.join(y.shift(scalar("-1/2")))
 
@@ -261,8 +260,8 @@ class TestPointCombination:
         assert s_point(x, x, p) == x
 
     def test_degenerate_params_project(self):
-        x = vector(["-1", "0"])
-        y = vector(["0", "-2"])
+        x = TropVector(["-1", "0"])
+        y = TropVector(["0", "-2"])
         assert s_point(x, y, ConvexParams("0", "-inf")) == x
         assert s_point(x, y, ConvexParams("-inf", "0")) == y
 

@@ -1,8 +1,12 @@
 """The brute-force oracles' candidate grids, answers and budgets.
 
-The grids are built on the exact kernel; the set-and-sort formulas they
-replaced are kept here as the reference for the candidate order, the
-lattices and the depth-first pick.
+The finite, interval and box oracles are one grid search in `lifting`;
+the interval oracle is the box oracle on the 1-D box [lo, hi].  The
+formulas they replaced are kept here as references: the set-and-sort
+candidate order, the lattices, the recursive depth-first pick, and the
+interval oracle's own 16-step grid, against which the engine's interval
+answers are checked (a witness exactly where the reference finds one,
+and every witness exact).
 
 For 40 seeded instances per oracle (finite `s`, interval, box and β),
 in both "best" and "exists" mode, `tests/golden/oracle-pins.json` holds
@@ -23,7 +27,7 @@ import pytest
 
 from tropibary import lifting, sampling
 from tropibary.barycenter import barycenter_point
-from tropibary.core import NEG_INF, ZERO, ConvexParams, TropVector, s_point
+from tropibary.core import NEG_INF, ZERO, ConvexParams, TropVector, odot, oplus, residual, rho, s_point
 from tropibary.measures import FiniteSpace, IdemMeasure, combine
 
 PINS = pathlib.Path(__file__).resolve().parent / "golden" / "oracle-pins.json"
@@ -67,6 +71,41 @@ def reference_search_assignment(per_coord, can_zero_l, can_zero_b, viewed):
     if picked is None:
         return None, viewed
     return ([l for l, _ in picked], [b for _, b in picked]), viewed
+
+
+def reference_lift_interval(x, y, params, target, bounds, mode="best"):
+    """The interval oracle with its own grid: 16 lattice steps, x, y, the
+    target and the target less each input parameter, ranked by distance
+    to (x, y); the bounds join the parameter pool, and its witnesses skip
+    the exactness gate."""
+    lo, hi = bounds
+    pool = lifting._finite_values(x, y, target, params.t, params.p, lo, hi)
+    values = lifting._lattice(lo, hi, 16) + [x, y, target]
+    for tau in (params.t, params.p):
+        r = residual(target, tau)
+        if type(r) is Fraction and lo <= r <= hi:
+            values.append(r)
+    # ascending, then stably by distance: the order of (distance, value)
+    values = lifting._ranked(values)
+    values.sort(key=lambda v: rho(v, x) + rho(v, y))
+    viewed = 0
+    best = None
+    best_dist = float("inf")
+    for cand in lifting._param_candidates(pool, params):
+        rights = [(yv, odot(cand.p, yv)) for yv in values]
+        for xv in values:
+            left = odot(cand.t, xv)
+            for yv, right in rights:
+                viewed = lifting._tick(viewed)
+                if oplus(left, right) != target:
+                    continue
+                witness = lifting.LiftWitness(xv, yv, cand, "oracle")
+                if mode == "exists":
+                    return witness
+                d = max(rho(xv, x), rho(yv, y), cand.dist(params))
+                if d < best_dist:
+                    best, best_dist = witness, d
+    return best
 
 
 BIG = 10**400
@@ -196,6 +235,40 @@ def beta_case(seed):
     nu = sampling.random_point_measure(rng, box, k_max=3 - dim)
     target = (barycenter_point(nu), sampling.random_point(rng, box))[seed % 2]
     return lifting.brute_force_lift_beta, (nu, target, box)
+
+
+def wide_interval_case(seed):
+    """An interval instance off the 1/8 lattice: bounds, points and
+    parameters with denominators up to 7."""
+    rng = random.Random(f"oracle-interval-wide:{seed}")
+
+    def q(a, b):
+        return Fraction(rng.randint(a * 42, b * 42), rng.choice((1, 2, 3, 5, 6, 7))) / 42
+
+    lo = q(-3, -1)
+    hi = max(lo, q(-1, 1))
+    x, y, target = (min(max(q(-3, 1), lo), hi) for _ in range(3))
+    tau = rng.choice((NEG_INF, ZERO, -abs(q(0, 2))))
+    params = ConvexParams(tau, 0) if rng.random() < 0.5 else ConvexParams(0, tau)
+    if seed % 2:
+        target = lifting.recombine(x, y, params)
+    return x, y, params, target, (lo, hi)
+
+
+def interval_instances():
+    yield from (interval_case(seed)[1] for seed in range(240))
+    yield from (wide_interval_case(seed) for seed in range(60))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_interval_oracle_finds_a_witness_where_the_reference_does(mode):
+    for x, y, params, target, (lo, hi) in interval_instances():
+        want = reference_lift_interval(x, y, params, target, (lo, hi), mode=mode)
+        got = lifting.brute_force_lift_interval(x, y, params, target, (lo, hi), mode=mode)
+        assert (got is None) == (want is None), (x, y, params, target, lo, hi)
+        if got is not None:
+            assert lifting.recombine(got.lifted_first, got.lifted_second, got.params) == target
+            assert lo <= got.lifted_first <= hi and lo <= got.lifted_second <= hi
 
 
 CASES = {"s": s_case, "interval": interval_case, "box": box_case, "beta": beta_case}
