@@ -18,20 +18,29 @@ operator dispatch or ABC check; a sum is built reduced by
 hash and str.  A non-scalar operand (float, int, str) that the kernel
 reads or returns raises `BadInput` pointing to `scalar()`.
 
+Every max-plus product oplus_i c_i odot v_i goes through one private
+kernel, `_dot(coeffs, values)`: barycenters, combinations of points,
+mu(phi) and the values `measures.measure_dist` compares.  It keeps each
+sum as an unreduced numerator and denominator, compares sums by
+cross-multiplying, and reduces only the winner, so it builds at most one
+Fraction where one `odot` per term folded by `oplus_all` builds one per
+term, and it gives the same scalar.
+
 The point layer keeps to the same slots.  `scalar()` reads a string
 once: the numbers of its one `SCALAR_TEXT` match give the reduced
 Fraction directly, with no second parse by `Fraction(text)`.  A
 `TropVector` computes its hash on first use and keeps it in a slot (a
 copy or an unpickled vector starts without one); equality compares the
 coordinates by identity, then by numerator and denominator.  A
-combination of points takes each output coordinate in one `oplus_all`
-over the terms, with no intermediate vectors.
+combination of points takes each output coordinate in one `_dot`, with
+no intermediate vectors.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import exp, expm1, gcd, inf, lcm, log
 from typing import Callable, Iterable, NoReturn, Optional, Sequence, Union
 
@@ -220,6 +229,44 @@ def oplus_all(items: Iterable[Scalar]) -> Scalar:
         except AttributeError:
             _refuse(item)
     return out
+
+
+def _dot(coeffs: Iterable[Scalar], values: Iterable[Scalar]) -> Scalar:
+    """oplus over i of coeffs[i] odot values[i], equal to `oplus_all` of
+    the terms' `odot`s in numerator, denominator, hash and str, with one
+    Fraction built at most.
+
+    Each finite sum stays an unreduced numerator and denominator and sums
+    compare by cross-multiplying; a term whose coefficient is 0 is the
+    value object itself.  Only the winner is reduced, by one `_ratio`.
+    -inf terms drop out, no terms give -inf, a +inf term gives +inf, and a
+    non-scalar in a term without an infinity raises `BadInput`.
+    """
+    # bn/bd is the best sum so far; -1/0 loses to every sum, as none exists
+    best, bn, bd = None, -1, 0
+    top = NEG_INF
+    for c, v in zip(coeffs, values):
+        if c is NEG_INF or v is NEG_INF:
+            continue
+        try:
+            cn, vn, vd = c._numerator, v._numerator, v._denominator
+            if not cn:
+                if vn * bd > bn * vd:
+                    best, bn, bd = v, vn, vd
+                continue
+            cd = c._denominator
+        except AttributeError:
+            # POS_INF has no numerator either
+            if c is POS_INF or v is POS_INF:
+                top = POS_INF
+                continue
+            _refuse(c, v)
+        n, d = cn * vd + vn * cd, cd * vd
+        if n * bd > bn * d:
+            best, bn, bd = None, n, d
+    if top is POS_INF or not bd:
+        return top
+    return best if best is not None else _ratio(bn, bd)
 
 
 def odot(a: Scalar, b: Scalar) -> Scalar:
@@ -453,7 +500,10 @@ class ConvexParams:
         self.p = p
 
     def swapped(self) -> "ConvexParams":
-        return ConvexParams(self.p, self.t)
+        # the swap of a valid pair is valid, so it skips the constructor
+        out = object.__new__(ConvexParams)
+        out.t, out.p = self.p, self.t
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexParams):
@@ -471,24 +521,22 @@ class ConvexParams:
 
 
 def s_point(x: TropVector, y: TropVector, params: ConvexParams) -> TropVector:
-    """Convex combination of two points: t odot x oplus p odot y."""
+    """Convex combination of two points: t odot x oplus p odot y, one
+    `_dot` of (t, p) with (x_j, y_j) per coordinate."""
     if x.dim != y.dim:
         raise DimensionMismatch(f"dim {x.dim} vs {y.dim}")
-    return _combination((x, y), (params.t, params.p))
+    return _vector(tuple(map(_dot, repeat((params.t, params.p)), zip(x.coords, y.coords))))
 
 
 def _combination(points: Sequence[TropVector], coeffs: Sequence[RatLike]) -> TropVector:
     """oplus over i of coeffs[i] odot points[i], for points of one
-    dimension: each coordinate is one `oplus_all` over the terms.  A -inf
-    coefficient drops its point, a 0 one adds the point's coordinates as
-    they are, and +inf is refused as `TropVector.shift` refuses it."""
-    rows = []
-    for point, c in zip(points, coeffs):
+    dimension: each coordinate is one `_dot` of the coefficients with the
+    points' coordinates.  A -inf coefficient drops its point, and +inf is
+    refused as `TropVector.shift` refuses it."""
+    cs = []
+    for _, c in zip(points, coeffs):
         c = scalar(c)
         if c is POS_INF:
             raise BadInput("+inf cannot be stored in a vector")
-        if c is not NEG_INF:
-            rows.append(point.coords if not c._numerator else [odot(c, x) for x in point.coords])
-    if not rows:
-        return _vector((NEG_INF,) * points[0].dim)
-    return _vector(tuple(map(oplus_all, zip(*rows))))
+        cs.append(c)
+    return _vector(tuple(map(_dot, repeat(cs), zip(*[p.coords for p in points]))))

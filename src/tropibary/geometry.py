@@ -26,6 +26,7 @@ from .core import (
     TropVector,
     _cmp,
     _combination,
+    _dot,
     odot,
     oplus,
     oplus_all,
@@ -191,9 +192,8 @@ def extremal_points(
 def _combination_is(points: Sequence[TropVector], coeffs: Sequence[Scalar], v: TropVector) -> bool:
     """Whether oplus_i coeffs[i] odot points[i] equals the finite point v,
     judged one coordinate at a time up to the first that differs."""
-    rows = [(c, point.coords) for point, c in zip(points, coeffs) if c is not NEG_INF]
-    for j, x in enumerate(v.coords):
-        if _cmp(oplus_all([odot(c, row[j]) for c, row in rows]), x):
+    for col, x in zip(zip(*[point.coords for point in points]), v.coords):
+        if _cmp(_dot(coeffs, col), x):
             return False
     return True
 
@@ -355,10 +355,12 @@ _Y_DROPS = [-u for u in _Y_PARAM_GRID]  # 0 .. -1 by 1/16
 
 
 def _y_entry(p: TropVector, c: Fraction) -> tuple:
-    """(p, cap, attains): the largest weight w <= 0 with w odot p <= (c, c)
-    coordinatewise, and whether it reaches c in both coordinates."""
+    """(p, cap, attains, text): the largest weight w <= 0 with w odot p <=
+    (c, c) coordinatewise, whether it reaches c in both coordinates, and
+    p's part of the digest text (`_y_sample_text`)."""
     cap = trop_min(trop_min(residual(c, p[0]), residual(c, p[1])), ZERO)
-    return p, cap, not _cmp(odot(cap, p[0]), c) and not _cmp(odot(cap, p[1]), c)
+    attains = not _cmp(odot(cap, p[0]), c) and not _cmp(odot(cap, p[1]), c)
+    return p, cap, attains, "(TropVector([" + ", ".join(map(str, p)) + "]), "
 
 
 @lru_cache(maxsize=64)
@@ -385,11 +387,10 @@ def _y_points(i: int) -> tuple:
 _Y_WEIGHT_TEXT = "Trop" "Scalar('{}')"
 
 
-def _y_sample_text(atoms) -> str:
-    parts = [
-        "(TropVector([" + ", ".join(map(str, p)) + "]), " + _Y_WEIGHT_TEXT.format(w) + ")"
-        for p, w in atoms
-    ]
+def _y_sample_text(atoms, texts: dict) -> str:
+    """The digest text of a sample's atoms; `texts` maps each atom's point
+    to its part of the text, as `_y_entry` spells it."""
+    parts = [texts[p] + _Y_WEIGHT_TEXT.format(w) + ")" for p, w in atoms]
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
@@ -436,13 +437,13 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
         if rng.random() < 0.8:
             # at c = 0 the diagonal is the origin alone, and nothing is drawn
             picks.append(rng.choice(diagonal) if c != 0 else diagonal[0])
-        attain = [k for k, (_, _, hits) in enumerate(picks) if hits]
+        attain = [k for k, (_, _, hits, _) in enumerate(picks) if hits]
         if not attain:
             infeasible += 1
             continue
         keep = {rng.choice(attain), 0}
         pairs = []
-        for k, (p, cap, _) in enumerate(picks):
+        for k, (p, cap, _, _) in enumerate(picks):
             if k in keep:
                 pairs.append((p, cap))
             elif rng.random() >= 0.2:
@@ -460,7 +461,7 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
         if rho(val, nu_val) < gap:
             raise TropibaryError("sample closer to nu than the certified gap")
         feasible += 1
-        digest.update(_y_sample_text(mu.atoms).encode())
+        digest.update(_y_sample_text(mu.atoms, {p: text for p, _, _, text in picks}).encode())
         if len(exhibits) < 5:
             exhibits.append(
                 {

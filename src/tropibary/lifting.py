@@ -43,6 +43,7 @@ from .core import (
     Scalar,
     TropVector,
     _cmp,
+    _dot,
     _ratio,
     odot,
     oplus,
@@ -365,12 +366,18 @@ def _lift_coordinate(x, y, params, target, bounds) -> LiftWitness:
     lo, hi = bounds
     if not (type(lo) is Fraction and type(hi) is Fraction and _cmp(lo, hi) <= 0):
         raise BadInput("interval bounds must be finite and ordered")
+    _inside(x, y, target, lo, hi)
+    return _oriented(_lift_scalar, x, y, params, target, lo, hi)
+
+
+def _inside(x, y, target, lo: Fraction, hi: Fraction) -> None:
+    """Refuse a first point, second point or target that is not a finite
+    scalar in [lo, hi]."""
     for value, name in ((x, "first point"), (y, "second point"), (target, "target")):
         if type(value) is not Fraction:
             raise BadInput(f"{name} must be finite")
         if _cmp(value, lo) < 0 or _cmp(value, hi) > 0:
             raise BadInput(f"{name} {value} outside [{lo}, {hi}]")
-    return _oriented(_lift_scalar, x, y, params, target, lo, hi)
 
 
 def _lift_scalar(x, y, params, target, lo, hi) -> LiftWitness:
@@ -501,11 +508,11 @@ def lift_beta(nu: IdemMeasure, target, host) -> IdemMeasure:
     atoms.insert(0, atoms.pop(z))
     prefix = [atoms[0][0]]
     for x, w in atoms[1:-1]:
-        prefix.append(recombine(prefix[-1], x, ConvexParams(0, w)))
+        prefix.append(recombine(prefix[-1], x, ConvexParams(ZERO, w)))
     pairs = []
     above, shift = target, ZERO
     for (x, w), below in zip(reversed(atoms[1:]), reversed(prefix)):
-        lift = host.lift_s(below, x, ConvexParams(0, w), above)
+        lift = host.lift_s(below, x, ConvexParams(ZERO, w), above)
         pairs.append((lift.lifted_second, odot(lift.params.p, shift)))
         above, shift = lift.lifted_first, odot(lift.params.t, shift)
     pairs.append((above, shift))
@@ -760,7 +767,13 @@ def brute_force_lift_box(
     with one shared parameter pair; coordinates decouple once the pair is
     fixed.  Each coordinate's values are its lattice, x, y, the target and
     the target less either candidate parameter when that lies in the
-    interval; the pick is the option nearest (x, y) in that coordinate."""
+    interval; the pick is the option nearest (x, y) in that coordinate.
+    Points and a target outside the box are refused, as `lift_s_box`
+    refuses them."""
+    if not (x.dim == y.dim == target.dim == box.dim):
+        raise BadInput("box lift inputs of mixed dimension")
+    for j in range(box.dim):
+        _inside(x[j], y[j], target[j], *box.interval(j))
     pool = _finite_values(*x.coords, *y.coords, *target.coords, params.t, params.p)
     grids = []
     for j in range(box.dim):
@@ -810,8 +823,9 @@ def brute_force_lift_beta(
         for k in range(1, nu.atom_count + 1):
             for combo in itertools.combinations(atom_cands, k):
                 viewed = _tick(viewed)
-                if any(not _cmp(w, ZERO) for _, w in combo) and all(
-                    not _cmp(oplus_all(odot(w, p[j]) for p, w in combo), target[j]) for j in range(box.dim)
+                weights = [w for _, w in combo]
+                if any(not _cmp(w, ZERO) for w in weights) and all(
+                    not _cmp(_dot(weights, col), x) for col, x in zip(zip(*[p.coords for p, _ in combo]), target)
                 ):
                     yield IdemMeasure(list(combo))
 

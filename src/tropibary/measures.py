@@ -14,11 +14,16 @@ tuple itself.
 Without a space, atoms are points (`TropVector`) or measures themselves
 (for spaces of measures).  Such measures are kept in canonical form:
 duplicate atoms merged by max, -inf weights dropped, atoms sorted
-deterministically.
+deterministically.  Point atoms get it from one sort on `core._point_key`
+(integer tuples) and one pass that merges equal neighbours into the
+first-seen atom object, with no hashing; measure atoms merge in a dict
+and sort by `_atom_key`.
 
 The functional view is `mu(phi)` = max over atoms of weight + phi(atom),
 which satisfies the three defining laws checked in the test suite:
 constants map to themselves, shifts factor out, and max is preserved.
+It is one `core._dot` of the weights with the values of phi, as are the
+values `measure_dist` compares.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .core import (
     Scalar,
     TropVector,
     _cmp,
+    _dot,
     _parse,
     _point_key,
     _sign,
@@ -199,8 +205,9 @@ class IdemMeasure:
     On a finite space the measure is its weight tuple, one scalar per
     point (`density()`), and `atoms` is the index-ordered view of its
     (index, weight) pairs above -inf.  Over points or measures, `atoms`
-    is the canonical form itself: duplicates merged by max, -inf dropped,
-    sorted by `_atom_key`.
+    is the canonical form itself: duplicates merged by max into the first
+    seen, -inf dropped, sorted by `_atom_key` (points by `_point_key`,
+    which orders them the same way).
     """
 
     __slots__ = ("space", "atoms", "_weights")
@@ -238,28 +245,27 @@ class IdemMeasure:
                 weights = [odot(w, -top) for w in weights]
             self._fill(space, tuple(weights))
             return
-        merged: dict = {}
-        for atom, weight in checked:
-            first = merged.setdefault(atom, weight)
-            if first is not weight:
-                merged[atom] = oplus(first, weight)
-        if len({type(a) for a in merged}) > 1:
+        if len({type(a) for a, _ in checked}) > 1:
             raise BadInput("atoms of mixed kinds in one measure")
         if len(dims) > 1:
             raise DimensionMismatch("point atoms of mixed dimension")
-        top = oplus_all(merged.values()) if merged else NEG_INF
+        if dims:
+            merged = _merged_points(checked)
+        else:
+            merged = {}
+            for atom, weight in checked:
+                first = merged.setdefault(atom, weight)
+                if first is not weight:
+                    merged[atom] = oplus(first, weight)
+            merged = sorted(merged.items(), key=lambda aw: _atom_key(aw[0]))
+        top = oplus_all(w for _, w in merged)
         if top is NEG_INF:
             raise NotNormalized("a measure needs at least one atom above -inf")
         if _cmp(top, ZERO):
             if not renormalize:
                 raise NotNormalized(f"max weight is {top}, expected 0")
-            merged = {a: odot(w, -top) for a, w in merged.items()}
-        kept = [(a, w) for a, w in merged.items() if w is not NEG_INF]
-        if type(kept[0][0]) is TropVector:
-            key = _point_key([a for a, _ in kept])
-            kept.sort(key=lambda aw: key(aw[0]))
-        else:
-            kept.sort(key=lambda aw: _atom_key(aw[0]))
+            merged = [(a, odot(w, -top)) for a, w in merged]
+        kept = [(a, w) for a, w in merged if w is not NEG_INF]
         if space is not None:
             raise BadInput("measures on a finite space must use index atoms")
         self.atoms = tuple(kept)
@@ -345,7 +351,7 @@ class IdemMeasure:
         if isinstance(phi, FunctionTable):
             if self.space is None or phi.space != self.space:
                 raise SpaceMismatch("table and measure live on different spaces")
-        return oplus_all(odot(w, phi(a)) for a, w in self.atoms)
+        return _dot([w for _, w in self.atoms], (phi(a) for a, _ in self.atoms))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdemMeasure):
@@ -360,6 +366,24 @@ class IdemMeasure:
     def __repr__(self) -> str:
         inner = ", ".join(f"{a!r}: {w}" for a, w in self.atoms)
         return f"IdemMeasure({{{inner}}})"
+
+
+def _merged_points(pairs: list) -> list:
+    """(point, weight) pairs over finite points of one dimension, sorted by
+    `_point_key`, with equal points merged by max into the first seen: one
+    sort, then one pass over neighbours, and no hashing."""
+    key = _point_key([a for a, _ in pairs])
+    keyed = sorted([(key(a), k) for k, (a, _) in enumerate(pairs)])
+    merged = []
+    last = None
+    for point_key, k in keyed:
+        atom, weight = pairs[k]
+        if point_key == last:
+            merged[-1] = (merged[-1][0], oplus(merged[-1][1], weight))
+        else:
+            merged.append((atom, weight))
+            last = point_key
+    return merged
 
 
 def _dense(space: FiniteSpace, weights: tuple) -> IdemMeasure:
@@ -440,14 +464,16 @@ def pushforward(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
 
 @lru_cache(maxsize=64)
 def _affine_tests(dim: int) -> tuple:
-    """32 max-plus affine functions phi(x) = const oplus max_j (coeffs[j]
-    odot x_j) on R_max^dim, as (coeffs, const) pairs: coefficients on the
-    grid -2, -15/8, ..., 0, drawn from `random.Random(0)`."""
+    """32 max-plus affine functions phi(x) = const oplus max_j (c_j odot
+    x_j) on R_max^dim, each as the pair ((0, c_1, ..., c_dim), const), so
+    that phi(x) = `_dot`((0, c_1, ..., c_dim), (const, *x)): coefficients
+    and constants on the grid -2, -15/8, ..., 0, drawn from
+    `random.Random(0)`."""
     grid = [Fraction(k, 8) for k in range(-16, 1)]
     rng = random.Random(0)
     tests = []
     for _ in range(32):
-        coeffs = tuple(rng.choice(grid) for _ in range(dim))
+        coeffs = (ZERO, *(rng.choice(grid) for _ in range(dim)))
         tests.append((coeffs, rng.choice(grid)))
     return tuple(tests)
 
@@ -459,8 +485,9 @@ def _space_values(mu: IdemMeasure) -> tuple:
     points = mu.space.points
     if points is None:
         return mu._weights
-    projections = (oplus_all(odot(w, points[i][j]) for i, w in mu.atoms) for j in range(points[0].dim))
-    return mu._weights + tuple(projections)
+    weights = [w for _, w in mu.atoms]
+    columns = zip(*[points[i].coords for i, _ in mu.atoms])
+    return mu._weights + tuple([_dot(weights, col) for col in columns])
 
 
 def _point_values(mu: IdemMeasure) -> list:
@@ -472,15 +499,16 @@ def _point_values(mu: IdemMeasure) -> list:
     exactly, because odot distributes over oplus and the weights of mu
     peak at 0, so an affine value costs O(dim) instead of O(atoms * dim).
     """
-    atoms = mu.atoms
-    dim = atoms[0][0].dim
-    beta = [oplus_all(odot(w, p[j]) for p, w in atoms) for j in range(dim)]
+    weights = [w for _, w in mu.atoms]
+    columns = list(zip(*[p.coords for p, _ in mu.atoms]))
+    beta = [_dot(weights, col) for col in columns]
     values = list(beta)
+    dim = len(columns)
     for i in range(dim):
         for j in range(i + 1, dim):
-            values.append(oplus_all(odot(w, trop_min(p[i], p[j])) for p, w in atoms))
+            values.append(_dot(weights, map(trop_min, columns[i], columns[j])))
     for coeffs, const in _affine_tests(dim):
-        values.append(oplus(oplus_all(map(odot, coeffs, beta)), const))
+        values.append(_dot(coeffs, (const, *beta)))
     return values
 
 

@@ -6,9 +6,10 @@ import pathlib
 
 import pytest
 
-from tropibary.core import TropVector, rho, scalar
+from tropibary.core import ZERO, TropVector, rho, scalar
 from tropibary.errors import BadInput
 from tropibary.geometry import (
+    _y_entry,
     _y_sample_text,
     certify_id_oplus_not_open,
     certify_y_beta_not_open,
@@ -161,8 +162,9 @@ class TestIssuedCertificates:
     def test_sample_text_spells_the_issued_bytes(self):
         one = ((TropVector([-1, -1]), scalar(0)),)
         two = one + ((TropVector(["-15/32", "-15/32"]), scalar("-1/32")),)
-        assert _y_sample_text(one) == "((TropVector([-1, -1]), TropScalar('0')),)"
-        assert _y_sample_text(two) == (
+        texts = {p: _y_entry(p, ZERO)[3] for p, _ in two}
+        assert _y_sample_text(one, texts) == "((TropVector([-1, -1]), TropScalar('0')),)"
+        assert _y_sample_text(two, texts) == (
             "((TropVector([-1, -1]), TropScalar('0')), "
             "(TropVector([-15/32, -15/32]), TropScalar('-1/32')))"
         )

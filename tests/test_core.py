@@ -19,6 +19,7 @@ from tropibary.core import (
     ZERO,
     ConvexParams,
     TropVector,
+    _dot,
     _vector,
     odot,
     oplus,
@@ -496,6 +497,60 @@ def test_errors_from_the_callers_items_keep_their_wording():
         oplus_all(items())
     with pytest.raises(BadInput, match="^residual is undefined for \\+inf operands$"):
         oplus_all(residual(Fraction(0), x) for x in (Fraction(1), POS_INF))
+
+
+# -- the max-plus product kernel against the fold it replaces -----------------
+
+# Values far above and below the float range, on the wide denominators.
+huge_q = st.builds(
+    lambda sign, k, d: Fraction(sign * 10**400 + k, d),
+    st.sampled_from([-1, 1]),
+    st.integers(-(10**6), 10**6),
+    wide_denominator,
+)
+dot_scalar = st.one_of(wide_q, huge_q, st.sampled_from([ZERO, NEG_INF, POS_INF]))
+# Now and then a term holds a non-scalar.
+dot_term = st.one_of(dot_scalar, dot_scalar, dot_scalar, st.sampled_from(NON_SCALARS))
+
+
+def reference_dot(coeffs, values):
+    """The product as one odot per term, folded by oplus_all."""
+    return oplus_all(map(odot, coeffs, values))
+
+
+@given(st.lists(st.tuples(dot_term, dot_term), max_size=6))
+@example([])
+@example([(NEG_INF, Fraction(1)), (Fraction(1), NEG_INF)])
+@example([(ZERO, Fraction(-1, 3)), (Fraction(-1, 6), Fraction(-1, 6))])
+@example([(Fraction(10**400 + 1, 3), Fraction(-(10**400), 3)), (ZERO, Fraction(1, 3))])
+@example([(POS_INF, ZERO), (Fraction(1), 0.5)])
+@example([(ZERO, "1/2"), (NEG_INF, None), (POS_INF, 1)])
+@example([(Fraction(-1, 2), True)])
+def test_dot_is_the_fold_of_odot_and_oplus_all(terms):
+    coeffs = [c for c, _ in terms]
+    values = [v for _, v in terms]
+    try:
+        want = reference_dot(coeffs, values)
+    except BadInput as exc:
+        with pytest.raises(BadInput) as info:
+            _dot(coeffs, values)
+        assert str(info.value) == str(exc)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+        return
+    assert same_scalar(_dot(coeffs, values), want)
+    assert same_scalar(_dot(iter(coeffs), iter(values)), want)
+
+
+def test_dot_keeps_a_zero_coefficient_term_and_the_callers_errors():
+    v = Fraction(-1, 3)
+    assert _dot([ZERO, Fraction(-1)], [v, Fraction(0)]) is v
+
+    def values():
+        yield Fraction(1)
+        raise AttributeError("the caller's own fault")
+
+    with pytest.raises(AttributeError, match="^the caller's own fault$"):
+        _dot([ZERO, ZERO], values())
 
 
 # -- the point layer's fast paths against the Fraction semantics they replace --

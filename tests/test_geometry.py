@@ -209,11 +209,12 @@ class TestHookPieces:
         for i in (1, 2, 3, 8):
             normalizer, legs, diagonal = _y_points(i)
             c = Fraction(-1) + Fraction(1, i)
-            for p, cap, attains in [normalizer, *diagonal, *(entry for leg in legs for entry in leg)]:
+            for p, cap, attains, text in [normalizer, *diagonal, *(entry for leg in legs for entry in leg)]:
                 assert on_hook(p)
                 assert hull_membership(y_polytope(), p) is not None
                 assert cap == min(c - p[0], c - p[1], 0)
                 assert attains is (cap + p[0] == c == cap + p[1])
+                assert text == f"(TropVector([{p[0]}, {p[1]}]), "
 
     def test_hull_points_lie_on_pieces(self):
         # the hull is exactly the three one-dimensional pieces

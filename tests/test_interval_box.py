@@ -151,6 +151,23 @@ class TestIntervalRejections:
         with pytest.raises(BadInput, match="has no rational value"):
             brute_force_lift_interval(scalar(-1), scalar(-1), ConvexParams("0", "0"), scalar(-1), bounds)
 
+    @pytest.mark.parametrize(
+        "x, y, target, message",
+        [
+            ("-1", "-1", "5", r"^target 5 outside \[-2, 0\]$"),
+            ("1/2", "-1", "-1", r"^first point 1/2 outside \[-2, 0\]$"),
+            ("-1", "-3", "-1", r"^second point -3 outside \[-2, 0\]$"),
+            ("-1", "-inf", "-1", r"^second point must be finite$"),
+        ],
+        ids=["target-above", "first-above", "second-below", "second-minus-inf"],
+    )
+    def test_oracle_refuses_what_the_lift_refuses(self, x, y, target, message):
+        # the oracle answers only where the constructive lift may: inside [lo, hi]
+        args = (scalar(x), scalar(y), ConvexParams("0", "0"), scalar(target), BOUNDS)
+        for call in (lift_s_interval, lambda *a: brute_force_lift_interval(*a, mode="exists")):
+            with pytest.raises(BadInput, match=message):
+                call(*args)
+
 
 class TestBoxLift:
     def test_coordinatewise_tags_and_shared_params(self):
@@ -209,6 +226,22 @@ class TestBoxLift:
         assert w.params == params
         assert s_point(w.lifted_first, w.lifted_second, params) == target
         assert BOX.contains(w.lifted_first) and BOX.contains(w.lifted_second)
+
+    @pytest.mark.parametrize(
+        "y, target, message",
+        [
+            (("-1", "-3"), ("-1", "-1"), r"^second point -3 outside \[-2, 0\]$"),
+            (("-1", "-1"), ("-1", "1/4"), r"^target 1/4 outside \[-2, 0\]$"),
+        ],
+        ids=["second-below", "target-above"],
+    )
+    def test_oracle_refuses_points_outside_the_box(self, y, target, message):
+        args = (TropVector(("-1", "-1")), TropVector(y), ConvexParams("0", "0"), TropVector(target), BOX)
+        for mode in ("exists", "best"):
+            with pytest.raises(BadInput, match=message):
+                brute_force_lift_box(*args, mode=mode)
+        with pytest.raises(BadInput, match=message):
+            lift_s_box(*args)
 
     def test_oracle_agreement_on_frozen_instance(self):
         x = TropVector(("-1", "-1/2"))

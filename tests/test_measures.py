@@ -15,6 +15,7 @@ from tropibary.core import (
     ZERO,
     ConvexParams,
     TropVector,
+    _point_key,
     odot,
     oplus,
     oplus_all,
@@ -327,7 +328,59 @@ def reference_point_atoms(pairs, renormalize):
     return tuple(sorted((c, w) for c, w in best.items() if w is not NEG_INF))
 
 
+def reference_dict_merge(pairs, renormalize):
+    """A point measure's canonical atoms as a dict merge builds them: equal
+    points merged by max into the first-seen atom (the dict key), the
+    mixed-dimension, all -inf and maximum checks, -inf dropped, then a sort
+    by `_point_key`."""
+    merged = {}
+    for atom, weight in pairs:
+        weight = scalar(weight)
+        first = merged.setdefault(atom, weight)
+        if first is not weight:
+            merged[atom] = oplus(first, weight)
+    if len({a.dim for a in merged}) > 1:
+        raise DimensionMismatch("point atoms of mixed dimension")
+    top = oplus_all(merged.values())
+    if top is NEG_INF:
+        raise NotNormalized("a measure needs at least one atom above -inf")
+    if top != ZERO:
+        if not renormalize:
+            raise NotNormalized(f"max weight is {top}, expected 0")
+        merged = {a: odot(w, -top) for a, w in merged.items()}
+    kept = [(a, w) for a, w in merged.items() if w is not NEG_INF]
+    key = _point_key([a for a, _ in kept])
+    return sorted(kept, key=lambda aw: key(aw[0]))
+
+
+@st.composite
+def shuffled_point_pairs(draw):
+    """Up to 8 (point, weight) pairs, then again some of them with a copy
+    of the point and another weight, all shuffled; one draw in five lets
+    the dimension vary."""
+    dim = draw(st.integers(1, 3))
+    dims = st.just(dim) if draw(st.integers(0, 4)) else st.integers(1, 3)
+    point = dims.flatmap(lambda d: st.lists(point_coordinate, min_size=d, max_size=d)).map(TropVector)
+    pairs = draw(st.lists(st.tuples(point, grid_weight), max_size=8))
+    pairs += [(TropVector(p.coords), draw(grid_weight)) for p, _ in pairs if draw(st.booleans())]
+    return draw(st.permutations(pairs))
+
+
 class TestPointAtoms:
+    @given(shuffled_point_pairs(), st.booleans())
+    @example([(TropVector([0]), NEG_INF), (TropVector([0]), ZERO)], False)
+    @example([(TropVector([0]), NEG_INF), (TropVector([-1]), NEG_INF)], True)
+    @example([(TropVector([0]), ZERO), (TropVector([0, 0]), ZERO)], False)
+    @example([(TropVector(["-1/3"]), scalar("-1")), (TropVector([0]), "-1/2"), (TropVector(["-1/3"]), "-1/4")], True)
+    def test_sort_and_merge_matches_the_dict_merge(self, pairs, renormalize):
+        want = outcome(lambda: reference_dict_merge(pairs, renormalize))
+        got = outcome(lambda: IdemMeasure(pairs, renormalize=renormalize))
+        if not isinstance(got, IdemMeasure):
+            assert got == want
+            return
+        assert [id(a) for a, _ in got.atoms] == [id(a) for a, _ in want]
+        assert [(w, str(w)) for _, w in got.atoms] == [(w, str(w)) for _, w in want]
+
     @given(point_pairs(), st.booleans())
     @example([(TropVector([0]), ZERO), (TropVector([0]), scalar("-1"))], False)
     @example([(TropVector([Fraction(2, 7)]), scalar("-1")), (TropVector(["-1/3"]), ZERO)], False)
