@@ -15,7 +15,8 @@ import random
 from functools import lru_cache, reduce
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .barycenter import barycenter_point
 from .core import (
@@ -27,6 +28,7 @@ from .core import (
     _cmp,
     _combination,
     _dot,
+    _ratio,
     odot,
     oplus,
     oplus_all,
@@ -35,7 +37,7 @@ from .core import (
     scalar,
     trop_min,
 )
-from .errors import BadInput, DimensionMismatch, InfeasibleBarycenter, TropibaryError
+from .errors import BadInput, DimensionMismatch, InfeasibleBarycenter, NotNormalized, TropibaryError
 from .measures import FiniteSpace, FunctionTable, IdemMeasure, combine
 
 
@@ -363,7 +365,6 @@ def _y_entry(p: TropVector, c: Fraction) -> tuple:
     return p, cap, attains, "(TropVector([" + ", ".join(map(str, p)) + "]), "
 
 
-@lru_cache(maxsize=64)
 def _y_points(i: int) -> tuple:
     """What the y-beta sampler may draw for the target c_i, each point as a
     `_y_entry`: (the normalizer (-1, -1), the hook's three legs
@@ -378,6 +379,113 @@ def _y_points(i: int) -> tuple:
     return _y_entry(TropVector([-1, -1]), c), legs, diagonal
 
 
+class _YEntry(NamedTuple):
+    """A `_y_entry` at its table's denominator D: the point's rank in
+    coordinate order (equal points share one), x·D, y·D, min(x, y)·D,
+    cap·D, attains, the digest text and the point itself."""
+
+    rank: int
+    x: int
+    y: int
+    low: int
+    cap: int
+    attains: bool
+    text: str
+    point: TropVector
+
+
+class _YTable(NamedTuple):
+    """`_y_points(i)` over integers: D, the lcm of every denominator in
+    c_i, in _Y_DROPS and in the entries, c·D, each drop·D, and the
+    normalizer, legs and diagonal as `_YEntry`s."""
+
+    den: int
+    c: int
+    drops: tuple
+    normalizer: _YEntry
+    legs: tuple
+    diagonal: tuple
+
+
+@lru_cache(maxsize=64)
+def _y_table(i: int) -> _YTable:
+    normalizer, legs, diagonal = _y_points(i)
+    c = Fraction(-1) + Fraction(1, i)
+    flat = [normalizer, *diagonal, *(e for leg in legs for e in leg)]
+    den = lcm(*(q.denominator for q in (c, *_Y_DROPS)), *(q.denominator for p, cap, _, _ in flat for q in (*p, cap)))
+    ranks = {coords: rank for rank, coords in enumerate(sorted({p.coords for p, _, _, _ in flat}))}
+
+    def at(q: Fraction) -> int:
+        return q.numerator * (den // q.denominator)
+
+    def entry(e: tuple) -> _YEntry:
+        p, cap, attains, text = e
+        x, y = at(p[0]), at(p[1])
+        return _YEntry(ranks[p.coords], x, y, min(x, y), at(cap), attains, text, p)
+
+    return _YTable(
+        den,
+        at(c),
+        tuple(map(at, _Y_DROPS)),
+        entry(normalizer),
+        tuple(tuple(map(entry, leg)) for leg in legs),
+        tuple(map(entry, diagonal)),
+    )
+
+
+def _y_draw(table: _YTable, rng: random.Random) -> Optional[list]:
+    """One sample's (entry, weight·D) pairs in the order drawn, or None
+    when no pick attains c.  The picks are the normalizer, up to three leg
+    points and, 4 times in 5, a diagonal point.  The normalizer and one
+    attaining pick keep their cap; every other pick is left out 1 time in
+    5, else gets its cap plus a drop."""
+    picks = [table.normalizer] + [rng.choice(table.legs)[rng.randrange(3)] for _ in range(rng.randrange(4))]
+    if rng.random() < 0.8:
+        # at c = 0 the diagonal is the origin alone, and nothing is drawn
+        picks.append(rng.choice(table.diagonal) if table.c else table.diagonal[0])
+    attain = [k for k, e in enumerate(picks) if e.attains]
+    if not attain:
+        return None
+    keep = {rng.choice(attain), 0}
+    pairs = []
+    for k, e in enumerate(picks):
+        if k in keep:
+            pairs.append((e, e.cap))
+        elif rng.random() >= 0.2:
+            pairs.append((e, e.cap + rng.choice(table.drops)))
+    return pairs
+
+
+def _y_atoms(pairs: list) -> list:
+    """The pairs merged by rank, max weight into the first seen, and sorted
+    by rank: `IdemMeasure`'s canonical atoms at the table's denominator."""
+    merged = {}
+    for e, w in pairs:
+        first = merged.get(e.rank)
+        if first is None:
+            merged[e.rank] = (e, w)
+        elif w > first[1]:
+            merged[e.rank] = (first[0], w)
+    return [merged[rank] for rank in sorted(merged)]
+
+
+def _y_values(atoms: list) -> tuple:
+    """(top weight, barycenter x, barycenter y, value of min(x, y)) of the
+    atoms, each times D: max of w, w + x, w + y and w + min(x, y)."""
+    (e, top), *rest = atoms
+    bx, by, low = top + e.x, top + e.y, top + e.low
+    for e, w in rest:
+        if w > top:
+            top = w
+        if w + e.x > bx:
+            bx = w + e.x
+        if w + e.y > by:
+            by = w + e.y
+        if w + e.low > low:
+            low = w + e.low
+    return top, bx, by, low
+
+
 # The y-beta digest hashes, per sample, the text repr(mu.atoms) gave when
 # weights were objects of a scalar class W: "((TropVector([-1, -1]),
 # W('0')),)".  It is spelled out from str of coordinates and weights so
@@ -387,10 +495,15 @@ def _y_points(i: int) -> tuple:
 _Y_WEIGHT_TEXT = "Trop" "Scalar('{}')"
 
 
-def _y_sample_text(atoms, texts: dict) -> str:
-    """The digest text of a sample's atoms; `texts` maps each atom's point
-    to its part of the text, as `_y_entry` spells it."""
-    parts = [texts[p] + _Y_WEIGHT_TEXT.format(w) + ")" for p, w in atoms]
+def _y_sample_text(atoms: list, den: int, weight_texts: dict) -> str:
+    """The digest text of merged atoms at denominator den; `weight_texts`
+    caches each weight's part of the text by its numerator."""
+    parts = []
+    for e, w in atoms:
+        text = weight_texts.get(w)
+        if text is None:
+            text = weight_texts[w] = _Y_WEIGHT_TEXT.format(_ratio(w, den)) + ")"
+        parts.append(e.text + text)
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
@@ -402,6 +515,11 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     measure with barycenter c_i must put weight >= -1+1/i on a diagonal
     atom, so it evaluates min(x, y) to at least -1+1/i while nu evaluates
     it to -2: a gap bounded below by rho(-1+1/i, -2) > 0.
+
+    Each sample is checked over integers at the common denominator D of
+    `_y_table(i)`: its atoms have top weight 0, barycenter c_i and
+    min-table value at least c, and an atom reaching c in the first
+    coordinate is a diagonal point of weight at least c.
     """
     if i < 1:
         raise BadInput("the sequence index must be >= 1")
@@ -428,44 +546,37 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     feasible = 0
     infeasible = 0
     attempts = 0
-    normalizer, legs, diagonal = _y_points(i)
+    table = _y_table(i)
+    den, at_c = table.den, table.c
+    weight_texts = {}
     while feasible < samples:
         attempts += 1
         if attempts > samples * 20:
             raise InfeasibleBarycenter(f"sampling could not keep hitting {c_i!r}")
-        picks = [normalizer] + [rng.choice(legs)[rng.randrange(3)] for _ in range(rng.randrange(4))]
-        if rng.random() < 0.8:
-            # at c = 0 the diagonal is the origin alone, and nothing is drawn
-            picks.append(rng.choice(diagonal) if c != 0 else diagonal[0])
-        attain = [k for k, (_, _, hits, _) in enumerate(picks) if hits]
-        if not attain:
+        pairs = _y_draw(table, rng)
+        if pairs is None:
             infeasible += 1
             continue
-        keep = {rng.choice(attain), 0}
-        pairs = []
-        for k, (p, cap, _, _) in enumerate(picks):
-            if k in keep:
-                pairs.append((p, cap))
-            elif rng.random() >= 0.2:
-                pairs.append((p, odot(cap, rng.choice(_Y_DROPS))))
-        mu = IdemMeasure(pairs)
-        if barycenter_point(mu) != c_i:
+        atoms = _y_atoms(pairs)
+        top, bx, by, low = _y_values(atoms)
+        if top:
+            raise NotNormalized(f"max weight is {_ratio(top, den)}, expected 0")
+        if bx != at_c or by != at_c:
             raise TropibaryError("constructed sample missed the target barycenter")
-        val = mu(phi_min)
-        if _cmp(val, c) < 0:
+        val = _ratio(low, den)
+        if low < at_c:
             raise TropibaryError(f"min-table value {val} fell below {c}")
-        for p, w in mu.atoms:
-            if _cmp(odot(w, p[0]), c) == 0:
-                if _cmp(p[0], p[1]) or _cmp(w, c) < 0:
-                    raise TropibaryError("a coordinate witness left the diagonal")
+        for e, w in atoms:
+            if w + e.x == at_c and (e.x != e.y or w < at_c):
+                raise TropibaryError("a coordinate witness left the diagonal")
         if rho(val, nu_val) < gap:
             raise TropibaryError("sample closer to nu than the certified gap")
         feasible += 1
-        digest.update(_y_sample_text(mu.atoms, {p: text for p, _, _, text in picks}).encode())
+        digest.update(_y_sample_text(atoms, den, weight_texts).encode())
         if len(exhibits) < 5:
             exhibits.append(
                 {
-                    "atoms": [[str(p[0]), str(p[1]), str(w)] for p, w in mu.atoms],
+                    "atoms": [[str(e.point[0]), str(e.point[1]), str(_ratio(w, den))] for e, w in atoms],
                     "min_value": str(val),
                 }
             )

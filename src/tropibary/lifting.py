@@ -45,6 +45,7 @@ from .core import (
     _cmp,
     _dot,
     _ratio,
+    _vector,
     odot,
     oplus,
     oplus_all,
@@ -434,8 +435,8 @@ def lift_s_box(
         _lift_coordinate(x[j], y[j], params, target[j], box.interval(j)) for j in range(box.dim)
     ]
     witness = LiftWitness(
-        TropVector([w.lifted_first for w in parts]),
-        TropVector([w.lifted_second for w in parts]),
+        _vector(tuple([w.lifted_first for w in parts])),
+        _vector(tuple([w.lifted_second for w in parts])),
         params,
         ";".join(f"{j}:{w.case_tag}" for j, w in enumerate(parts)),
     )
@@ -804,7 +805,11 @@ def brute_force_lift_beta(
 ) -> Optional[IdemMeasure]:
     """Exhaustive search for measures on a coordinate grid whose
     barycenter hits the target exactly: 4 steps per coordinate, weights
-    0, -1/2, ..., -2."""
+    0, -1/2, ..., -2.  A target or atom outside the box is refused, as
+    `lift_beta` on a `BoxHost` refuses it."""
+    for point, name in ((target, "target"), *((atom, "atom") for atom, _ in nu.atoms)):
+        if not (isinstance(point, TropVector) and box.contains(point)):
+            raise BadInput(f"{name} {capped(repr(point))} is not a point of the box")
     weights = [Fraction(-2 * k, 4) for k in range(5)]
     pools = []
     for j in range(box.dim):

@@ -146,6 +146,25 @@ class TestBoxHostLift:
         assert found is not None
         assert barycenter_point(found) == target
 
+    @pytest.mark.parametrize("mode", ["exists", "best"])
+    def test_oracle_refuses_a_target_outside_the_box(self, mode):
+        # the oracle used to answer this target with a dirac at (1/2, -1)
+        nu = pm((("-1", "-1"), "0"))
+        target = TropVector(("1/2", "-1"))
+        with pytest.raises(BadInput, match=r"^target TropVector\(\[1/2, -1\]\) is not a point of the box$"):
+            brute_force_lift_beta(nu, target, BOX, mode=mode)
+        with pytest.raises(BadInput, match="is not a point of the host"):
+            lift_beta(nu, target, HOST)
+
+    @pytest.mark.parametrize("mode", ["exists", "best"])
+    def test_oracle_refuses_an_atom_outside_the_box(self, mode):
+        nu = pm((("-1", "-1"), "0"), (("-3", "-1"), "-1/2"))
+        target = TropVector(("-1", "-1"))
+        with pytest.raises(BadInput, match=r"^atom TropVector\(\[-3, -1\]\) is not a point of the box$"):
+            brute_force_lift_beta(nu, target, BOX, mode=mode)
+        with pytest.raises(BadInput, match="is not a point of the host"):
+            lift_beta(nu, target, HOST)
+
 
 class TestMeasureHostLift:
     def test_frozen_measure_of_measures_lift(self):

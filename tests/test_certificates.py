@@ -3,16 +3,36 @@
 import hashlib
 import json
 import pathlib
+import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
 
 import pytest
 
-from tropibary.core import ZERO, TropVector, rho, scalar
-from tropibary.errors import BadInput
+from tropibary import geometry
+from tropibary.barycenter import barycenter_point
+from tropibary.core import ZERO, TropVector, _cmp, _ratio, odot, rho, scalar
+from tropibary.errors import BadInput, InfeasibleBarycenter, TropibaryError
 from tropibary.geometry import (
+    _Y_DROPS,
+    _Y_WEIGHT_TEXT,
+    Certificate,
+    _y_atoms,
+    _y_draw,
     _y_entry,
+    _y_points,
     _y_sample_text,
+    _y_table,
+    _y_values,
+    _YEntry,
     certify_id_oplus_not_open,
     certify_y_beta_not_open,
+    extremal_points,
+    hull_membership,
+    phi_min,
+    y_polytope,
 )
 from tropibary.io import (
     certificate_from_json,
@@ -20,6 +40,7 @@ from tropibary.io import (
     dump_document,
     validate_document,
 )
+from tropibary.measures import IdemMeasure
 
 
 class TestIdOplusCertificate:
@@ -160,14 +181,235 @@ class TestIssuedCertificates:
         assert not certificate_from_json(doc).recheck()
 
     def test_sample_text_spells_the_issued_bytes(self):
-        one = ((TropVector([-1, -1]), scalar(0)),)
-        two = one + ((TropVector(["-15/32", "-15/32"]), scalar("-1/32")),)
-        texts = {p: _y_entry(p, ZERO)[3] for p, _ in two}
-        assert _y_sample_text(one, texts) == "((TropVector([-1, -1]), TropScalar('0')),)"
-        assert _y_sample_text(two, texts) == (
+        def atom(coords, weight):
+            # an (entry, weight) pair at denominator 32; the text reads
+            # only the entry's text and the weight
+            p = TropVector(coords)
+            return _YEntry(0, 0, 0, 0, 0, True, _y_entry(p, ZERO)[3], p), int(scalar(weight) * 32)
+
+        one = [atom(["-1", "-1"], "0")]
+        two = one + [atom(["-15/32", "-15/32"], "-1/32")]
+        texts = {}
+        assert _y_sample_text(one, 32, texts) == "((TropVector([-1, -1]), TropScalar('0')),)"
+        assert _y_sample_text(two, 32, texts) == (
             "((TropVector([-1, -1]), TropScalar('0')), "
             "(TropVector([-15/32, -15/32]), TropScalar('-1/32')))"
         )
+        assert texts == {0: "TropScalar('0'))", -1: "TropScalar('-1/32'))"}
+
+
+def reference_sample_text(atoms, texts: dict) -> str:
+    """The digest text of a sample's atoms as the sampler spelled it
+    before it checked samples over integers; `texts` maps each atom's
+    point to its part of the text, as `_y_entry` spells it."""
+    parts = [texts[p] + _Y_WEIGHT_TEXT.format(w) + ")" for p, w in atoms]
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+
+
+def reference_certify_y_beta(i: int, samples: int = 10000, seed: int = 7) -> Certificate:
+    """`certify_y_beta_not_open` as it was before it checked samples over
+    integers: each sample built as an `IdemMeasure` and checked through
+    `barycenter_point` and `mu(phi_min)`."""
+    if i < 1:
+        raise BadInput("the sequence index must be >= 1")
+    if samples < 1:
+        raise BadInput("a certificate needs at least one sample")
+    hull = y_polytope()
+    a = TropVector([-2, -1])
+    b = TropVector([-1, -2])
+    nu = IdemMeasure([(a, ZERO), (b, ZERO)])
+    c = Fraction(-1) + Fraction(1, i)
+    c_i = TropVector([c, c])
+    if hull_membership(hull, c_i) is None:
+        raise TropibaryError("diagonal target fell outside the hull")
+    center = barycenter_point(nu)
+    if center != TropVector([-1, -1]):
+        raise TropibaryError(f"barycenter of nu is {center!r}, expected (-1,-1)")
+    nu_val = nu(phi_min)
+    if nu_val != -2:
+        raise TropibaryError(f"nu evaluates the min table to {nu_val}, expected -2")
+    gap = rho(c, nu_val)
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    exhibits = []
+    feasible = 0
+    infeasible = 0
+    attempts = 0
+    normalizer, legs, diagonal = _y_points(i)
+    while feasible < samples:
+        attempts += 1
+        if attempts > samples * 20:
+            raise InfeasibleBarycenter(f"sampling could not keep hitting {c_i!r}")
+        picks = [normalizer] + [rng.choice(legs)[rng.randrange(3)] for _ in range(rng.randrange(4))]
+        if rng.random() < 0.8:
+            # at c = 0 the diagonal is the origin alone, and nothing is drawn
+            picks.append(rng.choice(diagonal) if c != 0 else diagonal[0])
+        attain = [k for k, (_, _, hits, _) in enumerate(picks) if hits]
+        if not attain:
+            infeasible += 1
+            continue
+        keep = {rng.choice(attain), 0}
+        pairs = []
+        for k, (p, cap, _, _) in enumerate(picks):
+            if k in keep:
+                pairs.append((p, cap))
+            elif rng.random() >= 0.2:
+                pairs.append((p, odot(cap, rng.choice(_Y_DROPS))))
+        mu = IdemMeasure(pairs)
+        if barycenter_point(mu) != c_i:
+            raise TropibaryError("constructed sample missed the target barycenter")
+        val = mu(phi_min)
+        if _cmp(val, c) < 0:
+            raise TropibaryError(f"min-table value {val} fell below {c}")
+        for p, w in mu.atoms:
+            if _cmp(odot(w, p[0]), c) == 0:
+                if _cmp(p[0], p[1]) or _cmp(w, c) < 0:
+                    raise TropibaryError("a coordinate witness left the diagonal")
+        if rho(val, nu_val) < gap:
+            raise TropibaryError("sample closer to nu than the certified gap")
+        feasible += 1
+        digest.update(reference_sample_text(mu.atoms, {p: text for p, _, _, text in picks}).encode())
+        if len(exhibits) < 5:
+            exhibits.append(
+                {
+                    "atoms": [[str(p[0]), str(p[1]), str(w)] for p, w in mu.atoms],
+                    "min_value": str(val),
+                }
+            )
+    ext = set(extremal_points(hull))
+    ext_ok = ext == {a, b, TropVector([0, 0])}
+    data = {
+        "target_point": [str(c), str(c)],
+        "nu_min_value": "-2",
+        "min_value_lower_bound": str(c),
+        "gap": gap,
+        "feasible": feasible,
+        "infeasible_rejected": infeasible,
+        "extremal_points_ok": ext_ok,
+        "exhibits": exhibits,
+        "digest": digest.hexdigest(),
+    }
+    verdict = feasible == samples and ext_ok
+    return Certificate(
+        claim="y-beta-not-open",
+        params={"i": i, "samples": samples, "seed": seed},
+        data=data,
+        verdict=verdict,
+    )
+
+
+class TestIntegerSampler:
+    """The y-beta certifier checks each sample over integers at the common
+    denominator of `_y_table(i)`; it must issue what the sampler that
+    built every sample as an `IdemMeasure` issued."""
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4, 5, 7, 8, 16, 100])
+    def test_same_certificate_as_the_measure_sampler(self, i):
+        # i = 1 is the c = 0 branch; 5, 7 and 100 give denominators other than 16
+        for seed in range(25):
+            for samples in (1, 7, 50):
+                got = certify_y_beta_not_open(i, samples=samples, seed=seed)
+                want = reference_certify_y_beta(i, samples=samples, seed=seed)
+                assert (got.data, got.verdict) == (want.data, want.verdict), (i, seed, samples)
+
+    @pytest.mark.parametrize("i", [1, 5, 8])
+    def test_every_sample_is_the_measure_it_stands_for(self, i):
+        table = _y_table(i)
+        den = table.den
+        c = Fraction(-1) + Fraction(1, i)
+        rng = random.Random(7)
+        drawn = 0
+        for _ in range(400):
+            pairs = _y_draw(table, rng)
+            if pairs is None:
+                continue
+            drawn += 1
+            mu = IdemMeasure([(e.point, _ratio(w, den)) for e, w in pairs])
+            atoms = _y_atoms(pairs)
+            assert [(e.point, _ratio(w, den)) for e, w in atoms] == list(mu.atoms)
+            # the first-seen point object is the one kept
+            assert all(e.point is p for (e, _), (p, _) in zip(atoms, mu.atoms))
+            top, bx, by, low = _y_values(atoms)
+            assert top == 0
+            assert TropVector([_ratio(bx, den), _ratio(by, den)]) == barycenter_point(mu) == TropVector([c, c])
+            assert _ratio(low, den) == mu(phi_min)
+        assert drawn > 300
+
+    def test_table_is_the_points_at_one_denominator(self):
+        for i in (1, 5, 7, 100):
+            table = _y_table(i)
+            den = table.den
+            normalizer, legs, diagonal = _y_points(i)
+            pairs = [(normalizer, table.normalizer), *zip(diagonal, table.diagonal)]
+            pairs += [pair for leg, row in zip(legs, table.legs) for pair in zip(leg, row)]
+            c = Fraction(-1) + Fraction(1, i)
+            assert Fraction(table.c, den) == c
+            assert [Fraction(d, den) for d in table.drops] == _Y_DROPS
+            for (p, cap, attains, text), e in pairs:
+                assert (e.point, e.attains, e.text) == (p, attains, text)
+                assert Fraction(e.x, den) == p[0] and Fraction(e.y, den) == p[1]
+                assert Fraction(e.low, den) == min(p[0], p[1]) and Fraction(e.cap, den) == cap
+            # ranks order the points as their coordinates do; equal points share one
+            for (p, *_), e in pairs:
+                for (q, *_), f in pairs:
+                    assert (e.rank < f.rank) == (p.coords < q.coords)
+            assert table.normalizer.rank == table.legs[0][0].rank == table.legs[0][1].rank
+            assert table.legs[16][2].rank == table.diagonal[16].rank
+
+    @pytest.mark.parametrize("where", ["normalizer", "leg", "diagonal"])
+    def test_a_raised_cap_is_caught(self, monkeypatch, where):
+        monkeypatch.setattr(geometry, "_y_table", lambda i: sabotaged(_y_table(i), where))
+        with pytest.raises(TropibaryError):
+            certify_y_beta_not_open(8, samples=300, seed=7)
+
+    def test_a_raised_cap_is_caught_under_python_O(self):
+        # the checks are `if ... raise`, so they hold with assertions off
+        script = textwrap.dedent(
+            """
+            import sys
+            from tropibary import geometry
+            from tropibary.errors import TropibaryError
+            sys.path.insert(0, sys.argv[1])
+            from test_certificates import sabotaged
+
+            assert False, "assertions are on"
+            table = geometry._y_table
+            geometry._y_table = lambda i: sabotaged(table(i), sys.argv[2])
+            try:
+                geometry.certify_y_beta_not_open(8, samples=300, seed=7)
+            except TropibaryError as exc:
+                print(type(exc).__name__)
+            """
+        )
+        here = pathlib.Path(__file__).resolve().parent
+        src = str(here.parent / "src")
+        for where in ("normalizer", "diagonal"):
+            out = subprocess.run(
+                [sys.executable, "-O", "-c", script, str(here), where],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": src, "PATH": ""},
+                timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.split() == [{"normalizer": "NotNormalized", "diagonal": "TropibaryError"}[where]]
+
+
+def sabotaged(table, where: str):
+    """`table` with one cap raised by 1/16: the normalizer's, the first
+    leg point's at u = 1/2, or the diagonal point's at u = 1/2."""
+    def raised(e):
+        return e._replace(cap=e.cap + table.den // 16)
+
+    if where == "normalizer":
+        return table._replace(normalizer=raised(table.normalizer))
+    if where == "leg":
+        legs = list(table.legs)
+        legs[8] = (raised(legs[8][0]), *legs[8][1:])
+        return table._replace(legs=tuple(legs))
+    diagonal = list(table.diagonal)
+    diagonal[8] = raised(diagonal[8])
+    return table._replace(diagonal=tuple(diagonal))
 
 
 # sha256 of the issued document, `dump_document(certificate_to_json(...))`,

@@ -15,7 +15,7 @@ from tropibary.core import NEG_INF, POS_INF, ConvexParams, TropVector, odot, opl
 from tropibary.errors import BadInput, OutsideValidityRegion
 from tropibary.geometry import Box
 from tropibary.lifting import brute_force_lift_box, brute_force_lift_interval, lift_s_box, lift_s_interval
-from tropibary.sampling import spawn
+from tropibary.sampling import random_box, random_params, random_point, spawn
 
 BOUNDS = (scalar("-2"), scalar("0"))
 BOX = Box(TropVector(("-2", "-2")), TropVector(("0", "0")))
@@ -242,6 +242,32 @@ class TestBoxLift:
                 brute_force_lift_box(*args, mode=mode)
         with pytest.raises(BadInput, match=message):
             lift_s_box(*args)
+
+    def test_witness_points_are_what_the_checked_constructor_builds(self):
+        # the lift builds its two points without TropVector's coercion
+        # and checks; they must equal its output coordinate for coordinate
+        accepted = at_neg_inf = 0
+        for seed in range(200):
+            rng = spawn(seed, "box-lift-points")
+            box = random_box(rng, rng.randint(1, 3))
+            x, y = random_point(rng, box), random_point(rng, box)
+            params = random_params(rng, bottom_rate=0.3)
+            for target in (s_point(x, y, params), random_point(rng, box)):
+                try:
+                    w = lift_s_box(x, y, params, target, box)
+                except OutsideValidityRegion:
+                    continue
+                accepted += 1
+                at_neg_inf += params.t is NEG_INF
+                for point in (w.lifted_first, w.lifted_second):
+                    checked = TropVector(list(point.coords))
+                    assert all(type(c) is Fraction for c in point.coords)
+                    assert [(c.numerator, c.denominator) for c in point.coords] == [
+                        (c.numerator, c.denominator) for c in checked.coords
+                    ]
+                    assert point == checked and hash(point) == hash(checked)
+                    assert box.contains(point)
+        assert accepted > 200 and at_neg_inf > 0
 
     def test_oracle_agreement_on_frozen_instance(self):
         x = TropVector(("-1", "-1/2"))
