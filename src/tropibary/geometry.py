@@ -507,6 +507,26 @@ def _y_sample_text(atoms: list, den: int, weight_texts: dict) -> str:
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
+@lru_cache(maxsize=1)
+def _y_hook() -> tuple:
+    """What the y-beta certificate checks that does not depend on i, built
+    once per process: (the hook hull, nu's value on the min table, whether
+    the hull's extremal points are nu's two atoms and the origin).  A
+    failed check raises, and since a raise is not cached, it raises again
+    on every later call."""
+    hull = y_polytope()
+    a = TropVector([-2, -1])
+    b = TropVector([-1, -2])
+    nu = IdemMeasure([(a, ZERO), (b, ZERO)])
+    center = barycenter_point(nu)
+    if center != TropVector([-1, -1]):
+        raise TropibaryError(f"barycenter of nu is {center!r}, expected (-1,-1)")
+    nu_val = nu(phi_min)
+    if nu_val != -2:
+        raise TropibaryError(f"nu evaluates the min table to {nu_val}, expected -2")
+    return hull, nu_val, set(extremal_points(hull)) == {a, b, TropVector([0, 0])}
+
+
 def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Certificate:
     """Obstruction certificate for the barycenter map on the hook hull.
 
@@ -525,20 +545,11 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
         raise BadInput("the sequence index must be >= 1")
     if samples < 1:
         raise BadInput("a certificate needs at least one sample")
-    hull = y_polytope()
-    a = TropVector([-2, -1])
-    b = TropVector([-1, -2])
-    nu = IdemMeasure([(a, ZERO), (b, ZERO)])
+    hull, nu_val, ext_ok = _y_hook()
     c = Fraction(-1) + Fraction(1, i)
     c_i = TropVector([c, c])
     if hull_membership(hull, c_i) is None:
         raise TropibaryError("diagonal target fell outside the hull")
-    center = barycenter_point(nu)
-    if center != TropVector([-1, -1]):
-        raise TropibaryError(f"barycenter of nu is {center!r}, expected (-1,-1)")
-    nu_val = nu(phi_min)
-    if nu_val != -2:
-        raise TropibaryError(f"nu evaluates the min table to {nu_val}, expected -2")
     gap = rho(c, nu_val)
     rng = random.Random(seed)
     digest = hashlib.sha256()
@@ -580,8 +591,6 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
                     "min_value": str(val),
                 }
             )
-    ext = set(extremal_points(hull))
-    ext_ok = ext == {a, b, TropVector([0, 0])}
     data = {
         "target_point": [str(c), str(c)],
         "nu_min_value": "-2",

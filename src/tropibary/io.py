@@ -314,8 +314,8 @@ def space_from_json(doc: dict) -> FiniteSpace:
         points = [vector_from_json(p) for p in doc["points"]]
     n = doc.get("n")
     if n is None:
-        # schema guarantees labels or points are present when n is not
-        n = len(doc["labels"]) if doc.get("labels") else len(points)
+        # the schema requires labels or points without n; empty labels count none
+        n = len(doc["labels"]) if doc.get("labels") else len(points or ())
     return FiniteSpace(n, labels=doc.get("labels"), points=points)
 
 

@@ -11,11 +11,14 @@ that failed.
 The lifts share one scheme.  Each construction is written for params
 (t, 0); params with p < 0 go through the mirror rule `_oriented`, which
 lifts the swapped inputs and reads the witness back.  The fiber split is
-one closed form, symmetric in the two sides, so it needs no mirror.  Every
-accepted witness then passes one exactness gate: `recombine` recomputes
-the map it inverts and `errors.certify` raises `InexactWitness` unless the
-target comes back exactly.  The gate is a function call, not an
-`assert`, so it also runs under `python -O`.
+one closed form, symmetric in the two sides, so it needs no mirror; it
+checks, splits and certifies on the weight tuples of the measures, and
+builds measures only for its result.  Every accepted witness passes one
+exactness gate: `errors.certify` raises `InexactWitness` unless the
+witness maps back to its target exactly, as `recombine` recomputes it
+or, for the fiber split, as its three identities are recomputed on
+tuples.  The gate is a function call, not an `assert`, so it also runs
+under `python -O`.
 
 `brute_force_*` are independent oracles: they enumerate candidate
 witnesses over value-adapted grids and keep whatever recombines exactly,
@@ -70,9 +73,11 @@ from .measures import (
     FiniteSpace,
     IdemMeasure,
     SpaceMap,
+    _combined,
+    _dense,
+    _pushed,
     combine,
     measure_dist,
-    pushforward,
 )
 
 
@@ -331,29 +336,33 @@ def lift_fiber_surjection(
     nu_i) = nu_i.  The formula is symmetric in (t, mu) and (p, a), so it
     needs no mirror.  A failed precondition raises InconsistentFiber and
     the result is certified exactly.
+
+    Everything runs on the weight tuples: a pushforward is a max over each
+    fiber of `f.table`, a combination a pointwise max of shifted tuples,
+    and on a finite space two measures are equal when their tuples are.
+    The two result measures are the only ones built, once the three
+    identities hold.
     """
     if not f.is_surjective:
         raise BadInput("fiber lifts need a surjective map")
     if nu.space != f.source or mu.space != f.target or a.space != f.target:
         raise SpaceMismatch("fiber data does not match the map")
-    pushed = pushforward(f, nu).density()
-    image = combine(mu, a, params).density()
-    for j, (x, y) in enumerate(zip(pushed, image)):
+    nu_w, mu_w, a_w = nu.density(), mu.density(), a.density()
+    for j, (x, y) in enumerate(zip(_pushed(f, nu_w), _combined(params, mu_w, a_w))):
         if _cmp(x, y):
             raise InconsistentFiber(f"coordinate {j}: pushforward gives {x}, combination gives {y}")
 
-    def split(side: IdemMeasure, weight: Scalar) -> IdemMeasure:
+    def split(side: tuple, weight: Scalar) -> tuple:
         # one of t, p is 0, and nu_i - 0 is nu_i
-        shifted = nu.density() if _cmp(weight, ZERO) == 0 else [residual(v, weight) for v in nu.density()]
-        d = side.density()
-        return IdemMeasure.from_weights(f.source, [trop_min(d[k], v) for k, v in zip(f.table, shifted)])
+        shifted = nu_w if _cmp(weight, ZERO) == 0 else map(residual, nu_w, itertools.repeat(weight))
+        return tuple(map(trop_min, map(side.__getitem__, f.table), shifted))
 
-    lam, eta = split(mu, params.t), split(a, params.p)
+    lam, eta = split(mu_w, params.t), split(a_w, params.p)
     certify(
-        pushforward(f, lam) == mu and pushforward(f, eta) == a and combine(lam, eta, params) == nu,
+        _pushed(f, lam) == mu_w and _pushed(f, eta) == a_w and tuple(_combined(params, lam, eta)) == nu_w,
         "fiber witness does not push forward to (mu, a) or recombine to nu",
     )
-    return lam, eta
+    return _dense(f.source, lam), _dense(f.source, eta)
 
 
 # -- convex combinations of points in intervals and boxes --------------------

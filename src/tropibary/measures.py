@@ -404,14 +404,18 @@ def _times(c: Scalar, weights: tuple):
     return map(odot, repeat(c), weights)
 
 
+def _combined(params: ConvexParams, first: tuple, second: tuple):
+    """t odot first oplus p odot second on weight tuples, lazily."""
+    return map(oplus, _times(params.t, first), _times(params.p, second))
+
+
 def combine(first: IdemMeasure, second: IdemMeasure, params: ConvexParams) -> IdemMeasure:
     """Max-plus convex combination t odot first oplus p odot second."""
     space = first.space
     if second.space is not space and second.space != space:
         raise SpaceMismatch("cannot combine measures on different spaces")
     if space is not None:
-        joined = map(oplus, _times(params.t, first._weights), _times(params.p, second._weights))
-        return _dense(space, tuple(joined))
+        return _dense(space, tuple(_combined(params, first._weights, second._weights)))
     pairs = [(a, odot(params.t, w)) for a, w in first.atoms]
     pairs += [(a, odot(params.p, w)) for a, w in second.atoms]
     return IdemMeasure(pairs)
@@ -420,7 +424,7 @@ def combine(first: IdemMeasure, second: IdemMeasure, params: ConvexParams) -> Id
 class SpaceMap:
     """Total map between finite spaces, given by a target-index table."""
 
-    __slots__ = ("source", "target", "table")
+    __slots__ = ("source", "target", "table", "is_surjective")
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, table: Sequence[int]):
         tbl = tuple(table)
@@ -432,13 +436,10 @@ class SpaceMap:
         self.source = source
         self.target = target
         self.table = tbl
+        self.is_surjective = len(set(tbl)) == target.n
 
     def __call__(self, i: int) -> int:
         return self.table[i]
-
-    @property
-    def is_surjective(self) -> bool:
-        return set(self.table) == set(range(self.target.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpaceMap):
@@ -449,14 +450,19 @@ class SpaceMap:
         return f"SpaceMap({self.table!r})"
 
 
+def _pushed(f: SpaceMap, weights: tuple) -> tuple:
+    """The image weight tuple: the max of `weights` over each fiber of f."""
+    out = [NEG_INF] * f.target.n
+    for j, w in zip(f.table, weights):
+        out[j] = oplus(out[j], w)
+    return tuple(out)
+
+
 def pushforward(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
     """Image measure: weights of atoms with a common image merge by max."""
     if mu.space is not f.source and mu.space != f.source:
         raise SpaceMismatch("measure does not live on the map's source")
-    weights = [NEG_INF] * f.target.n
-    for j, w in zip(f.table, mu._weights):
-        weights[j] = oplus(weights[j], w)
-    return _dense(f.target, tuple(weights))
+    return _dense(f.target, _pushed(f, mu._weights))
 
 
 # -- distance ---------------------------------------------------------------

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .approximation import Cover, cover_approximation, cover_pieces, cover_reconstruction, refinement_sweep
 from .barycenter import barycenter_point
-from .core import NEG_INF, ZERO, ConvexParams, TropVector, odot, oplus, s_point
+from .core import NEG_INF, ZERO, ConvexParams, TropVector, _cmp, odot, oplus, s_point
 from .errors import InexactWitness, Rejection, TropibaryError
 from .geometry import (
     certify_id_oplus_not_open,
@@ -333,9 +333,9 @@ def suite_fiber(rng, seed, knobs, tally) -> list:
             for params in params_list:
                 image = combine(mu, a, params)
                 m = image.density()
-                fiber_vals = {m[1]} | {g for g in deep_grid if g < m[1]}
-                pairs = [(m[1], v) for v in sorted(fiber_vals)]
-                pairs += [(v, m[1]) for v in sorted(fiber_vals) if v != m[1]]
+                # deep_grid ascends, so this is the sorted grid below m[1]
+                below = [g for g in deep_grid if _cmp(g, m[1]) < 0]
+                pairs = [(m[1], v) for v in below] + [(m[1], m[1])] + [(v, m[1]) for v in below]
                 for v1, v2 in pairs:
                     nu = IdemMeasure.from_weights(source, [m[0], v1, v2])
                     cells += 1

@@ -115,6 +115,9 @@ DOCUMENTS = {
     "map_bool_n": {"source": {"n": True}, "target": {"labels": ["u"]}, "table": [0]},
     "map_negative": {"source": SPACE, "target": {"labels": ["u"]}, "table": [0, -1]},
     "poly_empty": {"generators": []},
+    # a space written with no labels has no points
+    "m_no_labels": {"space": {"labels": []}, **atoms(("a", "0"))},
+    "map_no_labels": {"source": SPACE, "target": {"labels": []}, "table": [0, 0]},
     "cover_bad_kind": {"elements": [{"kind": "ball", "low": ["-2"], "high": ["0"]}]},
     "inst_extra_key": {
         "kind": "interval",
@@ -488,6 +491,9 @@ MALFORMED = [
     ("approx", "--measure", "@em3", "--cover", "@cover_index_out"),
     ("ext", "--polytope", "@poly", "--svg", "@a_directory"),
     ("verify", "--suite", "measures", "--scale", "tiny", "--csv", "@a_directory"),
+    ("eval", "--measure", "@m_no_labels", "--table", "@table"),
+    ("barycenter", "@m_no_labels"),
+    ("pushforward", "--map", "@map_no_labels", "--measure", "@m"),
 ]
 
 

@@ -38,12 +38,13 @@ BOX = Box(TropVector([-2, -2]), TropVector([0, 0]))
 HALF = ConvexParams("-1/2", 0)
 
 
-def nudged(fn):
-    """fn with every negative finite result moved down by 1/16."""
+def nudged(fn, by=NUDGE):
+    """fn with every negative finite result moved by `by`: down by 1/16
+    unless told otherwise."""
 
     def wrong(*args):
         out = fn(*args)
-        return odot(out, NUDGE) if type(out) is Fraction and out < ZERO else out
+        return odot(out, by) if type(out) is Fraction and out < ZERO else out
 
     return wrong
 
@@ -83,6 +84,16 @@ CASES = {
     ),
     "lift_fiber_surjection": (
         lambda mp: mp.setattr(lifting, "trop_min", nudged(lifting.trop_min)),
+        lambda: lift_fiber_surjection(
+            weights(S4, "-1/8", 0, "-1/2", "-3/8"),
+            weights(S2, 0, "-1"),
+            weights(S2, "-3/4", 0),
+            ConvexParams("-1/8", 0),
+            SpaceMap(S4, S2, [0, 1, 1, 0]),
+        ),
+    ),
+    "lift_fiber_surjection/raised": (
+        lambda mp: mp.setattr(lifting, "trop_min", nudged(lifting.trop_min, -NUDGE)),
         lambda: lift_fiber_surjection(
             weights(S4, "-1/8", 0, "-1/2", "-3/8"),
             weights(S2, 0, "-1"),

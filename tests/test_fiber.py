@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropibary.core import ConvexParams
-from tropibary.errors import BadInput, InconsistentFiber, SpaceMismatch
+from tropibary import sampling
+from tropibary.core import NEG_INF, ZERO, ConvexParams, Scalar, _cmp, odot, residual, trop_min
+from tropibary.errors import BadInput, InconsistentFiber, SpaceMismatch, TropibaryError, certify
 from tropibary.lifting import MergeMap, lift_fiber_surjection, lift_merge_fiber
 from tropibary.measures import FiniteSpace, IdemMeasure, SpaceMap, combine, pushforward
 from tropibary.sampling import random_measure_on_space, random_params, spawn
@@ -167,3 +168,133 @@ class TestSurjectionFiber:
         assert pushforward(f, lam) == mu
         assert pushforward(f, eta) == a
         assert combine(lam, eta, params) == nu
+
+
+def reference_lift_fiber_surjection(nu, mu, a, params, f):
+    """`lift_fiber_surjection` as it was before it worked on weight tuples:
+    three pushforwards, two combinations and both splits built as
+    measures."""
+    if not f.is_surjective:
+        raise BadInput("fiber lifts need a surjective map")
+    if nu.space != f.source or mu.space != f.target or a.space != f.target:
+        raise SpaceMismatch("fiber data does not match the map")
+    pushed = pushforward(f, nu).density()
+    image = combine(mu, a, params).density()
+    for j, (x, y) in enumerate(zip(pushed, image)):
+        if _cmp(x, y):
+            raise InconsistentFiber(f"coordinate {j}: pushforward gives {x}, combination gives {y}")
+
+    def split(side: IdemMeasure, weight: Scalar) -> IdemMeasure:
+        # one of t, p is 0, and nu_i - 0 is nu_i
+        shifted = nu.density() if _cmp(weight, ZERO) == 0 else [residual(v, weight) for v in nu.density()]
+        d = side.density()
+        return IdemMeasure.from_weights(f.source, [trop_min(d[k], v) for k, v in zip(f.table, shifted)])
+
+    lam, eta = split(mu, params.t), split(a, params.p)
+    certify(
+        pushforward(f, lam) == mu and pushforward(f, eta) == a and combine(lam, eta, params) == nu,
+        "fiber witness does not push forward to (mu, a) or recombine to nu",
+    )
+    return lam, eta
+
+
+def outcome(lift, *args):
+    """The weight tuples of (lam, eta), or the refusal's class and message."""
+    try:
+        lam, eta = lift(*args)
+    except TropibaryError as exc:
+        return type(exc), str(exc)
+    assert lam.space == eta.space == args[-1].source
+    return lam.density(), eta.density()
+
+
+def grid_cells(lo: Fraction, every: int = 1):
+    """Every `every`-th cell of the fiber verify suite's merge grid with
+    bound lo, as (nu, mu, a, params); every fourth of them is followed by
+    the same cell with its first fiber weight lowered by 1/16, when that
+    is still a measure."""
+    grid = sampling.weight_grid(lo=lo)
+    deep = sampling.weight_grid(lo=2 * lo)
+    duos = sampling.normalized_pairs(grid)
+    params_list = [ConvexParams(t, 0) for t in grid] + [ConvexParams(0, t) for t in grid if t != ZERO]
+    cells = 0
+    for mu_w in duos:
+        mu = m(TGT, mu_w)
+        for a_w in duos:
+            a = m(TGT, a_w)
+            for params in params_list:
+                image = combine(mu, a, params).density()
+                below = [g for g in deep if g < image[1]]
+                pairs = [(image[1], v) for v in below + [image[1]]] + [(v, image[1]) for v in below]
+                for v1, v2 in pairs:
+                    cells += 1
+                    if cells % every:
+                        continue
+                    yield m(SRC, [image[0], v1, v2]), mu, a, params
+                    if cells % (4 * every) == 0 and ZERO in (image[0], v2):
+                        lowered = Fraction(-1, 16) if v1 is NEG_INF else odot(v1, Fraction(-1, 16))
+                        yield m(SRC, [image[0], lowered, v2]), mu, a, params
+
+
+WEIGHTS = st.sampled_from([NEG_INF] + [Fraction(-k, 8) for k in range(17)])
+
+
+@st.composite
+def fiber_instances(draw):
+    """A surjection and (nu, mu, a, params) on it: consistent by
+    construction, or three free measures that mostly are not."""
+    n_tgt = draw(st.integers(1, 3))
+    extra = draw(st.lists(st.integers(0, n_tgt - 1), max_size=3))
+    table = draw(st.permutations(list(range(n_tgt)) + extra))
+    f = SpaceMap(FiniteSpace(len(table)), FiniteSpace(n_tgt), table)
+
+    def measure(space):
+        ws = draw(st.lists(WEIGHTS, min_size=space.n, max_size=space.n))
+        ws[draw(st.integers(0, space.n - 1))] = ZERO
+        return m(space, ws)
+
+    tau = draw(WEIGHTS)
+    params = draw(st.sampled_from([ConvexParams(tau, 0), ConvexParams(0, tau)]))
+    if draw(st.booleans()):
+        lam0, eta0 = measure(f.source), measure(f.source)
+        return combine(lam0, eta0, params), pushforward(f, lam0), pushforward(f, eta0), params, f
+    return measure(f.source), measure(f.target), measure(f.target), params, f
+
+
+class TestAgainstTheMeasureLevelLift:
+    """The weight-tuple lift gives the measure-level lift's (lam, eta),
+    or its refusal with the same class and message."""
+
+    @pytest.mark.parametrize(
+        "lo, every, suite_cells",
+        [(Fraction(-1, 2), 1, 22131), (Fraction(-1), 16, 213139)],
+        ids=["whole-tiny-grid", "every-16th-default-cell"],
+    )
+    def test_verify_grid(self, lo, every, suite_cells):
+        f = MERGE.as_space_map()
+        seen = 0
+        for nu, mu, a, params in grid_cells(lo, every):
+            args = (nu, mu, a, params, f)
+            assert outcome(lift_fiber_surjection, *args) == outcome(reference_lift_fiber_surjection, *args), args
+            seen += 1
+        assert seen > suite_cells // every
+
+    @given(fiber_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_surjections(self, instance):
+        assert outcome(lift_fiber_surjection, *instance) == outcome(reference_lift_fiber_surjection, *instance)
+
+    @pytest.mark.parametrize(
+        "f, spaces",
+        [
+            (SpaceMap(SRC, TGT, [0, 0, 0]), (SRC, TGT, TGT)),
+            (MERGE.as_space_map(), (FiniteSpace(4), TGT, TGT)),
+            (MERGE.as_space_map(), (SRC, SRC, TGT)),
+        ],
+        ids=["not-surjective", "nu-off-source", "mu-off-target"],
+    )
+    def test_same_refusal_before_any_weight_is_read(self, f, spaces):
+        nu, mu, a = (m(space, [ZERO] * space.n) for space in spaces)
+        args = (nu, mu, a, ConvexParams(0, 0), f)
+        assert outcome(lift_fiber_surjection, *args) == outcome(reference_lift_fiber_surjection, *args)
+        assert isinstance(outcome(lift_fiber_surjection, *args)[1], str)

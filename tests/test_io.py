@@ -72,6 +72,12 @@ class TestSpaces:
     def test_n_derived_from_labels(self):
         assert space_from_json({"labels": ["x", "y", "z"]}).n == 3
 
+    def test_empty_labels_are_refused(self):
+        with pytest.raises(BadInput, match="at least one point"):
+            space_from_json({"labels": []})
+        with pytest.raises(BadInput, match="labels must be distinct and match the space size"):
+            space_from_json({"labels": [], "points": [["0"], ["-1"]]})
+
     def test_n_derived_from_points(self):
         space = space_from_json({"points": [["0"], ["-1"]]})
         assert space.n == 2
