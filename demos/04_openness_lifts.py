@@ -9,9 +9,8 @@ from tropibary.core import ConvexParams, TropVector, ZERO, rho, s_point, scalar
 from tropibary.errors import OutsideValidityRegion
 from tropibary.lifting import (
     BoxHost,
-    MergeMap,
     lift_beta,
-    lift_merge_fiber,
+    lift_fiber_surjection,
     lift_s_box,
     lift_s_finite,
     lift_s_interval,
@@ -19,7 +18,7 @@ from tropibary.lifting import (
 )
 from tropibary.geometry import Box
 from tropibary.barycenter import barycenter_point
-from tropibary.measures import FiniteSpace, IdemMeasure, combine, measure_dist, pushforward
+from tropibary.measures import FiniteSpace, IdemMeasure, SpaceMap, combine, measure_dist, pushforward
 
 
 def section(title):
@@ -69,16 +68,16 @@ def main():
     section("Lifting through a merge of two points")
     src = FiniteSpace(3, labels=("a", "b", "c"))
     tgt = FiniteSpace(2, labels=("a", "bc"))
-    merge = MergeMap(src, tgt)
+    merge = SpaceMap(src, tgt, [0, 1, 1])
     nu = IdemMeasure.from_weights(src, [ZERO, scalar("-1"), scalar("-1/2")])
     mu = IdemMeasure.from_weights(tgt, [ZERO, scalar("-3/10")])
     a = IdemMeasure.from_weights(tgt, [ZERO, scalar("-1/2")])
     fiber_params = ConvexParams("-1/5", 0)
-    lam, eta = lift_merge_fiber(nu, mu, a, fiber_params, merge)
+    lam, eta = lift_fiber_surjection(nu, mu, a, fiber_params, merge)
     print("lam:", [(src.labels[i], str(w)) for i, w in lam.atoms])
     print("eta:", [(src.labels[i], str(w)) for i, w in eta.atoms])
-    assert pushforward(merge.as_space_map(), lam) == mu
-    assert pushforward(merge.as_space_map(), eta) == a
+    assert pushforward(merge, lam) == mu
+    assert pushforward(merge, eta) == a
     assert combine(lam, eta, fiber_params) == nu
     print("both pushforwards and the combination recombine exactly")
 

@@ -15,7 +15,6 @@ import random
 from functools import lru_cache, reduce
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .barycenter import barycenter_point
@@ -356,33 +355,13 @@ _Y_PARAM_GRID = [Fraction(k, 16) for k in range(0, 17)]  # 0 .. 1 by 1/16
 _Y_DROPS = [-u for u in _Y_PARAM_GRID]  # 0 .. -1 by 1/16
 
 
-def _y_entry(p: TropVector, c: Fraction) -> tuple:
-    """(p, cap, attains, text): the largest weight w <= 0 with w odot p <=
-    (c, c) coordinatewise, whether it reaches c in both coordinates, and
-    p's part of the digest text (`_y_sample_text`)."""
-    cap = trop_min(trop_min(residual(c, p[0]), residual(c, p[1])), ZERO)
-    attains = not _cmp(odot(cap, p[0]), c) and not _cmp(odot(cap, p[1]), c)
-    return p, cap, attains, "(TropVector([" + ", ".join(map(str, p)) + "]), "
-
-
-def _y_points(i: int) -> tuple:
-    """What the y-beta sampler may draw for the target c_i, each point as a
-    `_y_entry`: (the normalizer (-1, -1), the hook's three legs
-    (-1-u, -1), (-1, -1-u) and (-1+u, -1+u) at each u of _Y_PARAM_GRID,
-    the diagonal points c + u(0 - c) at each u of _Y_PARAM_GRID)."""
-    c = Fraction(-1) + Fraction(1, i)
-    legs = tuple(
-        tuple(_y_entry(TropVector(q), c) for q in ([-1 - u, -1], [-1, -1 - u], [-1 + u, -1 + u]))
-        for u in _Y_PARAM_GRID
-    )
-    diagonal = tuple(_y_entry(TropVector([c - u * c, c - u * c]), c) for u in _Y_PARAM_GRID)
-    return _y_entry(TropVector([-1, -1]), c), legs, diagonal
-
-
 class _YEntry(NamedTuple):
-    """A `_y_entry` at its table's denominator D: the point's rank in
-    coordinate order (equal points share one), x·D, y·D, min(x, y)·D,
-    cap·D, attains, the digest text and the point itself."""
+    """A point the y-beta sampler may draw, at its table's denominator D:
+    the point's rank in coordinate order (equal points share one), x·D,
+    y·D, min(x, y)·D, cap·D for the largest weight cap <= 0 with cap odot
+    p <= (c, c) coordinatewise, whether cap odot p reaches c in both
+    coordinates, p's part of the digest text (`_y_sample_text`) and the
+    point itself."""
 
     rank: int
     x: int
@@ -395,9 +374,11 @@ class _YEntry(NamedTuple):
 
 
 class _YTable(NamedTuple):
-    """`_y_points(i)` over integers: D, the lcm of every denominator in
-    c_i, in _Y_DROPS and in the entries, c·D, each drop·D, and the
-    normalizer, legs and diagonal as `_YEntry`s."""
+    """What the y-beta sampler may draw for the target c_i, over integers
+    at D = 16·i: D, c·D, each drop·D, and as `_YEntry`s the normalizer
+    (-1, -1), the hook's three legs (-1-u, -1), (-1, -1-u) and (-1+u, -1+u)
+    at each u of _Y_PARAM_GRID, and the diagonal points c + u(0 - c) at
+    each u of _Y_PARAM_GRID."""
 
     den: int
     c: int
@@ -409,27 +390,27 @@ class _YTable(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _y_table(i: int) -> _YTable:
-    normalizer, legs, diagonal = _y_points(i)
+    # 16·i is a common denominator of c_i, the 1/16 grid, every point and every cap
+    den = 16 * i
     c = Fraction(-1) + Fraction(1, i)
-    flat = [normalizer, *diagonal, *(e for leg in legs for e in leg)]
-    den = lcm(*(q.denominator for q in (c, *_Y_DROPS)), *(q.denominator for p, cap, _, _ in flat for q in (*p, cap)))
-    ranks = {coords: rank for rank, coords in enumerate(sorted({p.coords for p, _, _, _ in flat}))}
-
-    def at(q: Fraction) -> int:
-        return q.numerator * (den // q.denominator)
-
-    def entry(e: tuple) -> _YEntry:
-        p, cap, attains, text = e
-        x, y = at(p[0]), at(p[1])
-        return _YEntry(ranks[p.coords], x, y, min(x, y), at(cap), attains, text, p)
-
+    legs = [TropVector(q) for u in _Y_PARAM_GRID for q in ([-1 - u, -1], [-1, -1 - u], [-1 + u, -1 + u])]
+    diagonal = [TropVector([c - u * c, c - u * c]) for u in _Y_PARAM_GRID]
+    points = [TropVector([-1, -1]), *legs, *diagonal]
+    at_c = int(c * den)
+    xy = [(int(p[0] * den), int(p[1] * den)) for p in points]
+    ranks = {q: rank for rank, q in enumerate(sorted(set(xy)))}
+    entries = []
+    for p, (x, y) in zip(points, xy):
+        cap = min(at_c - x, at_c - y, 0)
+        text = "(TropVector([" + ", ".join(map(str, p)) + "]), "
+        entries.append(_YEntry(ranks[x, y], x, y, min(x, y), cap, cap + x == at_c == cap + y, text, p))
     return _YTable(
         den,
-        at(c),
-        tuple(map(at, _Y_DROPS)),
-        entry(normalizer),
-        tuple(tuple(map(entry, leg)) for leg in legs),
-        tuple(map(entry, diagonal)),
+        at_c,
+        tuple(int(d * den) for d in _Y_DROPS),
+        entries[0],
+        tuple(tuple(entries[k : k + 3]) for k in range(1, len(legs) + 1, 3)),
+        tuple(entries[len(legs) + 1 :]),
     )
 
 
@@ -456,25 +437,20 @@ def _y_draw(table: _YTable, rng: random.Random) -> Optional[list]:
     return pairs
 
 
-def _y_atoms(pairs: list) -> list:
+def _y_atoms(pairs: list) -> tuple:
     """The pairs merged by rank, max weight into the first seen, and sorted
-    by rank: `IdemMeasure`'s canonical atoms at the table's denominator."""
+    by rank (`IdemMeasure`'s canonical atoms at the table's denominator),
+    then the atoms' top weight, barycenter x, barycenter y and value of
+    min(x, y), each times D: max of w, w + x, w + y and w + min(x, y)."""
     merged = {}
+    e, top = pairs[0]
+    bx, by, low = top + e.x, top + e.y, top + e.low
     for e, w in pairs:
         first = merged.get(e.rank)
         if first is None:
             merged[e.rank] = (e, w)
         elif w > first[1]:
             merged[e.rank] = (first[0], w)
-    return [merged[rank] for rank in sorted(merged)]
-
-
-def _y_values(atoms: list) -> tuple:
-    """(top weight, barycenter x, barycenter y, value of min(x, y)) of the
-    atoms, each times D: max of w, w + x, w + y and w + min(x, y)."""
-    (e, top), *rest = atoms
-    bx, by, low = top + e.x, top + e.y, top + e.low
-    for e, w in rest:
         if w > top:
             top = w
         if w + e.x > bx:
@@ -483,7 +459,7 @@ def _y_values(atoms: list) -> tuple:
             by = w + e.y
         if w + e.low > low:
             low = w + e.low
-    return top, bx, by, low
+    return [merged[rank] for rank in sorted(merged)], top, bx, by, low
 
 
 # The y-beta digest hashes, per sample, the text repr(mu.atoms) gave when
@@ -536,8 +512,8 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     atom, so it evaluates min(x, y) to at least -1+1/i while nu evaluates
     it to -2: a gap bounded below by rho(-1+1/i, -2) > 0.
 
-    Each sample is checked over integers at the common denominator D of
-    `_y_table(i)`: its atoms have top weight 0, barycenter c_i and
+    Each sample is checked over integers at the common denominator
+    D = 16·i of `_y_table(i)`: its atoms have top weight 0, barycenter c_i and
     min-table value at least c, and an atom reaching c in the first
     coordinate is a diagonal point of weight at least c.
     """
@@ -568,8 +544,7 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
         if pairs is None:
             infeasible += 1
             continue
-        atoms = _y_atoms(pairs)
-        top, bx, by, low = _y_values(atoms)
+        atoms, top, bx, by, low = _y_atoms(pairs)
         if top:
             raise NotNormalized(f"max weight is {_ratio(top, den)}, expected 0")
         if bx != at_c or by != at_c:

@@ -38,6 +38,7 @@ from .geometry import Box, Certificate, TropPolytope
 from .measures import FiniteSpace, FunctionTable, IdemMeasure, SpaceMap
 
 SCHEMA_VERSION = 1
+_MAX_SPACE_POINTS = 100_000  # the most points a space read from a document may have
 
 
 @lru_cache(maxsize=None)
@@ -316,6 +317,8 @@ def space_from_json(doc: dict) -> FiniteSpace:
     if n is None:
         # the schema requires labels or points without n; empty labels count none
         n = len(doc["labels"]) if doc.get("labels") else len(points or ())
+    if n > _MAX_SPACE_POINTS:
+        raise BadInput(f"a finite space has at most {_MAX_SPACE_POINTS} points")
     return FiniteSpace(n, labels=doc.get("labels"), points=points)
 
 

@@ -285,7 +285,8 @@ def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
 
 class MergeMap:
     """Surjection collapsing the last two source points onto the last
-    target point, identity elsewhere."""
+    target point, identity elsewhere.  Kept only for
+    `bench/fiber_sweep.py`; the library and demos build the `SpaceMap`."""
 
     __slots__ = ("source", "target", "_map")
 
@@ -311,7 +312,8 @@ def lift_merge_fiber(
     params: ConvexParams,
     merge: MergeMap,
 ) -> tuple[IdemMeasure, IdemMeasure]:
-    """The fiber lift through a merge map; see lift_fiber_surjection."""
+    """The fiber lift through a merge map; see lift_fiber_surjection.
+    Kept only for `bench/fiber_sweep.py`."""
     return lift_fiber_surjection(nu, mu, a, params, merge.as_space_map())
 
 
@@ -644,16 +646,6 @@ def _first_pick(ranked, viewed: int):
     return ([opts[0][0] for opts in ranked], [opts[0][1] for opts in ranked]), viewed
 
 
-def _zero_pick(ranked, viewed: int):
-    """`_search_assignment`'s pick, when some coordinate can put a 0 on
-    each side."""
-    can_zero_l = [any(not _cmp(l, ZERO) for l, _ in opts) for opts in ranked]
-    can_zero_b = [any(not _cmp(b, ZERO) for _, b in opts) for opts in ranked]
-    if not (any(can_zero_l) and any(can_zero_b)):
-        return None, viewed
-    return _search_assignment(ranked, can_zero_l, can_zero_b, viewed)
-
-
 def brute_force_lift_s(
     first: IdemMeasure,
     second: IdemMeasure,
@@ -689,15 +681,16 @@ def brute_force_lift_s(
             yield a, side(lam[i], a, cand.t), side(bet[i], a, cand.p), ranks[i]
 
     found = _grid_search(
-        pool, params, target, columns, _zero_pick, lambda w: IdemMeasure.from_weights(space, w)
+        pool, params, target, columns, _search_assignment, lambda w: IdemMeasure.from_weights(space, w)
     )
     return _select(found, mode, lambda w: witness_distance(w, first, second, params))
 
 
-def _search_assignment(per_coord, can_zero_l, can_zero_b, viewed: int):
+def _search_assignment(per_coord, viewed: int):
     """Depth-first pick of one option per coordinate with both weight
     vectors forced to reach 0 somewhere; returns the pick (or None) and
-    the updated count of viewed candidates.
+    the updated count of viewed candidates.  When no coordinate can put a
+    0 on one side, it returns None at once and counts no view.
 
     The search runs on an explicit stack, one frame per coordinate
     being picked, so a space of any size fits; it visits, and counts,
@@ -705,8 +698,12 @@ def _search_assignment(per_coord, can_zero_l, can_zero_b, viewed: int):
     """
     n = len(per_coord)
     # reach_l[i]: some coordinate from i on can put a 0 on the first side
-    reach_l = list(itertools.accumulate(reversed(can_zero_l), bool.__or__))[::-1]
-    reach_b = list(itertools.accumulate(reversed(can_zero_b), bool.__or__))[::-1]
+    reach_l, reach_b = [False] * (n + 1), [False] * (n + 1)
+    for i in reversed(range(n)):
+        reach_l[i] = reach_l[i + 1] or any(not _cmp(l, ZERO) for l, _ in per_coord[i])
+        reach_b[i] = reach_b[i + 1] or any(not _cmp(b, ZERO) for _, b in per_coord[i])
+    if not (reach_l[0] and reach_b[0]):
+        return None, viewed
     picked = []
     frames = []  # (options left, has_l, has_b) of each coordinate being picked
     has_l = has_b = False

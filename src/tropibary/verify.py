@@ -34,10 +34,9 @@ from .geometry import (
 )
 from .lifting import (
     BoxHost,
-    MergeMap,
     brute_force_lift_s,
     lift_beta,
-    lift_merge_fiber,
+    lift_fiber_surjection,
     lift_s_box,
     lift_s_interval,
     lift_s_finite,
@@ -48,6 +47,7 @@ from .measures import (
     FiniteSpace,
     FunctionTable,
     IdemMeasure,
+    SpaceMap,
     combine,
     measure_dist,
     pushforward,
@@ -310,12 +310,12 @@ def suite_combination_lift(rng, seed, knobs, tally) -> list:
 @suite("fiber")
 def suite_fiber(rng, seed, knobs, tally) -> list:
     """Every cell of the weight grid.  The sweep is exhaustive, so the
-    seed is irrelevant here.  `lift_merge_fiber` certifies the three
-    identities (both pushforwards and the recombination) itself, so the
-    identities row counts the cells that passed that gate."""
+    seed is irrelevant here.  The map merges the last two of three points;
+    `lift_fiber_surjection` certifies the three identities (both
+    pushforwards and the recombination) itself, so the identities row
+    counts the cells that passed that gate."""
     source, target = FiniteSpace(3), FiniteSpace(2)
-    merge = MergeMap(source, target)
-    f = merge.as_space_map()
+    f = SpaceMap(source, target, [0, 1, 1])
     grid = sampling.weight_grid(lo=knobs["fiber_lo"])
     deep_grid = sampling.weight_grid(lo=2 * knobs["fiber_lo"])
     duos = sampling.normalized_pairs(grid)
@@ -340,7 +340,7 @@ def suite_fiber(rng, seed, knobs, tally) -> list:
                     nu = IdemMeasure.from_weights(source, [m[0], v1, v2])
                     cells += 1
                     try:
-                        lift_merge_fiber(nu, mu, a, params, merge)
+                        lift_fiber_surjection(nu, mu, a, params, f)
                     except Rejection as exc:
                         consistent.check(False, f"cell {cells}: {exc}")
                         continue
@@ -359,7 +359,7 @@ def suite_fiber(rng, seed, knobs, tally) -> list:
                         if pushforward(f, broken) == image:
                             continue
                         try:
-                            lift_merge_fiber(broken, mu, a, params, merge)
+                            lift_fiber_surjection(broken, mu, a, params, f)
                             rejects.check(False, f"cell {cells} accepted a corrupted fiber")
                         except Rejection:
                             rejects.check(True)

@@ -13,19 +13,17 @@ import pytest
 
 from tropibary import geometry
 from tropibary.barycenter import barycenter_point
-from tropibary.core import ZERO, TropVector, _cmp, _ratio, odot, rho, scalar
+from tropibary.core import ZERO, TropVector, _cmp, _ratio, odot, residual, rho, scalar, trop_min
 from tropibary.errors import BadInput, InfeasibleBarycenter, TropibaryError
 from tropibary.geometry import (
     _Y_DROPS,
+    _Y_PARAM_GRID,
     _Y_WEIGHT_TEXT,
     Certificate,
     _y_atoms,
     _y_draw,
-    _y_entry,
-    _y_points,
     _y_sample_text,
     _y_table,
-    _y_values,
     _YEntry,
     certify_id_oplus_not_open,
     certify_y_beta_not_open,
@@ -185,7 +183,7 @@ class TestIssuedCertificates:
             # an (entry, weight) pair at denominator 32; the text reads
             # only the entry's text and the weight
             p = TropVector(coords)
-            return _YEntry(0, 0, 0, 0, 0, True, _y_entry(p, ZERO)[3], p), int(scalar(weight) * 32)
+            return _YEntry(0, 0, 0, 0, 0, True, reference_point_text(p), p), int(scalar(weight) * 32)
 
         one = [atom(["-1", "-1"], "0")]
         two = one + [atom(["-15/32", "-15/32"], "-1/32")]
@@ -198,10 +196,38 @@ class TestIssuedCertificates:
         assert texts == {0: "TropScalar('0'))", -1: "TropScalar('-1/32'))"}
 
 
+def reference_point_text(p: TropVector) -> str:
+    """A point's part of a sample's digest text."""
+    return "(TropVector([" + ", ".join(map(str, p)) + "]), "
+
+
+def reference_y_points(i: int) -> tuple:
+    """What the y-beta sampler may draw for the target c_i, in Fractions,
+    each point as (p, cap, attains, text): the largest weight cap <= 0
+    with cap odot p <= (c, c) coordinatewise, whether it reaches c in both
+    coordinates, and p's part of the digest text.  The points are the
+    normalizer (-1, -1), the hook's three legs (-1-u, -1), (-1, -1-u) and
+    (-1+u, -1+u) at each u of _Y_PARAM_GRID, and the diagonal points
+    c + u(0 - c) at each u of _Y_PARAM_GRID."""
+    c = Fraction(-1) + Fraction(1, i)
+
+    def entry(p):
+        cap = trop_min(trop_min(residual(c, p[0]), residual(c, p[1])), ZERO)
+        attains = not _cmp(odot(cap, p[0]), c) and not _cmp(odot(cap, p[1]), c)
+        return p, cap, attains, reference_point_text(p)
+
+    legs = tuple(
+        tuple(entry(TropVector(q)) for q in ([-1 - u, -1], [-1, -1 - u], [-1 + u, -1 + u]))
+        for u in _Y_PARAM_GRID
+    )
+    diagonal = tuple(entry(TropVector([c - u * c, c - u * c])) for u in _Y_PARAM_GRID)
+    return entry(TropVector([-1, -1])), legs, diagonal
+
+
 def reference_sample_text(atoms, texts: dict) -> str:
     """The digest text of a sample's atoms as the sampler spelled it
     before it checked samples over integers; `texts` maps each atom's
-    point to its part of the text, as `_y_entry` spells it."""
+    point to its part of the text."""
     parts = [texts[p] + _Y_WEIGHT_TEXT.format(w) + ")" for p, w in atoms]
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
@@ -235,7 +261,7 @@ def reference_certify_y_beta(i: int, samples: int = 10000, seed: int = 7) -> Cer
     feasible = 0
     infeasible = 0
     attempts = 0
-    normalizer, legs, diagonal = _y_points(i)
+    normalizer, legs, diagonal = reference_y_points(i)
     while feasible < samples:
         attempts += 1
         if attempts > samples * 20:
@@ -325,11 +351,10 @@ class TestIntegerSampler:
                 continue
             drawn += 1
             mu = IdemMeasure([(e.point, _ratio(w, den)) for e, w in pairs])
-            atoms = _y_atoms(pairs)
+            atoms, top, bx, by, low = _y_atoms(pairs)
             assert [(e.point, _ratio(w, den)) for e, w in atoms] == list(mu.atoms)
             # the first-seen point object is the one kept
             assert all(e.point is p for (e, _), (p, _) in zip(atoms, mu.atoms))
-            top, bx, by, low = _y_values(atoms)
             assert top == 0
             assert TropVector([_ratio(bx, den), _ratio(by, den)]) == barycenter_point(mu) == TropVector([c, c])
             assert _ratio(low, den) == mu(phi_min)
@@ -339,10 +364,11 @@ class TestIntegerSampler:
         for i in (1, 5, 7, 100):
             table = _y_table(i)
             den = table.den
-            normalizer, legs, diagonal = _y_points(i)
+            normalizer, legs, diagonal = reference_y_points(i)
             pairs = [(normalizer, table.normalizer), *zip(diagonal, table.diagonal)]
             pairs += [pair for leg, row in zip(legs, table.legs) for pair in zip(leg, row)]
             c = Fraction(-1) + Fraction(1, i)
+            assert den == 16 * i
             assert Fraction(table.c, den) == c
             assert [Fraction(d, den) for d in table.drops] == _Y_DROPS
             for (p, cap, attains, text), e in pairs:

@@ -118,6 +118,9 @@ DOCUMENTS = {
     # a space written with no labels has no points
     "m_no_labels": {"space": {"labels": []}, **atoms(("a", "0"))},
     "map_no_labels": {"source": SPACE, "target": {"labels": []}, "table": [0, 0]},
+    # a space given by a size over the cap, refused before it is built
+    "m_huge_space": {"space": {"n": 1_000_000_000}, **atoms(("a", "0"))},
+    "map_huge_target": {"source": SPACE, "target": {"n": 1_000_000_000}, "table": [0, 0]},
     "cover_bad_kind": {"elements": [{"kind": "ball", "low": ["-2"], "high": ["0"]}]},
     "inst_extra_key": {
         "kind": "interval",
@@ -494,6 +497,8 @@ MALFORMED = [
     ("eval", "--measure", "@m_no_labels", "--table", "@table"),
     ("barycenter", "@m_no_labels"),
     ("pushforward", "--map", "@map_no_labels", "--measure", "@m"),
+    ("eval", "--measure", "@m_huge_space", "--table", "@table"),
+    ("pushforward", "--map", "@map_huge_target", "--measure", "@m"),
 ]
 
 

@@ -11,7 +11,7 @@ from tropibary.errors import BadInput, DimensionMismatch, TropibaryError
 from tropibary.geometry import (
     Box,
     TropPolytope,
-    _y_points,
+    _y_table,
     extremal_points,
     hull_membership,
     id_space,
@@ -205,16 +205,19 @@ def on_hook(p: TropVector) -> bool:
 
 class TestHookPieces:
     def test_piece_membership(self):
-        # the y-beta certificate draws its points from _y_points(i)
-        for i in (1, 2, 3, 8):
-            normalizer, legs, diagonal = _y_points(i)
+        # every entry of the table the y-beta certificate draws from
+        for i in (1, 2, 3, 5, 7, 8, 100):
+            table = _y_table(i)
+            den = table.den
             c = Fraction(-1) + Fraction(1, i)
-            for p, cap, attains, text in [normalizer, *diagonal, *(entry for leg in legs for entry in leg)]:
+            for e in [table.normalizer, *table.diagonal, *(entry for leg in table.legs for entry in leg)]:
+                p = e.point
                 assert on_hook(p)
                 assert hull_membership(y_polytope(), p) is not None
+                cap = Fraction(e.cap, den)
                 assert cap == min(c - p[0], c - p[1], 0)
-                assert attains is (cap + p[0] == c == cap + p[1])
-                assert text == f"(TropVector([{p[0]}, {p[1]}]), "
+                assert e.attains is (cap + p[0] == c == cap + p[1])
+                assert e.text == f"(TropVector([{p[0]}, {p[1]}]), "
 
     def test_hull_points_lie_on_pieces(self):
         # the hull is exactly the three one-dimensional pieces

@@ -14,6 +14,7 @@ from tropibary.approximation import Cover, IndexElement
 from tropibary.core import NEG_INF, SCALAR_TEXT, ZERO, ConvexParams, TropVector, scalar
 from tropibary.errors import QUOTE_CAP, BadInput, SchemaError
 from tropibary.geometry import Box, TropPolytope, certify_id_oplus_not_open
+from tropibary import io as io_module
 from tropibary.io import (
     _acceptor,
     _compile,
@@ -77,6 +78,17 @@ class TestSpaces:
             space_from_json({"labels": []})
         with pytest.raises(BadInput, match="labels must be distinct and match the space size"):
             space_from_json({"labels": [], "points": [["0"], ["-1"]]})
+
+    def test_oversized_spaces_are_refused(self, monkeypatch):
+        for n in (100_001, 10**9):
+            with pytest.raises(BadInput, match="at most 100000 points"):
+                space_from_json({"n": n})
+        # the cap is inclusive, and no space over it gets built
+        monkeypatch.setattr(io_module, "_MAX_SPACE_POINTS", 3)
+        assert space_from_json({"n": 3}).n == space_from_json({"labels": ["x", "y", "z"]}).n == 3
+        for doc in ({"n": 4}, {"labels": ["w", "x", "y", "z"]}, {"points": [["0"], ["-1"], ["-2"], ["-3"]]}):
+            with pytest.raises(BadInput, match="at most 3 points"):
+                space_from_json(doc)
 
     def test_n_derived_from_points(self):
         space = space_from_json({"points": [["0"], ["-1"]]})

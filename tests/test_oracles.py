@@ -157,25 +157,38 @@ def test_lattice_matches_the_fraction_formula(steps):
             ]
 
 
+def reference_pick(per_coord, viewed):
+    """The finite oracle's pick as it was two functions: no search, and no
+    view counted, when one side cannot reach 0 at any coordinate; else the
+    recursive search on the per-coordinate flags."""
+    can_zero_l = [any(l == ZERO for l, _ in opts) for opts in per_coord]
+    can_zero_b = [any(b == ZERO for _, b in opts) for opts in per_coord]
+    if not (any(can_zero_l) and any(can_zero_b)):
+        return None, viewed
+    return reference_search_assignment(per_coord, can_zero_l, can_zero_b, viewed)
+
+
 def test_pick_matches_the_recursive_search():
     rng = random.Random("pick")
     values = (ZERO, Fraction(-1), Fraction(-1, 2), NEG_INF)
+    early = 0
     for _ in range(400):
         per_coord = [
             [(rng.choice(values), rng.choice(values)) for _ in range(rng.randint(1, 3))]
             for _ in range(rng.randint(1, 7))
         ]
-        can_zero_l = [any(l == ZERO for l, _ in opts) for opts in per_coord]
-        can_zero_b = [any(b == ZERO for _, b in opts) for opts in per_coord]
-        want = reference_search_assignment(per_coord, can_zero_l, can_zero_b, 5)
-        assert lifting._search_assignment(per_coord, can_zero_l, can_zero_b, 5) == want
+        want = reference_pick(per_coord, 5)
+        assert lifting._search_assignment(per_coord, 5) == want
+        early += want == (None, 5)
+    # both the early return and the search are exercised
+    assert 0 < early < 400
+    assert lifting._search_assignment([], 5) == reference_pick([], 5) == (None, 5)
 
 
 def test_pick_runs_past_the_recursion_limit():
     n = 3000
     per_coord = [[(NEG_INF, NEG_INF), (ZERO, ZERO)]] * n
-    can_zero = [True] * n
-    (lam, bet), viewed = lifting._search_assignment(per_coord, can_zero, can_zero, 0)
+    (lam, bet), viewed = lifting._search_assignment(per_coord, 0)
     # the first option everywhere but the last coordinate, which needs the zeros
     assert lam[:-1] == bet[:-1] == [NEG_INF] * (n - 1) and lam[-1] == bet[-1] == ZERO
     assert viewed == n + 2
