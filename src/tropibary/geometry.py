@@ -15,6 +15,7 @@ import random
 from functools import lru_cache, reduce
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .barycenter import barycenter_point
@@ -26,10 +27,7 @@ from .core import (
     TropVector,
     _cmp,
     _combination,
-    _dot,
     _ratio,
-    odot,
-    oplus,
     oplus_all,
     residual,
     rho,
@@ -155,55 +153,60 @@ def extremal_points(
     against the decomposition definition on sampled combinations; a
     refutation would indicate an internal inconsistency and raises.
     A sample draws coefficient vectors a and b for y and z and a
-    parameter pair (t, p); since odot distributes over oplus,
-    s(y, z) = t odot y oplus p odot z is the one combination
-    oplus_i (t odot a_i oplus p odot b_i) odot g_i of the generators g_i.
-    That combination is compared with the survivor a coordinate at a
-    time, and y and z are built only when it equals the survivor.
+    parameter pair (t, p) on the 1/8 grid, all over integers at
+    D = lcm(8, every survivor coordinate's denominator), with -inf as
+    None.  `_s_reaches` compares s(y, z) with the survivor a coordinate
+    at a time, and y and z are built only when it equals the survivor.
     """
     survivors = list(poly.generators)
     k = 0
-    while k < len(survivors):
-        if len(survivors) == 1:
-            break
-        rest = survivors[:k] + survivors[k + 1 :]
-        if hull_membership(TropPolytope(rest), survivors[k]) is not None:
+    while 1 < len(survivors) and k < len(survivors):
+        if hull_membership(TropPolytope(survivors[:k] + survivors[k + 1 :]), survivors[k]) is not None:
             survivors.pop(k)
         else:
             k += 1
     if samples > 0:
         rng = random.Random(seed)
-        grid = [Fraction(n, 8) for n in range(-16, 1)]
-        sub = TropPolytope(survivors)
-        for v in survivors:
+        n = len(survivors)
+        den = lcm(8, *(x.denominator for g in survivors for x in g.coords))
+        grid = [j * den // 8 for j in range(-16, 1)]
+        columns = [[int(x * den) for x in col] for col in zip(*[g.coords for g in survivors])]
+
+        def draw():
+            coeffs = [rng.choice(grid) if rng.random() < 0.8 else None for _ in range(n)]
+            coeffs[rng.randrange(n)] = 0
+            return coeffs
+
+        for v, target in zip(survivors, zip(*columns)):
             for _ in range(samples):
-                a = _random_coeffs(sub, rng, grid)
-                b = _random_coeffs(sub, rng, grid)
-                t = rng.choice(grid) if rng.random() < 0.9 else NEG_INF
-                p = ZERO if t < ZERO or rng.random() < 0.5 else rng.choice(grid)
-                params = ConvexParams(t, p)
-                coeffs = [oplus(odot(params.t, x), odot(params.p, y)) for x, y in zip(a, b)]
-                if _combination_is(sub.generators, coeffs, v):
-                    y, z = sub.combination(a), sub.combination(b)
-                    if y != v and z != v:
+                a, b = draw(), draw()
+                t = rng.choice(grid) if rng.random() < 0.9 else None
+                # a valid convex pair by construction: t < 0 or t = -inf forces p = 0
+                p = 0 if t is None or t < 0 or rng.random() < 0.5 else rng.choice(grid)
+                if _s_reaches(t, p, a, b, columns, target):
+                    y, z = ([NEG_INF if x is None else _ratio(x, den) for x in w] for w in (a, b))
+                    if _combination(survivors, y) != v and _combination(survivors, z) != v:
                         raise TropibaryError(f"extremality of {v!r} refuted by a sampled decomposition")
     return tuple(survivors)
 
 
-def _combination_is(points: Sequence[TropVector], coeffs: Sequence[Scalar], v: TropVector) -> bool:
-    """Whether oplus_i coeffs[i] odot points[i] equals the finite point v,
-    judged one coordinate at a time up to the first that differs."""
-    for col, x in zip(zip(*[point.coords for point in points]), v.coords):
-        if _cmp(_dot(coeffs, col), x):
+def _s_reaches(t, p, a, b, columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
+    """Whether t odot y oplus p odot z = oplus_i (t odot a_i oplus p odot
+    b_i) odot g_i equals target, for y and z the combinations of the g_i
+    (columns[j] holds their j-th coordinates) with coefficients a and b,
+    over integers with -inf as None, up to the first coordinate that differs."""
+    live = []
+    for k, (x, y) in enumerate(zip(a, b)):
+        left = None if t is None or x is None else t + x
+        right = None if p is None or y is None else p + y
+        if left is None or (right is not None and right > left):
+            left = right
+        if left is not None:
+            live.append((k, left))
+    for col, goal in zip(columns, target):
+        if max([c + col[k] for k, c in live]) != goal:
             return False
     return True
-
-
-def _random_coeffs(poly: TropPolytope, rng: random.Random, grid) -> list[Scalar]:
-    n = len(poly.generators)
-    coeffs = [rng.choice(grid) if rng.random() < 0.8 else NEG_INF for _ in range(n)]
-    coeffs[rng.randrange(n)] = ZERO
-    return coeffs
 
 
 # -- replayable certificates -------------------------------------------------
@@ -230,16 +233,11 @@ class Certificate:
         other than the integers i, samples and seed) never passes, and
         neither does one that sampled nothing, since it certifies nothing."""
         rebuild = _REBUILDERS.get(self.claim)
-        params = self.params
-        if (
-            rebuild is None
-            or set(params) != {"i", "samples", "seed"}
-            or not all(type(v) is int for v in params.values())
-            or params["samples"] < 1
-        ):
+        if rebuild is None or set(self.params) != {"i", "samples", "seed"}:
             return False
         try:
-            fresh = rebuild(**params)
+            # a certifier raises BadInput on parameters it could not have issued
+            fresh = rebuild(**self.params)
         except BadInput:
             return False
         return fresh.verdict == self.verdict and fresh.data == self.data
@@ -262,19 +260,35 @@ def separating_table(space: FiniteSpace) -> FunctionTable:
 _ID_TAIL_GRID = [Fraction(-k, 16) for k in range(1, 65)]  # -1/16 .. -4 by 1/16
 
 
+def _check_params(i, samples, seed) -> None:
+    """Refuse parameters other than ints (bools too), i < 1 and samples < 1."""
+    if not all(type(x) is int for x in (i, samples, seed)):
+        raise BadInput("a certificate's index, samples and seed must be ints")
+    if i < 1:
+        raise BadInput("the sequence index must be >= 1")
+    if samples < 1:
+        raise BadInput("a certificate needs at least one sample")
+
+
 @lru_cache(maxsize=64)
 def _id_weights(i: int) -> tuple:
-    """The weights a split of nu_(-1/i) may put at atom 0, each as
-    (measure with weights (w, 0), str(w)) on one shared space: (space,
-    the weight eps = -1/i, -inf, then eps + k for each k of
-    _ID_TAIL_GRID)."""
-    space = id_space()
+    """The weights a split of nu_(-1/i) may put at atom 0 as (w·D, str(w)),
+    -inf as None, at D = 16·i, a common denominator of eps = -1/i and the
+    1/16 grid: (eps, -inf, then eps + k for each k of _ID_TAIL_GRID)."""
+    den = 16 * i
     eps = Fraction(-1, i)
+    tail = tuple((int((eps + k) * den), str(eps + k)) for k in _ID_TAIL_GRID)
+    return (int(eps * den), str(eps)), (None, str(NEG_INF)), tail
 
-    def entry(w):
-        return IdemMeasure.from_weights(space, [w, ZERO]), str(w)
 
-    return space, entry(eps), entry(NEG_INF), tuple(entry(eps + k) for k in _ID_TAIL_GRID)
+@lru_cache(maxsize=1)
+def _id_limit_split() -> bool:
+    """The id-oplus check that does not depend on i, made once per process:
+    nu_0 = dirac_0 oplus dirac_1, with dirac_0 inside |mu(phi)| < 1/2."""
+    space = id_space()
+    dirac_0 = IdemMeasure.dirac(0, space)
+    split = combine(dirac_0, IdemMeasure.dirac(1, space), ConvexParams(0, 0))
+    return split == nu_t(0, space) and abs(dirac_0(separating_table(space))) < Fraction(1, 2)
 
 
 def certify_id_oplus_not_open(i: int, samples: int = 10000, seed: int = 7) -> Certificate:
@@ -286,16 +300,15 @@ def certify_id_oplus_not_open(i: int, samples: int = 10000, seed: int = 7) -> Ce
     outside the neighborhood |mu(phi)| < 1/2 of dirac_0.  Each half of a
     sampled split has weight eps = -1/i at atom 0, or one strictly below
     it: -inf or eps + k for k in _ID_TAIL_GRID.
+
+    Each sample is checked over integers at D = 16·i on the halves'
+    weights a and b at atom 0 (both weigh 0 at atom 1): alpha(phi) = 1 is
+    max(a, D) = D, and recombining to nu_{-1/i} is max(a, b) = eps·D.
     """
-    if i < 1:
-        raise BadInput("the sequence index must be >= 1")
-    if samples < 1:
-        raise BadInput("a certificate needs at least one sample")
-    space, at_eps, at_neg_inf, below_eps = _id_weights(i)
-    phi = separating_table(space)
+    _check_params(i, samples, seed)
+    at_eps, at_neg_inf, below_eps = _id_weights(i)
     eps = Fraction(-1, i)
-    target = nu_t(eps, space)
-    params = ConvexParams(0, 0)
+    den = 16 * i
     rng = random.Random(seed)
     digest = hashlib.sha256()
     exhibits = []
@@ -306,21 +319,19 @@ def certify_id_oplus_not_open(i: int, samples: int = 10000, seed: int = 7) -> Ce
 
     for k in range(samples):
         which = rng.randrange(3)
-        alpha, a0 = at_eps if which in (0, 2) else below()
-        beta, b0 = at_eps if which in (1, 2) else below()
-        if combine(alpha, beta, params) != target:
+        a, a0 = at_eps if which in (0, 2) else below()
+        b, b0 = at_eps if which in (1, 2) else below()
+        # the recombination implies alpha(phi) = 1 (a <= eps < 0 < 1), so
+        # alpha(phi) is checked first, where a wrong weight can fail it
+        if a is not None and a > den:
+            raise TropibaryError(f"split evaluated phi to {_ratio(a, den)}, expected 1")
+        if (b if a is None or (b is not None and b > a) else a) != -16:  # eps·D
             raise TropibaryError("sampled split failed to recombine")
-        val = alpha(phi)
-        if val != 1:
-            raise TropibaryError(f"split evaluated phi to {val}, expected 1")
         obstructed += 1
         digest.update(f"{a0}|{b0};".encode())
         if len(exhibits) < 8:
-            exhibits.append({"alpha0": a0, "beta0": b0, "alpha_phi": str(val)})
-    limit_ok = (
-        combine(IdemMeasure.dirac(0, space), IdemMeasure.dirac(1, space), params) == nu_t(0, space)
-        and abs(IdemMeasure.dirac(0, space)(phi)) < Fraction(1, 2)
-    )
+            exhibits.append({"alpha0": a0, "beta0": b0, "alpha_phi": "1"})
+    limit_ok = _id_limit_split()
     data = {
         "target_weights": [str(eps), "0"],
         "phi": ["0", "1"],
@@ -517,15 +528,17 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
     min-table value at least c, and an atom reaching c in the first
     coordinate is a diagonal point of weight at least c.
     """
-    if i < 1:
-        raise BadInput("the sequence index must be >= 1")
-    if samples < 1:
-        raise BadInput("a certificate needs at least one sample")
+    _check_params(i, samples, seed)
     hull, nu_val, ext_ok = _y_hook()
     c = Fraction(-1) + Fraction(1, i)
     c_i = TropVector([c, c])
     if hull_membership(hull, c_i) is None:
         raise TropibaryError("diagonal target fell outside the hull")
+    # every sample passes low >= c·D below, so its min-table value val is
+    # at least c; with nu's value below c and e^x increasing, rho(val,
+    # nu_val) >= rho(c, nu_val) = gap: no sample is closer to nu than gap
+    if nu_val >= c:
+        raise TropibaryError(f"nu's min-table value {nu_val} is not below {c}")
     gap = rho(c, nu_val)
     rng = random.Random(seed)
     digest = hashlib.sha256()
@@ -549,21 +562,18 @@ def certify_y_beta_not_open(i: int, samples: int = 10000, seed: int = 7) -> Cert
             raise NotNormalized(f"max weight is {_ratio(top, den)}, expected 0")
         if bx != at_c or by != at_c:
             raise TropibaryError("constructed sample missed the target barycenter")
-        val = _ratio(low, den)
         if low < at_c:
-            raise TropibaryError(f"min-table value {val} fell below {c}")
+            raise TropibaryError(f"min-table value {_ratio(low, den)} fell below {c}")
         for e, w in atoms:
             if w + e.x == at_c and (e.x != e.y or w < at_c):
                 raise TropibaryError("a coordinate witness left the diagonal")
-        if rho(val, nu_val) < gap:
-            raise TropibaryError("sample closer to nu than the certified gap")
         feasible += 1
         digest.update(_y_sample_text(atoms, den, weight_texts).encode())
         if len(exhibits) < 5:
             exhibits.append(
                 {
                     "atoms": [[str(e.point[0]), str(e.point[1]), str(_ratio(w, den))] for e, w in atoms],
-                    "min_value": str(val),
+                    "min_value": str(_ratio(low, den)),
                 }
             )
     data = {

@@ -10,16 +10,20 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropibary import geometry
 from tropibary.barycenter import barycenter_point
-from tropibary.core import ZERO, TropVector, _cmp, _ratio, odot, residual, rho, scalar, trop_min
+from tropibary.core import NEG_INF, ZERO, ConvexParams, TropVector, _cmp, _ratio, odot, residual, rho, scalar, trop_min
 from tropibary.errors import BadInput, InfeasibleBarycenter, TropibaryError
 from tropibary.geometry import (
+    _ID_TAIL_GRID,
     _Y_DROPS,
     _Y_PARAM_GRID,
     _Y_WEIGHT_TEXT,
     Certificate,
+    _id_weights,
     _y_atoms,
     _y_draw,
     _y_sample_text,
@@ -29,7 +33,10 @@ from tropibary.geometry import (
     certify_y_beta_not_open,
     extremal_points,
     hull_membership,
+    id_space,
+    nu_t,
     phi_min,
+    separating_table,
     y_polytope,
 )
 from tropibary.io import (
@@ -38,7 +45,7 @@ from tropibary.io import (
     dump_document,
     validate_document,
 )
-from tropibary.measures import IdemMeasure
+from tropibary.measures import IdemMeasure, combine
 
 
 class TestIdOplusCertificate:
@@ -105,6 +112,42 @@ class TestYBetaCertificate:
 def test_certificates_need_a_sample(certify, samples):
     with pytest.raises(BadInput, match="at least one sample"):
         certify(2, samples=samples, seed=7)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"i": Fraction(3, 2)},
+        {"i": Fraction(4, 1)},
+        {"i": 2.0},
+        {"i": True},
+        {"i": "2"},
+        {"samples": True},
+        {"samples": 5.0},
+        {"samples": "5"},
+        {"seed": None},
+        {"seed": "abc"},
+        {"seed": True},
+        {"seed": 7.0},
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("certify", [certify_id_oplus_not_open, certify_y_beta_not_open])
+def test_certificates_take_int_params_only(certify, params):
+    # what recheck() would refuse to rebuild is never issued
+    with pytest.raises(BadInput, match="must be ints"):
+        certify(**{"i": 2, "samples": 5, "seed": 7, **params})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([certify_id_oplus_not_open, certify_y_beta_not_open]),
+    st.integers(1, 200),
+    st.integers(1, 30),
+    st.integers(-(2**70), 2**70),
+)
+def test_every_issued_certificate_replays(certify, i, samples, seed):
+    assert certify(i, samples=samples, seed=seed).recheck()
 
 
 class TestRecheck:
@@ -436,6 +479,153 @@ def sabotaged(table, where: str):
     diagonal = list(table.diagonal)
     diagonal[8] = raised(diagonal[8])
     return table._replace(diagonal=tuple(diagonal))
+
+
+def test_a_nu_value_not_below_the_target_is_caught(monkeypatch):
+    # the gap bound holds for every sample only while nu's value is below c
+    hull, nu_val, ext_ok = geometry._y_hook()
+    monkeypatch.setattr(geometry, "_y_hook", lambda: (hull, Fraction(-1, 2), ext_ok))
+    certify_y_beta_not_open(1, samples=5, seed=7)  # c = 0
+    for i in (2, 4):  # c = -1/2, then -3/4
+        with pytest.raises(TropibaryError, match="not below"):
+            certify_y_beta_not_open(i, samples=5, seed=7)
+
+
+def reference_certify_id_oplus(i: int, samples: int = 10000, seed: int = 7) -> Certificate:
+    """`certify_id_oplus_not_open` as it was before it checked samples over
+    integers: each half of a split an `IdemMeasure`, checked through
+    `combine` and `mu(phi)`."""
+    if i < 1:
+        raise BadInput("the sequence index must be >= 1")
+    if samples < 1:
+        raise BadInput("a certificate needs at least one sample")
+    space = id_space()
+    eps = Fraction(-1, i)
+
+    def entry(w):
+        return IdemMeasure.from_weights(space, [w, ZERO]), str(w)
+
+    at_eps, at_neg_inf = entry(eps), entry(NEG_INF)
+    below_eps = tuple(entry(eps + k) for k in _ID_TAIL_GRID)
+    phi = separating_table(space)
+    target = nu_t(eps, space)
+    params = ConvexParams(0, 0)
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    exhibits = []
+    obstructed = 0
+
+    def below():
+        return at_neg_inf if rng.random() < 0.15 else rng.choice(below_eps)
+
+    for k in range(samples):
+        which = rng.randrange(3)
+        alpha, a0 = at_eps if which in (0, 2) else below()
+        beta, b0 = at_eps if which in (1, 2) else below()
+        if combine(alpha, beta, params) != target:
+            raise TropibaryError("sampled split failed to recombine")
+        val = alpha(phi)
+        if val != 1:
+            raise TropibaryError(f"split evaluated phi to {val}, expected 1")
+        obstructed += 1
+        digest.update(f"{a0}|{b0};".encode())
+        if len(exhibits) < 8:
+            exhibits.append({"alpha0": a0, "beta0": b0, "alpha_phi": str(val)})
+    limit_ok = (
+        combine(IdemMeasure.dirac(0, space), IdemMeasure.dirac(1, space), params) == nu_t(0, space)
+        and abs(IdemMeasure.dirac(0, space)(phi)) < Fraction(1, 2)
+    )
+    data = {
+        "target_weights": [str(eps), "0"],
+        "phi": ["0", "1"],
+        "neighborhood_bound": "1/2",
+        "alpha_phi_forced": "1",
+        "obstructed": obstructed,
+        "limit_split_inside": limit_ok,
+        "exhibits": exhibits,
+        "digest": digest.hexdigest(),
+    }
+    verdict = obstructed == samples and limit_ok
+    return Certificate(
+        claim="id-oplus-not-open",
+        params={"i": i, "samples": samples, "seed": seed},
+        data=data,
+        verdict=verdict,
+    )
+
+
+class TestIntegerIdOplus:
+    """The id-oplus certifier checks each sample over integers at
+    D = 16·i; it must issue what the sampler that built every half of a
+    split as an `IdemMeasure` issued."""
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4, 5, 7, 8, 16, 100])
+    def test_same_certificate_as_the_measure_sampler(self, i):
+        for seed in range(25):
+            for samples in (1, 7, 50):
+                got = certify_id_oplus_not_open(i, samples=samples, seed=seed)
+                want = reference_certify_id_oplus(i, samples=samples, seed=seed)
+                assert (got.data, got.verdict) == (want.data, want.verdict), (i, seed, samples)
+
+    def test_table_is_the_weights_at_one_denominator(self):
+        for i in (1, 5, 7, 100):
+            at_eps, at_neg_inf, below_eps = _id_weights(i)
+            eps = Fraction(-1, i)
+            assert at_eps == (-16, str(eps)) and at_neg_inf == (None, "-inf")
+            assert [(Fraction(w, 16 * i), text) for w, text in below_eps] == [
+                (eps + k, str(eps + k)) for k in _ID_TAIL_GRID
+            ]
+
+    @pytest.mark.parametrize("where", ["eps", "tail"])
+    def test_a_wrong_weight_is_caught(self, monkeypatch, where):
+        monkeypatch.setattr(geometry, "_id_weights", lambda i: sabotaged_id(_id_weights(i), i, where))
+        with pytest.raises(TropibaryError, match=ID_SABOTAGE_MESSAGES[where]):
+            certify_id_oplus_not_open(8, samples=300, seed=7)
+
+    def test_a_wrong_weight_is_caught_under_python_O(self):
+        # the checks are `if ... raise`, so they hold with assertions off
+        script = textwrap.dedent(
+            """
+            import sys
+            from tropibary import geometry
+            from tropibary.errors import TropibaryError
+            sys.path.insert(0, sys.argv[1])
+            from test_certificates import sabotaged_id
+
+            assert False, "assertions are on"
+            table = geometry._id_weights
+            geometry._id_weights = lambda i: sabotaged_id(table(i), i, sys.argv[2])
+            try:
+                geometry.certify_id_oplus_not_open(8, samples=300, seed=7)
+            except TropibaryError as exc:
+                print(exc)
+            """
+        )
+        here = pathlib.Path(__file__).resolve().parent
+        src = str(here.parent / "src")
+        for where, message in ID_SABOTAGE_MESSAGES.items():
+            out = subprocess.run(
+                [sys.executable, "-O", "-c", script, str(here), where],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": src, "PATH": ""},
+                timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.startswith(message), out.stdout
+
+
+ID_SABOTAGE_MESSAGES = {"eps": "sampled split failed to recombine", "tail": "split evaluated phi to 2"}
+
+
+def sabotaged_id(weights, i: int, where: str):
+    """`_id_weights(i)` with the eps weight raised by 1/16, or with every
+    tail weight raised to 2; at seed 7 the first drawn tail weight goes to
+    alpha, so the alpha(phi) check sees it before the recombination."""
+    at_eps, at_neg_inf, below_eps = weights
+    if where == "eps":
+        return (at_eps[0] + i, at_eps[1]), at_neg_inf, below_eps
+    return at_eps, at_neg_inf, tuple((2 * 16 * i, "2") for _ in below_eps)
 
 
 # sha256 of the issued document, `dump_document(certificate_to_json(...))`,

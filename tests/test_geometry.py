@@ -155,7 +155,8 @@ class TestExtremalPoints:
 
     def test_one_combination_is_the_two_step_combination(self):
         # s(y, z) with y = oplus_i a_i odot g_i and z = oplus_i b_i odot g_i
-        # is oplus_i (t odot a_i oplus p odot b_i) odot g_i
+        # is oplus_i (t odot a_i oplus p odot b_i) odot g_i, which
+        # _s_reaches judges over integers, here at the denominator 4
         rng = random.Random(3)
         grid = [Fraction(k, 4) for k in range(-8, 1)] + [NEG_INF]
         for _ in range(400):
@@ -169,8 +170,87 @@ class TestExtremalPoints:
             coeffs = [oplus(odot(params.t, x), odot(params.p, y)) for x, y in zip(a, b)]
             assert _combination(gens, coeffs) == s
             other = TropVector([rng.choice(grid[:-1]) for _ in range(dim)])
+            columns = [at_den(col, 4) for col in zip(*[g.coords for g in gens])]
             for target in (s, other):
-                assert geometry._combination_is(gens, coeffs, target) is (target == s)
+                reached = geometry._s_reaches(
+                    *at_den([params.t, params.p], 4), at_den(a, 4), at_den(b, 4), columns, at_den(target.coords, 4)
+                )
+                assert reached is (target == s)
+
+    def test_integer_check_hits_the_samples_the_fraction_check_hits(self, monkeypatch):
+        # denominators 3 and 5 are not those of the 1/8 grid, so the
+        # common denominator differs from 8
+        rng = random.Random(23)
+        hits = 0
+        for _ in range(60):
+            dim, k = rng.randrange(1, 5), rng.randrange(1, 7)
+            gens = [
+                TropVector([Fraction(rng.randrange(-30, 1), rng.choice((1, 3, 5, 15))) for _ in range(dim)])
+                for _ in range(k)
+            ]
+            poly = TropPolytope(gens)
+            seed = rng.randrange(10**6)
+            want = reference_extremal_hits(extremal_points(poly), 25, seed)
+            assert integer_extremal_hits(monkeypatch, poly, 25, seed) == want
+            hits += sum(want)
+        assert hits > 100
+
+    def test_coprime_denominators_stay_exact(self, monkeypatch):
+        # 8 generators over the first 64 primes: the common denominator is
+        # 8 times their product, and the check must still be exact
+        primes = [q for q in range(2, 312) if all(q % d for d in range(2, int(q**0.5) + 1))]
+        assert len(primes) == 64
+        rng = random.Random(5)
+        gens = [TropVector([Fraction(-rng.randrange(1, q), q) for q in primes[8 * k : 8 * k + 8]]) for k in range(8)]
+        poly = TropPolytope(gens)
+        ext = extremal_points(poly, samples=200, seed=7)
+        assert ext == extremal_points(poly)
+        hits = integer_extremal_hits(monkeypatch, poly, 200, 7)
+        assert hits == reference_extremal_hits(ext, 200, 7)
+        assert any(hits)
+
+
+def at_den(values, den: int) -> list:
+    """Scalars as the integers value·den, with -inf as None."""
+    return [None if x is NEG_INF else int(x * den) for x in values]
+
+
+def reference_extremal_hits(survivors, samples: int, seed: int) -> list:
+    """Whether each sample of `extremal_points`' sampled check combined to
+    its survivor, in draw order, as the loop over `Fraction`s drew and
+    judged them before the check ran over integers."""
+    rng = random.Random(seed)
+    grid = [Fraction(n, 8) for n in range(-16, 1)]
+    n = len(survivors)
+
+    def draw():
+        coeffs = [rng.choice(grid) if rng.random() < 0.8 else NEG_INF for _ in range(n)]
+        coeffs[rng.randrange(n)] = ZERO
+        return coeffs
+
+    hits = []
+    for v in survivors:
+        for _ in range(samples):
+            a, b = draw(), draw()
+            t = rng.choice(grid) if rng.random() < 0.9 else NEG_INF
+            p = ZERO if t < ZERO or rng.random() < 0.5 else rng.choice(grid)
+            hits.append(s_point(_combination(survivors, a), _combination(survivors, b), ConvexParams(t, p)) == v)
+    return hits
+
+
+def integer_extremal_hits(monkeypatch, poly, samples: int, seed: int) -> list:
+    """What `_s_reaches` answered for each sample of `extremal_points`."""
+    hits = []
+    reaches = geometry._s_reaches
+
+    def recorded(*args):
+        hits.append(reaches(*args))
+        return hits[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_s_reaches", recorded)
+        extremal_points(poly, samples=samples, seed=seed)
+    return hits
 
 
 class TestTwoPointPath:
