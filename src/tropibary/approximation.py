@@ -3,27 +3,33 @@ preservation.
 
 A cover is a finite family of max-plus convex subsets of the host: each
 element is a `Box`, a `TropPolytope`, or, over an embedded finite
-space, an `IndexElement` naming some of its points.  Each atom of a
-measure goes to exactly one element: the first, in cover order, that
-holds it.  The approximation collapses the atoms given to each element
-to a single dirac at their conditional barycenter, weighted by the
-heaviest of them.  So it never has more atoms than the measure, and its
-barycenter equals the barycenter of the input exactly.  Every call
-checks both that and the rebuilt measure through `errors.certify`,
-which raises `InexactWitness` on a mismatch, also under `python -O`.
+space, an `IndexElement` naming some of its points.  One rule says
+whether an element holds an atom: an index element holds the atom's
+index, a box or polytope its point (the atom itself, or where an
+embedded space puts it).  So boxes and polytopes cover point measures
+and embedded finite spaces alike.  Each atom of a measure goes to
+exactly one element: the first, in cover order, that holds it.  The
+approximation collapses the atoms given to each element to a single
+dirac at their conditional barycenter, weighted by the heaviest of
+them; on an embedded space that barycenter must be one of the space's
+points.  So the approximation never has more atoms than the measure,
+and its barycenter equals the barycenter of the input exactly.  Every
+call checks both that and the rebuilt measure through
+`errors.certify`, which raises `InexactWitness` on a mismatch, also
+under `python -O`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .barycenter import barycenter_point, embedding
 from .core import Scalar, TropVector, odot, oplus_all
 from .errors import BadInput, NonConvexElement, UncoveredAtom, certify
 from .geometry import Box, TropPolytope
-from .measures import FiniteSpace, IdemMeasure, measure_dist
+from .measures import IdemMeasure, measure_dist
 
 
 class IndexElement:
@@ -41,11 +47,6 @@ class IndexElement:
             raise BadInput("an empty set cannot be a cover element")
         if not all(isinstance(i, int) and i >= 0 for i in self.indices):
             raise BadInput("index elements hold nonnegative point indices")
-
-    def admit_point(self, x: TropVector, space: FiniteSpace) -> Optional[int]:
-        """Index of the subset point the vector x coincides with, if any."""
-        i = space.index_of_point(x)
-        return i if i in self.indices else None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IndexElement) and self.indices == other.indices
@@ -122,12 +123,12 @@ class CoverPiece:
     point: TropVector
 
 
-def _element_holds(element: CoverElement, atom, space: Optional[FiniteSpace]) -> bool:
+def _holds(element: CoverElement, atom, point: TropVector) -> bool:
+    """An index element holds the atom's index, a box or polytope its
+    point (the atom itself, or where an embedded space puts it)."""
     if isinstance(element, IndexElement):
-        return isinstance(atom, int) and atom in element.indices
-    if isinstance(atom, int):
-        return element.contains(space.points[atom])
-    return element.contains(atom)
+        return atom in element.indices
+    return element.contains(point)
 
 
 def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
@@ -138,13 +139,14 @@ def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
     a partition subordinate to the cover, so an atom on a face shared
     by several elements is counted once and every piece holds at least
     one atom of mu.  Elements that receive no atom are skipped.  Each
-    piece's barycenter must stay inside its element (NonConvexElement
-    otherwise: the element was not max-plus convex after all).  An index
-    outside mu's space is BadInput up front.
+    piece's barycenter must be an atom its element holds: on an embedded
+    space, one of the space's points (NonConvexElement otherwise: the
+    element was not max-plus convex after all).  An index outside mu's
+    space is BadInput up front.
     """
     space = mu.space
     if space is not None:
-        embedding(space)
+        points = embedding(space)
         for k, element in enumerate(cover.elements):
             if isinstance(element, IndexElement) and max(element.indices) >= space.n:
                 raise BadInput(
@@ -152,40 +154,31 @@ def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
                 )
     groups: dict[int, list] = {}
     for atom, weight in mu.atoms:
+        point = atom if space is None else points[atom]
         for k, element in enumerate(cover.elements):
-            if _element_holds(element, atom, space):
+            if _holds(element, atom, point):
                 groups.setdefault(k, []).append((atom, weight))
                 break
         else:
             raise UncoveredAtom(f"atom {atom!r} lies in no cover element")
     pieces = []
     for k in sorted(groups):
-        element, inside = cover.elements[k], groups[k]
-        s_k = oplus_all(w for _, w in inside)
+        inside = groups[k]
         conditional = IdemMeasure(inside, space=space, renormalize=True)
         point = barycenter_point(conditional)
-        if isinstance(element, IndexElement):
-            atom = element.admit_point(point, space)
-            if atom is None:
-                raise NonConvexElement(
-                    f"barycenter {point!r} escaped element {k} of the cover"
-                )
-        else:
-            if not element.contains(point):
-                raise NonConvexElement(
-                    f"barycenter {point!r} escaped element {k} of the cover"
-                )
-            atom = point
-        pieces.append(CoverPiece(k, s_k, conditional, atom, point))
+        atom = point if space is None else space.index_of_point(point)
+        if atom is None or not _holds(cover.elements[k], atom, point):
+            raise NonConvexElement(f"barycenter {point!r} escaped element {k} of the cover")
+        pieces.append(CoverPiece(k, oplus_all(w for _, w in inside), conditional, atom, point))
     return pieces
 
 
-def cover_reconstruction(pieces: Sequence[CoverPiece], space: Optional[FiniteSpace] = None) -> IdemMeasure:
+def cover_reconstruction(pieces: Sequence[CoverPiece]) -> IdemMeasure:
     """Recombine the weighted conditionals; equals the original measure."""
     pairs = []
     for piece in pieces:
         pairs.extend((a, odot(piece.weight, w)) for a, w in piece.conditional.atoms)
-    return IdemMeasure(pairs, space=space)
+    return IdemMeasure(pairs, space=pieces[0].conditional.space if pieces else None)
 
 
 def cover_approximation(mu: IdemMeasure, cover: Cover) -> IdemMeasure:
@@ -199,7 +192,7 @@ def cover_approximation(mu: IdemMeasure, cover: Cover) -> IdemMeasure:
     pieces = cover_pieces(mu, cover)
     pairs = [(piece.atom, piece.weight) for piece in pieces]
     nu = IdemMeasure(pairs, space=mu.space)
-    certify(cover_reconstruction(pieces, space=mu.space) == mu, "cover pieces do not rebuild the measure")
+    certify(cover_reconstruction(pieces) == mu, "cover pieces do not rebuild the measure")
     certify(barycenter_point(nu) == barycenter_point(mu), "cover approximation moved the barycenter")
     return nu
 

@@ -628,15 +628,13 @@ def render_polytope_svg(
     poly: TropPolytope,
     path: str,
     extremal: Optional[Sequence[TropVector]] = None,
-    extra_points: Optional[Sequence[TropVector]] = None,
 ) -> None:
     """Write a small SVG sketch of a planar hull: pairwise tropical
     segments between generators, generators as dots, extremals ringed."""
     if poly.dim != 2:
         raise BadInput("SVG rendering is implemented for dimension 2 only")
-    pts = list(poly.generators) + list(extra_points or [])
-    xs = [float(p[0]) for p in pts]
-    ys = [float(p[1]) for p in pts]
+    xs = [float(p[0]) for p in poly.generators]
+    ys = [float(p[1]) for p in poly.generators]
     pad = 0.3
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
@@ -666,9 +664,6 @@ def render_polytope_svg(
             rows.append(
                 f'<circle cx="{x:.1f}" cy="{y:.1f}" r="9" fill="none" stroke="#c33" stroke-width="2"/>'
             )
-    for p in extra_points or ():
-        x, y = at(p)
-        rows.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#383"/>')
     rows.append("</svg>")
     try:
         with open(path, "w", encoding="utf-8") as fh:

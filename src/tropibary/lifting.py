@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .barycenter import barycenter_of_measures, barycenter_point
@@ -812,7 +812,9 @@ def brute_force_lift_beta(
     """Exhaustive search for measures on a coordinate grid whose
     barycenter hits the target exactly: 4 steps per coordinate, weights
     0, -1/2, ..., -2.  A target or atom outside the box is refused, as
-    `lift_beta` on a `BoxHost` refuses it."""
+    `lift_beta` on a `BoxHost` refuses it.  A grid with more (point,
+    weight) candidates than ORACLE_BUDGET is refused before it is built:
+    "best" mode would view each of them anyway."""
     for point, name in ((target, "target"), *((atom, "atom") for atom, _ in nu.atoms)):
         if not (isinstance(point, TropVector) and box.contains(point)):
             raise BadInput(f"{name} {capped(repr(point))} is not a point of the box")
@@ -826,6 +828,8 @@ def brute_force_lift_beta(
             if type(r) is Fraction and _cmp(lo, r) <= 0 <= _cmp(hi, r):
                 vals.append(r)
         pools.append(_ranked(vals))
+    if len(weights) * prod(map(len, pools)) > ORACLE_BUDGET:
+        raise BudgetExceeded(f"oracle has more than {ORACLE_BUDGET} candidates")
     points = [TropVector(c) for c in itertools.product(*pools)]
     atom_cands = [(p, w) for p in points for w in weights]
 

@@ -18,7 +18,7 @@ from tropibary.core import TropVector, ZERO
 from tropibary.errors import BadInput, NonConvexElement, UncoveredAtom
 from tropibary.geometry import Box, TropPolytope
 from tropibary.measures import FiniteSpace, IdemMeasure, measure_dist
-from tropibary.sampling import random_point_measure, spawn, standard_box
+from tropibary.sampling import random_measure_on_space, random_point_measure, spawn, standard_box
 
 BOX = standard_box(2)
 
@@ -80,13 +80,20 @@ class TestCoverPieces:
             cover_pieces(mu, Cover([IndexElement([0, 1])]))
 
     def test_index_element_admits_its_own_points_only(self):
-        space = FiniteSpace(3, points=(TropVector(("-1", "0")), TropVector(("0", "-1")), TropVector(("0", "0"))))
-        element = IndexElement([2, 0])
-        assert element.admit_point(TropVector(("-1", "0")), space) == 0
-        assert element.admit_point(TropVector(("0", "0")), space) == 2
-        assert element.admit_point(TropVector(("0", "-1")), space) is None
-        assert element.admit_point(TropVector(("-1", "-1")), space) is None
-        assert element.admit_point(TropVector(("0", "0")), FiniteSpace(3)) is None
+        # a piece's barycenter must be one of its element's embedded points
+        pts = (TropVector(("-1", "0")), TropVector(("0", "-1")), TropVector(("0", "0")))
+        space = FiniteSpace(3, points=pts)
+        own = Cover([IndexElement([2, 0]), IndexElement([1])])
+        (piece,) = cover_pieces(IdemMeasure([(0, "0")], space=space), own)
+        assert (piece.atom, piece.point) == (0, pts[0])
+        (piece, _) = cover_pieces(IdemMeasure([(0, "-1"), (1, "-1"), (2, "0")], space=space), own)
+        assert (piece.atom, piece.point) == (2, pts[2])
+        with pytest.raises(NonConvexElement, match=r"\[0, 0\]\) escaped element 0"):
+            cover_pieces(IdemMeasure([(0, "0"), (1, "0")], space=space), Cover([IndexElement([0, 1])]))
+        with pytest.raises(NonConvexElement, match=r"\[-1/2, 0\]\) escaped element 0"):
+            cover_pieces(IdemMeasure([(0, "0"), (2, "-1/2")], space=space), own)
+        with pytest.raises(BadInput, match="no embedding"):
+            cover_pieces(IdemMeasure([(2, "0")], space=FiniteSpace(3)), own)
 
     def test_reconstruction_equals_input(self):
         mu = pm((("-2", "-1"), "0"), (("-1/2", "-1/2"), "-1/2"), (("-1", "-2"), "-1/4"))
@@ -121,6 +128,23 @@ class TestCoverApproximation:
         assert barycenter_point(
             IdemMeasure([(pts[a], w) for a, w in nu.atoms])
         ) == TropVector(("-1/4", "0"))
+
+    @given(st.integers(0, 10**6), st.sampled_from([1, 2, 4]))
+    @settings(max_examples=60, deadline=None)
+    def test_geometric_covers_on_embedded_spaces(self, seed, splits):
+        # spaces embedded on the 1/8 lattice of [-2, 0]^2
+        rng = spawn(seed, "embedded-cover")
+        points = tuple(p for p, _ in random_point_measure(rng, BOX, k_max=5).atoms)
+        space = FiniteSpace(len(points), points=points)
+        mu = random_measure_on_space(rng, space)
+        one_point_polytopes = Cover([TropPolytope([points[a]]) for a, _ in mu.atoms])
+        assert cover_approximation(mu, Cover.singletons(mu)) == cover_approximation(mu, one_point_polytopes) == mu
+        try:
+            nu = cover_approximation(mu, Cover.grid(BOX, splits))
+        except NonConvexElement:
+            return
+        assert nu.space is space
+        assert barycenter_point(nu) == barycenter_point(mu)
 
     def test_polytope_elements_work(self):
         mu = pm((("-1", "-1"), "0"), (("-1/2", "-3/2"), "-1/2"))

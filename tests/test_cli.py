@@ -131,6 +131,14 @@ DOCUMENTS = {
         "z": "0",
     },
     "tgt_two_kinds": {"scalar": "-7/5", "point": ["-7/5"]},
+    # a beta oracle grid of about 7^8 points, refused before it is built
+    "inst_beta_8d": {
+        "kind": "barycenter-box",
+        "low": ["-2"] * 8,
+        "high": ["0"] * 8,
+        "measure": atoms((["-1"] * 8, "0")),
+    },
+    "tgt_beta_8d": {"point": ["-7/8"] * 8},
 }
 
 
@@ -316,6 +324,31 @@ class TestApprox:
         assert [r[0] for r in rows[1:]] == ["0", "1"]
         assert float(rows[1][1]) >= float(rows[2][1]) >= 0
 
+    def test_geometric_covers_on_an_embedded_space(self, capsys, docs, tmp_path):
+        # boxes and polytopes hold the atoms of em3 at their embedded points
+        points = DOCUMENTS["em3"]["space"]["points"]
+        covers = {
+            "indices": [{"kind": "indices", "indices": [i]} for i in range(3)],
+            "polytopes": [{"kind": "polytope", "generators": [p]} for p in points],
+            "halves": [
+                {"kind": "box", "low": ["-2", "-2"], "high": ["-1/2", "0"]},
+                {"kind": "box", "low": ["-1/2", "-2"], "high": ["0", "0"]},
+            ],
+        }
+        paths = {name: write(tmp_path / f"{name}.json", {"elements": e}) for name, e in covers.items()}
+        for name in covers:
+            out = report(capsys, "approx", "--measure", docs["em3"], "--cover", paths[name])["outputs"]
+            assert out["beta_preserved"] and out["dist"] == 0.0, name
+            assert out["measure"]["atoms"] == [{"at": "a", "w": "0"}, {"at": "b", "w": "-1/4"}], name
+        code, out, _ = run(capsys, "approx", "--measure", docs["em3"], "--chain", paths["halves"], paths["polytopes"])
+        assert code == 0
+        assert out.splitlines() == ["cover_index,dist", "0,0.0", "1,0.0"]
+        # one box holds both atoms, whose barycenter is no point of the space
+        code, out, err = run(capsys, "approx", "--measure", docs["em3"], "--cover", docs["cover1"])
+        assert (code, out) == (1, "")
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert line == "error: barycenter TropVector([-1/4, 0]) escaped element 0 of the cover"
+
     def test_approx_needs_cover_or_chain(self, capsys, docs):
         code, _, err = run(capsys, "approx", "--measure", docs["mu4"])
         assert code == 1
@@ -499,6 +532,7 @@ MALFORMED = [
     ("pushforward", "--map", "@map_no_labels", "--measure", "@m"),
     ("eval", "--measure", "@m_huge_space", "--table", "@table"),
     ("pushforward", "--map", "@map_huge_target", "--measure", "@m"),
+    ("lift", "beta", "--instance", "@inst_beta_8d", "--target", "@tgt_beta_8d", "--oracle"),
 ]
 
 

@@ -320,11 +320,10 @@ class TestRendering:
     def test_svg_smoke(self, tmp_path):
         out = tmp_path / "hook.svg"
         poly = y_polytope()
-        render_polytope_svg(poly, str(out), extremal=extremal_points(poly), extra_points=[v("-1", "-1")])
+        render_polytope_svg(poly, str(out), extremal=extremal_points(poly))
         text = out.read_text()
         assert text.startswith("<svg")
         assert text.count('r="9"') == 3  # each extremal point gets a ring
-        assert 'r="4"' in text  # the extra point
 
     def test_svg_needs_dimension_two(self, tmp_path):
         with pytest.raises(BadInput, match="dimension 2"):
