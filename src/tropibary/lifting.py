@@ -10,7 +10,10 @@ that failed.
 
 The lifts share one scheme.  Each construction is written for params
 (t, 0); params with p < 0 go through the mirror rule `_oriented`, which
-lifts the swapped inputs and reads the witness back.  The fiber split is
+lifts the swapped inputs and reads the witness back.  The finite
+combination lift is one function: each of its branches chooses a shift,
+and all end in one build step, `_shifted`, which checks the target
+against the weights the witness keeps.  The fiber split is
 one closed form, symmetric in the two sides, so it needs no mirror; it
 checks, splits and certifies on the weight tuples of the measures, and
 builds measures only for its result.  Every accepted witness passes one
@@ -165,113 +168,80 @@ def lift_s_finite(
 
 
 def _lift_finite(first, second, params, target) -> LiftWitness:
-    """Branches for params (t, 0)."""
+    """The construction for params (t, 0).  Each branch chooses a shift
+    and a tag; `_shifted` then checks the target and builds the witness."""
+    t = params.t
+    if t is NEG_INF:
+        return LiftWitness(first, target, ConvexParams(NEG_INF, 0), "t<p/t=-inf")
     space = first.space
+    n = space.n
     lam = first.density()
     bet = second.density()
     alpha = target.density()
-    t = params.t
-    if _cmp(t, ZERO) == 0:
-        return _lift_equal_params(space, lam, bet, alpha)
-    if t is NEG_INF:
-        return LiftWitness(first, target, ConvexParams(NEG_INF, 0), "t<p/t=-inf")
-    return _lift_strict_params(space, lam, bet, alpha, t)
-
-
-def _lift_equal_params(space, lam, bet, alpha) -> LiftWitness:
-    """Branch for params (0, 0): the plain pairwise max of measures.
-
-    The pivot is a zero of the target where the weights tie or where the
-    first is lower.  If every zero lies where the second is lower, that is
-    the pivot-lower case of the swapped inputs (the tied set is symmetric).
-    """
-    n = space.n
-    lower = {i for i in range(n) if _cmp(lam[i], bet[i]) < 0}
-    higher = {i for i in range(n) if _cmp(lam[i], bet[i]) > 0}
+    shifted = [odot(t, w) for w in lam]
+    lower = {i for i in range(n) if _cmp(shifted[i], bet[i]) < 0}
+    higher = {i for i in range(n) if _cmp(shifted[i], bet[i]) > 0}
     zeros = [i for i in range(n) if _cmp(alpha[i], ZERO) == 0]
-    if any(i not in lower and i not in higher for i in zeros):
-        return _pivot(space, lam, bet, alpha, lower, higher, "tied")
-    if any(i in lower for i in zeros):
-        return _pivot(space, lam, bet, alpha, lower, higher, "lower")
-    return _mirrored(_pivot(space, bet, lam, alpha, higher, lower, "lower"))
-
-
-def _pivot(space, lam, bet, alpha, lower, higher, pivot: str) -> LiftWitness:
-    """Shift the first measure by c, the target's largest weight off the
-    lower set; a tied pivot lies off that set, so there c = 0."""
-    n = space.n
-    c = oplus_all(alpha[i] for i in range(n) if i not in lower)
-    if c is NEG_INF:
-        raise OutsideValidityRegion("target carries no weight off the lower set")
-    for i in sorted(lower):
-        if _cmp(alpha[i], odot(c, lam[i])) < 0:
-            floor = (
-                f"first weight {lam[i]} on the lower set"
-                if pivot == "tied"
-                else f"shifted first weight {odot(c, lam[i])}"
-            )
-            raise OutsideValidityRegion(f"target[{i}] = {alpha[i]} < {floor}")
-    for i in sorted(higher):
-        if _cmp(alpha[i], bet[i]) < 0:
+    if _cmp(t, ZERO) == 0:
+        # The pivot is a zero of the target where the weights tie or where
+        # the first is lower.  If every zero lies where the second is lower,
+        # that is the pivot-lower case of the swapped inputs (the tied set
+        # is symmetric).
+        if any(i not in lower and i not in higher for i in zeros):
+            tag = "t=p=0/pivot-tied"
+        elif any(i in lower for i in zeros):
+            tag = "t=p=0/pivot-lower"
+        else:
+            return _mirrored(_lift_finite(second, first, params, target))
+        shift = oplus_all(alpha[i] for i in range(n) if i not in lower)
+        if shift is NEG_INF:
+            raise OutsideValidityRegion("target carries no weight off the lower set")
+    else:  # finite t < 0
+        if not any(i in lower for i in zeros):
             raise OutsideValidityRegion(
-                f"target[{i}] = {alpha[i]} < second weight {bet[i]} on the higher set"
+                "target has no zero-weight atom where the second measure strictly dominates"
             )
-    lam2 = [lam[i] if i in lower else residual(alpha[i], c) for i in range(n)]
-    bet2 = [bet[i] if i in higher else alpha[i] for i in range(n)]
-    return LiftWitness(
-        IdemMeasure.from_weights(space, lam2),
-        IdemMeasure.from_weights(space, bet2),
-        ConvexParams(c, 0),
-        f"t=p=0/pivot-{pivot}",
-    )
+        retained = [i for i in range(n) if i not in lower and lam[i] is not NEG_INF]
+        if not retained:
+            c = ZERO
+            tag = "t<p/empty-complement"
+        elif any(_cmp(lam[i], ZERO) == 0 for i in lower):
+            c = oplus_all(residual(alpha[i], shifted[i]) for i in retained)
+            tag = "t<p/zero-anchored-lower"
+        else:
+            c = oplus_all(residual(alpha[i], t) for i in retained)
+            tag = "t<p/anchor-off-lower"
+        if c is NEG_INF:
+            raise OutsideValidityRegion("target weights vanish on the retained support")
+        shift = odot(t, c)
+        if _cmp(shift, ZERO) > 0:
+            raise OutsideValidityRegion(f"combined shift {shift} exceeds 0")
+    return _shifted(space, lam, bet, alpha, lower, higher, shift, tag)
 
 
-def _lift_strict_params(space, lam, bet, alpha, t) -> LiftWitness:
-    """Branch for params (t, 0) with finite t < 0."""
-    n = space.n
-    shifted = [odot(t, lam[i]) for i in range(n)]
-    in_lower = {i for i in range(n) if _cmp(shifted[i], bet[i]) < 0}
-    in_higher = {i for i in range(n) if _cmp(shifted[i], bet[i]) > 0}
-    if not any(_cmp(alpha[i], ZERO) == 0 for i in in_lower):
-        raise OutsideValidityRegion(
-            "target has no zero-weight atom where the second measure strictly dominates"
-        )
-    retained = [i for i in range(n) if i not in in_lower and lam[i] is not NEG_INF]
-    if not retained:
-        c = ZERO
-        tag = "t<p/empty-complement"
-    elif any(_cmp(lam[i], ZERO) == 0 for i in in_lower):
-        c = oplus_all(residual(alpha[i], odot(t, lam[i])) for i in retained)
-        tag = "t<p/zero-anchored-lower"
-    else:
-        c = oplus_all(residual(alpha[i], t) for i in retained)
-        tag = "t<p/anchor-off-lower"
-    if c is NEG_INF:
-        raise OutsideValidityRegion("target weights vanish on the retained support")
-    shift = odot(t, c)
-    if _cmp(shift, ZERO) > 0:
-        raise OutsideValidityRegion(f"combined shift {shift} exceeds 0")
-    for i in range(n):
-        if i in in_lower:
+def _shifted(space, lam, bet, alpha, lower, higher, shift, tag) -> LiftWitness:
+    """The build step of every finite branch: the witness keeps the first
+    weight on the lower set and the second on the higher set, takes the
+    first as target - shift and the second as the target elsewhere, and
+    has params (shift, 0).  The target must not fall below a kept weight,
+    nor rise above the shift where the first is -inf."""
+    for i in range(space.n):
+        if i in lower:
             if _cmp(alpha[i], odot(shift, lam[i])) < 0:
                 raise OutsideValidityRegion(
-                    f"target[{i}] = {alpha[i]} < shifted first weight {odot(shift, lam[i])}"
+                    f"target[{i}] = {alpha[i]} < shifted first weight {odot(shift, lam[i])} on the lower set"
                 )
-        elif i in in_higher and _cmp(alpha[i], bet[i]) < 0:
+            continue
+        if i in higher and _cmp(alpha[i], bet[i]) < 0:
             raise OutsideValidityRegion(
                 f"target[{i}] = {alpha[i]} < second weight {bet[i]} on the higher set"
             )
-        if i not in in_lower and lam[i] is NEG_INF and _cmp(alpha[i], shift) > 0:
+        if lam[i] is NEG_INF and _cmp(alpha[i], shift) > 0:
             raise OutsideValidityRegion(
                 f"target[{i}] = {alpha[i]} exceeds the shift {shift} off the first support"
             )
-    lam2 = [
-        lam[i]
-        if i in in_lower
-        else (NEG_INF if alpha[i] is NEG_INF else residual(alpha[i], shift))
-        for i in range(n)
-    ]
-    bet2 = [bet[i] if i in in_higher else alpha[i] for i in range(n)]
+    lam2 = [lam[i] if i in lower else residual(alpha[i], shift) for i in range(space.n)]
+    bet2 = [bet[i] if i in higher else alpha[i] for i in range(space.n)]
     return LiftWitness(
         IdemMeasure.from_weights(space, lam2),
         IdemMeasure.from_weights(space, bet2),
@@ -580,8 +550,12 @@ def _param_candidates(pool: Sequence[Fraction], params: ConvexParams) -> Iterato
     (0, 0) once, in the order of (dist to params, t, p), all exact: the
     τ are ranked once by integer keys at their common denominator, and
     each τ's two rho terms are computed once.  Each pair goes through
-    the `ConvexParams` constructor only when the search reaches it.
+    the `ConvexParams` constructor only when the search reaches it.  A
+    pool of P values gives P * (P + 1) differences; past ORACLE_BUDGET
+    the call is refused before any is computed.
     """
+    if len(pool) * (len(pool) + 1) > ORACLE_BUDGET:
+        raise BudgetExceeded(f"oracle has more than {ORACLE_BUDGET} candidates")
     diffs = (residual(u, v) for v in (ZERO, *pool) for u in pool)
     ranked = _ranked([NEG_INF, ZERO, *(r for r in diffs if r._numerator <= 0)])
     zero = len(ranked) - 1  # every τ is <= 0

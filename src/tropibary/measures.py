@@ -74,6 +74,8 @@ class FiniteSpace:
         labels: Optional[Sequence[str]] = None,
         points: Optional[Sequence[TropVector]] = None,
     ):
+        if type(n) is not int:
+            raise BadInput(f"space size {capped(repr(n))} is not an integer")
         if n < 1:
             raise BadInput("a finite space needs at least one point")
         self.n = n
@@ -431,6 +433,8 @@ class SpaceMap:
         if len(tbl) != source.n:
             raise BadInput("map table must cover the whole source")
         for j in tbl:
+            if type(j) is not int:
+                raise BadInput(f"map value {capped(repr(j))} is not an integer")
             if not 0 <= j < target.n:
                 raise BadInput(f"map value {j} outside target of size {target.n}")
         self.source = source

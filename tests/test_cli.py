@@ -139,6 +139,20 @@ DOCUMENTS = {
         "measure": atoms((["-1"] * 8, "0")),
     },
     "tgt_beta_8d": {"point": ["-7/8"] * 8},
+    # integral floats where the schemas' "integer" admits them
+    "m_float_n": {"space": {"n": 2.0}, **atoms(("0", "0"))},
+    "map_float_entry": {"source": SPACE, "target": {"labels": ["u"]}, "table": [0, 0.0]},
+    "map_float_target_n": {"source": SPACE, "target": {"n": 1.0}, "table": [0, 0]},
+    # about 1,600 distinct weights: an s oracle of 2.5 million parameter
+    # differences, refused before any is computed
+    "inst_meas_800": {
+        "kind": "combination-measures",
+        "space": {"n": 800},
+        "first": atoms(*((str(i), str(Fraction(-i, 800))) for i in range(800))),
+        "second": atoms(*((str(i), str(Fraction(-i, 801))) for i in range(800))),
+        "params": {"t": "0", "p": "0"},
+    },
+    "tgt_meas_800": {"measure": atoms(*((str(i), str(Fraction(-i, 801))) for i in range(800)))},
 }
 
 
@@ -533,6 +547,10 @@ MALFORMED = [
     ("eval", "--measure", "@m_huge_space", "--table", "@table"),
     ("pushforward", "--map", "@map_huge_target", "--measure", "@m"),
     ("lift", "beta", "--instance", "@inst_beta_8d", "--target", "@tgt_beta_8d", "--oracle"),
+    ("eval", "--measure", "@m_float_n", "--table", "@table"),
+    ("pushforward", "--map", "@map_float_entry", "--measure", "@m"),
+    ("pushforward", "--map", "@map_float_target_n", "--measure", "@m"),
+    ("lift", "s", "--instance", "@inst_meas_800", "--target", "@tgt_meas_800", "--oracle"),
 ]
 
 
@@ -643,13 +661,15 @@ class TestFailures:
         assert error_line(err, tmp_path) == "error: '-" + "1" * 198 + "... is not a rational or -inf"
 
     def test_oracle_over_budget_is_one_error_line(self, capsys, docs, monkeypatch):
-        monkeypatch.setattr(lifting, "ORACLE_BUDGET", 2)
+        # 20 is the count of parameter differences of the 4-value pool, so
+        # the search starts and stops at its 21st viewed candidate
+        monkeypatch.setattr(lifting, "ORACLE_BUDGET", 20)
         code, out, err = run(capsys, *resolve(GOLDEN_REQUESTS["lift-s"], docs))
         assert code == 1
         assert out == ""
         assert "Traceback" not in err
         (line,) = [line for line in err.splitlines() if line.startswith("error:")]
-        assert "oracle viewed more than 2 candidates" in line
+        assert "oracle viewed more than 20 candidates" in line
 
 
 def test_console_script(docs, child_env):

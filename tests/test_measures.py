@@ -171,6 +171,16 @@ class TestCombine:
 
 
 class TestPushforward:
+    @pytest.mark.parametrize("n", [2.0, True, Fraction(2)])
+    def test_space_size_must_be_an_int(self, n):
+        with pytest.raises(BadInput, match="is not an integer"):
+            FiniteSpace(n)
+
+    @pytest.mark.parametrize("entry", [0.0, False, Fraction(0)])
+    def test_map_values_must_be_ints(self, three_space, entry):
+        with pytest.raises(BadInput, match="is not an integer"):
+            SpaceMap(three_space, FiniteSpace(1), [0, entry, 0])
+
     def test_collapses_weights_by_max(self, three_space):
         target = FiniteSpace(2, labels=("u", "v"))
         f = SpaceMap(three_space, target, [0, 1, 1])
