@@ -15,7 +15,6 @@ import contextlib
 import csv
 import hashlib
 import io as _io
-import json
 import os
 import re
 import sys
@@ -273,10 +272,7 @@ def _cmd_ext(args) -> dict:
 
 def _cmd_member(args) -> dict:
     poly = codecs.polytope_from_json(codecs.read_document(args.polytope, "polytope"))
-    try:
-        coords = json.loads(args.point)
-    except json.JSONDecodeError as exc:
-        raise BadInput(f"--point is not JSON: {exc}") from None
+    coords = codecs.parse_json(args.point, "--point")
     if not isinstance(coords, list):
         raise BadInput("--point must be a JSON array of coordinates")
     point = codecs.vector_from_json(coords)

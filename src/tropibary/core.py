@@ -28,7 +28,14 @@ term, and it gives the same scalar.
 
 The point layer keeps to the same slots.  `scalar()` reads a string
 once: the numbers of its one `SCALAR_TEXT` match give the reduced
-Fraction directly, with no second parse by `Fraction(text)`.  A
+Fraction directly, with no second parse by `Fraction(text)`.  Each
+distinct text is read once per process: `_parse`, behind `scalar()` and
+`measures._finite_q`, keeps a parse table from text to result (the
+scalar, or None for a refusal) of at most `PARSE_TABLE_CAP` texts, the
+least recently used dropped first.  Only texts of at most
+`PARSE_TEXT_CAP` characters are kept; a longer one is read every time.
+The results are immutable Fractions and the two sentinels, so sharing
+them changes no value and no message.  A
 `TropVector` computes its hash on first use and keeps it in a slot (a
 copy or an unpickled vector starts without one); equality compares the
 coordinates by identity, then by numerator and denominator.  A
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import exp, expm1, gcd, inf, lcm, log
 from typing import Callable, Iterable, NoReturn, Optional, Sequence, Union
@@ -50,6 +58,11 @@ from .errors import BadInput, DimensionMismatch, capped
 # (-inf, an integer or p/q, a decimal), plus the transient +inf.  Matched
 # whole, so no spaces, newlines, underscores or exponents get through.
 SCALAR_TEXT = re.compile(r"-inf|\+inf|[+-]?[0-9]+(/[0-9]+)?|[+-]?[0-9]*\.[0-9]+")
+
+# The parse table of `_parse`: the most texts it keeps, and the longest
+# text it keeps.
+PARSE_TABLE_CAP = 4096
+PARSE_TEXT_CAP = 64
 
 
 class _Infinity:
@@ -120,6 +133,14 @@ def scalar(value: RatLike) -> Scalar:
 
 
 def _parse(text: str) -> Optional[Scalar]:
+    """`_read(text)`, from the parse table when the text is at most
+    `PARSE_TEXT_CAP` characters long."""
+    if len(text) <= PARSE_TEXT_CAP:
+        return _parse_table(text)
+    return _read(text)
+
+
+def _read(text: str) -> Optional[Scalar]:
     """The scalar that a `SCALAR_TEXT` string spells, read off its one
     match and built reduced, equal to `Fraction(text)` in numerator,
     denominator, hash and str; None for any other string, a zero
@@ -143,6 +164,9 @@ def _parse(text: str) -> Optional[Scalar]:
     if not d:
         return None
     return _ratio(n, d)
+
+
+_parse_table = lru_cache(maxsize=PARSE_TABLE_CAP)(_read)
 
 
 def _ratio(n: int, d: int) -> Fraction:

@@ -18,6 +18,13 @@ title and $defs carry no constraint and are skipped.  Any other keyword
 in a part of a schema that checks documents raises ValueError when the
 schema is compiled, so a schema that gains one fails loudly instead of
 being checked less.
+
+Each compiled "$defs" check keeps a verdict table: its verdict on each
+str value of at most `VERDICT_TEXT_CAP` characters, for the
+`VERDICT_TABLE_CAP` values used last.  The check is pure, so a kept
+verdict is the verdict; longer strings, dicts, lists and numbers are
+checked every time.  The table holds verdicts on values only, never a
+document or a result, and a rejection is still worded by jsonschema.
 """
 
 from __future__ import annotations
@@ -39,6 +46,11 @@ from .measures import FiniteSpace, FunctionTable, IdemMeasure, SpaceMap
 
 SCHEMA_VERSION = 1
 _MAX_SPACE_POINTS = 100_000  # the most points a space read from a document may have
+
+# The verdict table of each compiled "$defs" check: the most values it
+# keeps, and the longest str value it keeps.
+VERDICT_TABLE_CAP = 4096
+VERDICT_TEXT_CAP = 64
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +134,7 @@ def _compile(root: dict) -> Callable[[object], bool]:
         if name == ref or name not in defs:
             raise ValueError(f"no compiled check for $ref {ref!r}")
         if name not in compiled:
-            compiled[name] = node(defs[name])
+            compiled[name] = _remembered(node(defs[name]))
         return compiled[name]
 
     def node(schema) -> Callable[[object], bool]:
@@ -161,6 +173,21 @@ def _compile(root: dict) -> Callable[[object], bool]:
         return _all_of(tuple(checks))
 
     return node(root)
+
+
+def _remembered(check: Callable[[object], bool]) -> Callable[[object], bool]:
+    """check, with its verdict table: a str of at most `VERDICT_TEXT_CAP`
+    characters is checked once while it stays among the
+    `VERDICT_TABLE_CAP` values used last; any other value every time."""
+    table = lru_cache(maxsize=VERDICT_TABLE_CAP)(check)
+
+    def remembered(v):
+        if type(v) is str and len(v) <= VERDICT_TEXT_CAP:
+            return table(v)
+        return check(v)
+
+    remembered.cache_info = table.cache_info
+    return remembered
 
 
 def _all_of(checks: tuple) -> Callable[[object], bool]:
@@ -251,19 +278,30 @@ def _array(item, lo: int, hi) -> Callable[[object], bool]:
 def read_document(path: str, schema_name: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}") from None
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not JSON: {exc}") from None
-    except RecursionError:
-        raise SchemaError(f"{path} nests too deeply to read") from None
+    doc = parse_json(text, path)
     validate_document(doc, schema_name)
     return doc
+
+
+def parse_json(text: str, name: str) -> object:
+    """The value of a JSON text; a text that is not JSON, nests too
+    deeply or holds an integer too long to read raises SchemaError,
+    which names it by `name`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{name} is not JSON: {exc}") from None
+    except ValueError:  # int() refuses a literal past sys.get_int_max_str_digits()
+        raise SchemaError(f"{name} has an integer too long to read") from None
+    except RecursionError:
+        raise SchemaError(f"{name} nests too deeply to read") from None
 
 
 def dump_document(doc: dict) -> str:

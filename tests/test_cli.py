@@ -167,6 +167,10 @@ def write_documents(directory: pathlib.Path) -> dict:
     deep = directory / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     paths["deep"] = str(deep)
+    # a weight spelled as an integer of more digits than int() converts
+    long_int = directory / "long_int.json"
+    long_int.write_text('{"space": {"labels": ["a", "b"]}, "atoms": [{"at": "a", "w": %s}]}' % ("1" * 5000))
+    paths["long_int"] = str(long_int)
     return paths
 
 
@@ -493,8 +497,14 @@ class TestVerifyCommand:
         assert third[1] == fourth[1]
 
 
+# Arguments too long to spell in a test id.
+ARGUMENTS = {
+    "long_int_point": "[" + "1" * 5000 + ", 0]",
+    "deep_point": "[" * 100_000 + "]" * 100_000,
+}
+
 # Malformed input for every subcommand that reads scalars or JSON; "@name"
-# stands for the path of docs[name].
+# stands for the path of docs[name], "%name" for ARGUMENTS[name].
 MALFORMED = [
     ("combine", "--first", "@m", "--second", "@m2", "--t", "abc", "--p", "0"),
     ("combine", "--first", "@m", "--second", "@m2", "--t", "1/0", "--p", "0"),
@@ -551,6 +561,9 @@ MALFORMED = [
     ("pushforward", "--map", "@map_float_entry", "--measure", "@m"),
     ("pushforward", "--map", "@map_float_target_n", "--measure", "@m"),
     ("lift", "s", "--instance", "@inst_meas_800", "--target", "@tgt_meas_800", "--oracle"),
+    ("eval", "--measure", "@long_int", "--table", "@table"),
+    ("member", "--polytope", "@poly", "--point", "%long_int_point"),
+    ("member", "--polytope", "@poly", "--point", "%deep_point"),
 ]
 
 
@@ -588,8 +601,12 @@ GOLDEN_REQUESTS = {
 
 
 def resolve(argv, docs) -> list:
-    """argv with each "@name" replaced by the path of docs[name]."""
-    return [docs[a[1:]] if a.startswith("@") else a for a in argv]
+    """argv with each "@name" replaced by the path of docs[name] and each
+    "%name" by ARGUMENTS[name]."""
+    return [
+        docs[a[1:]] if a.startswith("@") else ARGUMENTS[a[1:]] if a.startswith("%") else a
+        for a in argv
+    ]
 
 
 def error_line(err: str, directory) -> str:

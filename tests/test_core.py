@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tropibary import measures
+from tropibary import core, measures
 from tropibary.core import (
     NEG_INF,
+    PARSE_TABLE_CAP,
+    PARSE_TEXT_CAP,
     POS_INF,
     SCALAR_TEXT,
     ZERO,
@@ -571,6 +573,12 @@ rational_text = st.from_regex(r"[+-]?[0-9]{1,24}(/[0-9]{1,24})?|[+-]?[0-9]{0,12}
 @example("3.")  # not a SCALAR_TEXT string: refused like any other
 @example("-" + "1" * 5000)  # more digits than int() converts
 def test_scalar_text_is_read_as_fraction_reads_it(text):
+    assert_read_as_fraction_reads_it(text)
+
+
+def assert_read_as_fraction_reads_it(text):
+    """scalar() and measures._finite_q give Fraction(text), or refuse
+    the text with their own wording where Fraction or SCALAR_TEXT does."""
     try:
         want = Fraction(text) if SCALAR_TEXT.fullmatch(text) else None
     except (ZeroDivisionError, ValueError):
@@ -584,6 +592,42 @@ def test_scalar_text_is_read_as_fraction_reads_it(text):
             assert str(info.value) == f"{quoted} {words}"
         else:
             assert same_scalar(parse(text), want)
+
+
+# -- the parse table behind scalar() and measures._finite_q --
+
+
+@given(rational_text)
+@example("-0")
+@example("-12/0")
+@example("3.")
+@example("-" + "1" * 5000)
+def test_parse_table_reads_each_text_as_fraction_reads_it(text):
+    """Read twice, the second time from the table, then again once the
+    table has been filled past its cap with other texts."""
+    assert_read_as_fraction_reads_it(text)
+    assert_read_as_fraction_reads_it(text)
+    for k in range(PARSE_TABLE_CAP + 1):
+        core._parse(f"x{k}")  # never a rational_text string
+    assert core._parse_table.cache_info().currsize == PARSE_TABLE_CAP
+    assert_read_as_fraction_reads_it(text)
+
+
+def test_parse_table_keeps_short_texts_only_and_at_most_its_cap():
+    table = core._parse_table
+    table.cache_clear()
+    long_refused = "-" + "1" * 5000
+    long_read = "-" + "1" * PARSE_TEXT_CAP + "/3"
+    for text in (long_refused, long_read, long_read):
+        assert_read_as_fraction_reads_it(text)
+    assert table.cache_info().currsize == 0
+    at_cap = "-" + "1" * (PARSE_TEXT_CAP - 1)
+    assert_read_as_fraction_reads_it(at_cap)
+    assert table.cache_info().currsize == 1
+    for k in range(2 * PARSE_TABLE_CAP):
+        assert same_scalar(scalar(f"-{k}/8"), Fraction(-k, 8))
+        assert table.cache_info().currsize <= PARSE_TABLE_CAP
+    assert table.cache_info().currsize == PARSE_TABLE_CAP
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
+import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -387,7 +388,34 @@ def mutated_documents(draw):
 @example(doc={"space": {"n": 2}, "values": ["0", "-inf"]})
 def test_compiled_check_agrees_with_jsonschema(doc):
     for name in SCHEMAS:
-        assert _acceptor(name)(doc) == _validator(name).is_valid(doc), name
+        want = _validator(name).is_valid(doc)
+        assert _acceptor(name)(doc) == want, name
+        # again, with the verdict on each short string from the tables
+        assert _acceptor(name)(doc) == want, name
+
+
+def test_overfilled_verdict_table_still_refuses_in_jsonschema_words():
+    cap, text_cap = io_module.VERDICT_TABLE_CAP, io_module.VERDICT_TEXT_CAP
+    # a schema of one $ref compiles to the check of that def, table and all
+    check = _compile({"$defs": {"scalar": load_schema("measure")["$defs"]["scalar"]}, "$ref": "#/$defs/scalar"})
+    for k in range(cap + 100):
+        assert check(f"-{k}/9")
+        assert check.cache_info().currsize <= cap
+    assert check.cache_info().currsize == cap
+    looked_up = check.cache_info().hits + check.cache_info().misses
+    long_text = "-" + "1" * text_cap
+    assert check(long_text) and not check(long_text + "x") and not check(long_text + "x")
+    assert check.cache_info().hits + check.cache_info().misses == looked_up
+    assert check.cache_info().currsize == cap
+
+    # the measure schema's own scalar table, filled past its cap
+    validate_document({"atoms": [{"at": ["0"], "w": f"-{k}/9"} for k in range(cap + 100)]}, "measure")
+    bad = {"atoms": [{"at": ["0"], "w": "0"}, {"at": ["0"], "w": "oops"}]}
+    exc = jsonschema.exceptions.best_match(_validator("measure").iter_errors(bad))
+    for _ in range(2):  # the second time, "oops" has its verdict in the table
+        with pytest.raises(SchemaError) as info:
+            validate_document(bad, "measure")
+        assert str(info.value) == f"measure: {exc.message} at {exc.json_path}"
 
 
 def test_schemas_spell_scalars_as_the_library_does():

@@ -50,3 +50,30 @@ def test_every_private_helper_has_a_caller_in_src():
         and node.name not in named
     ]
     assert unused == []
+
+
+def test_no_environment_variable_is_read_but_the_seed():
+    # a setting read from the environment is a knob; TROPIBARY_SEED, the
+    # CLI's seed, is the only one.  Each read is named by its key, or by
+    # file and line when the key is not a literal.
+    src = pathlib.Path(tropibary.__file__).resolve().parent
+    reads = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name not in ("environ", "environb", "getenv", "getenvb"):
+                continue
+            up = parent.get(node)
+            if isinstance(up, ast.Attribute):  # os.environ.get(...)
+                up = parent.get(up)
+            key = None
+            if isinstance(up, ast.Call) and up.args:
+                key = up.args[0]
+            elif isinstance(up, ast.Subscript):
+                key = up.slice
+            elif isinstance(up, ast.Compare):
+                key = up.left
+            reads.add(key.value if isinstance(key, ast.Constant) else f"{path.name}:{node.lineno}")
+    assert reads == {"TROPIBARY_SEED"}
