@@ -41,6 +41,13 @@ copy or an unpickled vector starts without one); equality compares the
 coordinates by identity, then by numerator and denominator.  A
 combination of points takes each output coordinate in one `_dot`, with
 no intermediate vectors.
+
+A vector's row, `_row_of(v)`, is its coordinates as ints at their own
+common denominator (None with a -inf coordinate), kept like the hash.
+Box tests, hull membership, extremal pruning and point-measure
+distances work on rows and build a Fraction only for a value they
+return.  Two rows meet by cross-multiplying or at the lcm of their two
+denominators, never at one lcm over a whole input.
 """
 
 from __future__ import annotations
@@ -360,6 +367,16 @@ def rho(a: Scalar, b: Scalar) -> float:
     return abs(ea - eb)
 
 
+def _rho_ratios(a: tuple, b: tuple) -> float:
+    """rho of two finite values given as int pairs (numerator, denominator
+    > 0), reduced or not: int true division is correctly rounded, so the
+    float is rho's bit for bit."""
+    try:
+        return abs(exp(a[0] / a[1]) - exp(b[0] / b[1]))
+    except OverflowError:
+        return _rho_outside(_ratio(*a), _ratio(*b))
+
+
 # Below this gap, 1 - e^-gap equals gap in double precision, and gap
 # itself may not survive conversion to a float.
 _TINY_GAP = Fraction(1, 2**53)
@@ -405,11 +422,12 @@ def _rho_outside(a: Scalar, b: Scalar) -> float:
 class TropVector:
     """Point of R_max^d with exact coordinates.
 
-    `coords` is not reassigned after construction: the hash is computed
-    on first use and kept in `_hash`.
+    `coords` is not reassigned after construction: the hash and the row
+    are computed on first use and kept in `_hash` and `_row` (unset until
+    `_row_of` fills it).
     """
 
-    __slots__ = ("coords", "_hash")
+    __slots__ = ("coords", "_hash", "_row")
 
     def __init__(self, coords: Iterable[RatLike]):
         self.coords = tuple([scalar(c) for c in coords])
@@ -450,7 +468,7 @@ class TropVector:
         return h
 
     def __reduce__(self):
-        # a copy or an unpickled vector hashes afresh
+        # a copy or an unpickled vector hashes afresh and has no row yet
         return _vector, (self.coords,)
 
     def __repr__(self) -> str:
@@ -492,6 +510,25 @@ def _vector(coords: tuple) -> TropVector:
     v.coords = coords
     v._hash = None
     return v
+
+
+def _row_of(v: TropVector) -> Optional[tuple]:
+    """v's row: (its coordinates as ints at den, den) for den the lcm of
+    their denominators, None when a coordinate is -inf.  Computed on first
+    use and kept in `v._row`, the one place that slot is filled."""
+    try:
+        return v._row
+    except AttributeError:
+        pass
+    try:
+        den = lcm(*[c._denominator for c in v.coords])
+    except AttributeError:
+        # NEG_INF, the only non-Fraction a vector holds, has no denominator
+        row = None
+    else:
+        row = (tuple([c._numerator * (den // c._denominator) for c in v.coords]), den)
+    v._row = row
+    return row
 
 
 def point_dist(x: TropVector, y: TropVector) -> float:

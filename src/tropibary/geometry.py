@@ -6,16 +6,18 @@ A hull here is always normalized: memberships are combinations
 decided by residuation: the largest admissible coefficient of each
 generator is ``min(0, min_j (x_j - v_ij))``, and the point belongs to the
 hull iff those coefficients reconstruct it and their maximum is 0.
+`_residuation` decides it over integer rows (`core._row_of`) for hull
+membership and extremal pruning alike.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from functools import lru_cache, reduce
+from functools import lru_cache
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isinf, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .barycenter import barycenter_point
@@ -25,16 +27,15 @@ from .core import (
     ConvexParams,
     Scalar,
     TropVector,
-    _cmp,
     _combination,
     _ratio,
-    oplus_all,
+    _row_of,
     residual,
     rho,
     scalar,
     trop_min,
 )
-from .errors import BadInput, DimensionMismatch, InfeasibleBarycenter, NotNormalized, TropibaryError
+from .errors import BadInput, DimensionMismatch, InfeasibleBarycenter, NotNormalized, TropibaryError, capped
 from .measures import FiniteSpace, FunctionTable, IdemMeasure, combine
 
 
@@ -58,9 +59,19 @@ class Box:
         return self.low.dim
 
     def contains(self, p: TropVector) -> bool:
+        """low <= p <= high coordinatewise, cross-multiplied over rows."""
         if p.dim != self.dim:
             raise DimensionMismatch("point dimension does not match the box")
-        return self.low.leq(p) and p.leq(self.high)
+        row = _row_of(p)
+        if row is None:  # a -inf coordinate is below every low bound
+            return False
+        xs, xd = row
+        lows, ld = _row_of(self.low)
+        highs, hd = _row_of(self.high)
+        for lo, x, hi in zip(lows, xs, highs):
+            if lo * xd > x * ld or x * hd > hi * xd:
+                return False
+        return True
 
     def interval(self, j: int) -> tuple[Scalar, Scalar]:
         return (self.low[j], self.high[j])
@@ -112,7 +123,7 @@ class TropPolytope:
         return _combination(self.generators, coeffs)
 
     def contains(self, x: TropVector) -> bool:
-        return hull_membership(self, x) is not None
+        return _residuation(self.generators, x) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropPolytope):
@@ -131,14 +142,45 @@ def hull_membership(poly: TropPolytope, x: TropVector) -> Optional[tuple[Scalar,
     normalized combination; without the clamp, points dominating a
     generator would be misclassified.
     """
-    if x.dim != poly.dim:
+    coeffs = _residuation(poly.generators, x)
+    if coeffs is None:
+        return None
+    return tuple([_ratio(c, den) for c, den in coeffs])
+
+
+def _residuation(gens: Sequence[TropVector], x: TropVector) -> Optional[list]:
+    """Each generator's residual coefficient c_g = min(0, min_j (x_j -
+    g_j)) as an int pair (numerator, denominator), when the c_g peak at 0
+    and reconstruct x; else None.  Each row pair meets at the lcm of its
+    two denominators.  As c_g + g_j <= x_j, x is reconstructed when each
+    j has c_g = x_j - g_j for some g.  A -inf in x makes every c_g -inf.
+    """
+    if len(x.coords) != len(gens[0].coords):
         raise DimensionMismatch("point dimension does not match the polytope")
-    coeffs = [reduce(trop_min, map(residual, x.coords, g.coords), ZERO) for g in poly.generators]
-    if _cmp(oplus_all(coeffs), ZERO):
+    row = _row_of(x)
+    if row is None:
         return None
-    if poly.combination(coeffs) != x:
-        return None
-    return tuple(coeffs)
+    xs, xd = row
+    reached = [False] * len(xs)
+    top = False
+    coeffs = []
+    for g in gens:
+        gs, gd = _row_of(g)
+        if gd == xd:
+            den = xd
+            diffs = [a - b for a, b in zip(xs, gs)]
+        else:
+            den = lcm(xd, gd)
+            sx, sg = den // xd, den // gd
+            diffs = [a * sx - b * sg for a, b in zip(xs, gs)]
+        c = min(diffs)
+        if c >= 0:
+            c, top = 0, True
+        for j, e in enumerate(diffs):
+            if e == c:
+                reached[j] = True
+        coeffs.append((c, den))
+    return coeffs if top and all(reached) else None
 
 
 def extremal_points(
@@ -161,16 +203,17 @@ def extremal_points(
     survivors = list(poly.generators)
     k = 0
     while 1 < len(survivors) and k < len(survivors):
-        if hull_membership(TropPolytope(survivors[:k] + survivors[k + 1 :]), survivors[k]) is not None:
+        if _residuation(survivors[:k] + survivors[k + 1 :], survivors[k]) is not None:
             survivors.pop(k)
         else:
             k += 1
     if samples > 0:
         rng = random.Random(seed)
         n = len(survivors)
-        den = lcm(8, *(x.denominator for g in survivors for x in g.coords))
+        rows = [_row_of(g) for g in survivors]
+        den = lcm(8, *[d for _, d in rows])
         grid = [j * den // 8 for j in range(-16, 1)]
-        columns = [[int(x * den) for x in col] for col in zip(*[g.coords for g in survivors])]
+        columns = list(zip(*[[x * (den // d) for x in xs] for xs, d in rows]))
 
         def draw():
             coeffs = [rng.choice(grid) if rng.random() < 0.8 else None for _ in range(n)]
@@ -624,6 +667,14 @@ def _segment_polyline(u: TropVector, v: TropVector) -> list[TropVector]:
     return pts
 
 
+def _drawn(c: Scalar) -> float:
+    """c as a float to draw; BadInput when it lies outside the float range."""
+    try:
+        return float(c)
+    except OverflowError:
+        raise BadInput(f"cannot draw the coordinate {capped(str(c))}: it lies outside the float range") from None
+
+
 def render_polytope_svg(
     poly: TropPolytope,
     path: str,
@@ -633,11 +684,14 @@ def render_polytope_svg(
     segments between generators, generators as dots, extremals ringed."""
     if poly.dim != 2:
         raise BadInput("SVG rendering is implemented for dimension 2 only")
-    xs = [float(p[0]) for p in poly.generators]
-    ys = [float(p[1]) for p in poly.generators]
+    xs = [_drawn(p[0]) for p in poly.generators]
+    ys = [_drawn(p[1]) for p in poly.generators]
     pad = 0.3
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
+    if isinf(x1 - x0) or isinf(y1 - y0):
+        # each coordinate is a float, but the scale would turn them into nan
+        raise BadInput("cannot draw the polytope: its extent lies outside the float range")
     size = 420.0
     sx = size / (x1 - x0)
     sy = size / (y1 - y0)

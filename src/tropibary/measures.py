@@ -32,6 +32,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -46,7 +47,10 @@ from .core import (
     _dot,
     _parse,
     _point_key,
+    _rho_ratios,
+    _row_of,
     _sign,
+    _vector,
     odot,
     oplus,
     oplus_all,
@@ -475,17 +479,17 @@ def pushforward(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
 @lru_cache(maxsize=64)
 def _affine_tests(dim: int) -> tuple:
     """32 max-plus affine functions phi(x) = const oplus max_j (c_j odot
-    x_j) on R_max^dim, each as the pair ((0, c_1, ..., c_dim), const), so
-    that phi(x) = `_dot`((0, c_1, ..., c_dim), (const, *x)): coefficients
-    and constants on the grid -2, -15/8, ..., 0, drawn from
-    `random.Random(0)`."""
-    grid = [Fraction(k, 8) for k in range(-16, 1)]
+    x_j) on R_max^dim, as columns of ints times 8: the 32 constants, then
+    the 32 c_j for each j.  Coefficients and constants lie on the grid
+    -2, -15/8, ..., 0 and are drawn from `random.Random(0)`, each test's
+    coefficients before its constant."""
+    grid = list(range(-16, 1))
     rng = random.Random(0)
     tests = []
     for _ in range(32):
-        coeffs = (ZERO, *(rng.choice(grid) for _ in range(dim)))
-        tests.append((coeffs, rng.choice(grid)))
-    return tuple(tests)
+        coeffs = [rng.choice(grid) for _ in range(dim)]
+        tests.append((rng.choice(grid), *coeffs))
+    return tuple(zip(*tests))
 
 
 def _space_values(mu: IdemMeasure) -> tuple:
@@ -501,24 +505,33 @@ def _space_values(mu: IdemMeasure) -> tuple:
 
 
 def _point_values(mu: IdemMeasure) -> list:
-    """The values `measure_dist` compares for a measure over points.
+    """The values `measure_dist` compares for a measure over points, each
+    an int pair (numerator, denominator) that `core._rho_ratios` reads.
 
     In order: the barycenter's coordinates (mu on each projection), mu on
     min(x_i, x_j) for each i < j, and each of `_affine_tests` at the
-    barycenter.  For max-plus affine phi, mu(phi) = phi(beta(mu)) holds
-    exactly, because odot distributes over oplus and the weights of mu
-    peak at 0, so an affine value costs O(dim) instead of O(atoms * dim).
+    barycenter, over ints at the lcm of 8 and the denominator of the
+    barycenter's row.  For max-plus affine phi, mu(phi) = phi(beta(mu))
+    holds exactly, because odot distributes over oplus and the weights of
+    mu peak at 0, so an affine value costs O(dim) instead of
+    O(atoms * dim).
     """
     weights = [w for _, w in mu.atoms]
     columns = list(zip(*[p.coords for p, _ in mu.atoms]))
-    beta = [_dot(weights, col) for col in columns]
-    values = list(beta)
+    beta, den = _row_of(_vector(tuple([_dot(weights, col) for col in columns])))
+    values = [(b, den) for b in beta]
     dim = len(columns)
     for i in range(dim):
         for j in range(i + 1, dim):
-            values.append(_dot(weights, map(trop_min, columns[i], columns[j])))
-    for coeffs, const in _affine_tests(dim):
-        values.append(_dot(coeffs, (const, *beta)))
+            low = _dot(weights, map(trop_min, columns[i], columns[j]))
+            values.append((low._numerator, low._denominator))
+    scale = lcm(8, den)
+    consts, *coeffs = _affine_tests(dim)
+    if scale != 8:
+        consts = [c * (scale // 8) for c in consts]
+        coeffs = [[c * (scale // 8) for c in col] for col in coeffs]
+    at = [b * (scale // den) for b in beta]
+    values += zip(map(max, consts, *[[c + b for c in col] for col, b in zip(coeffs, at)]), repeat(scale))
     return values
 
 
@@ -536,16 +549,15 @@ def measure_dist(mu: IdemMeasure, nu: IdemMeasure) -> float:
     The float separates what e^a separates: `exp` underflows to 0.0 below
     about -745, so weights or values that low read exactly like -inf, and
     the weights (0, -800) and (0, -inf) are at distance 0.0.  A distance
-    above the float range raises BadInput (see `core.rho`).
+    above the float range raises BadInput (see `core.rho`); the point
+    values reach it through `core._rho_ratios`, which gives rho's floats.
     """
     if mu.space is not None and mu.space == nu.space:
-        values = _space_values
-    elif mu.space is None and nu.space is None:
-        if not all(isinstance(m.atoms[0][0], TropVector) for m in (mu, nu)):
-            raise BadInput("measures over measures have no default test family")
-        if mu.atoms[0][0].dim != nu.atoms[0][0].dim:
-            raise DimensionMismatch("point measures of mixed dimension")
-        values = _point_values
-    else:
+        return max(map(rho, _space_values(mu), _space_values(nu)))
+    if mu.space is not None or nu.space is not None:
         raise SpaceMismatch("no default test family across different spaces")
-    return max(map(rho, values(mu), values(nu)))
+    if not all(isinstance(m.atoms[0][0], TropVector) for m in (mu, nu)):
+        raise BadInput("measures over measures have no default test family")
+    if mu.atoms[0][0].dim != nu.atoms[0][0].dim:
+        raise DimensionMismatch("point measures of mixed dimension")
+    return max(map(_rho_ratios, _point_values(mu), _point_values(nu)))

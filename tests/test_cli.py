@@ -115,6 +115,10 @@ DOCUMENTS = {
     "map_bool_n": {"source": {"n": True}, "target": {"labels": ["u"]}, "table": [0]},
     "map_negative": {"source": SPACE, "target": {"labels": ["u"]}, "table": [0, -1]},
     "poly_empty": {"generators": []},
+    # a generator coordinate above the float range, which no SVG can draw
+    "poly_huge": {"generators": [["1" + "0" * 400, "0"], ["0", "-1"]]},
+    # coordinates inside the float range that span more than it
+    "poly_wide": {"generators": [["17" + "0" * 307, "0"], ["-17" + "0" * 307, "-1"]]},
     # a space written with no labels has no points
     "m_no_labels": {"space": {"labels": []}, **atoms(("a", "0"))},
     "map_no_labels": {"source": SPACE, "target": {"labels": []}, "table": [0, 0]},
@@ -418,6 +422,20 @@ class TestGeometryCommands:
         assert doc["outputs"]["extremal"] == [["-1", "0"], ["0", "-2"]]
         assert svg.read_text().startswith("<svg")
 
+    def test_ext_svg_refuses_what_floats_cannot_draw_before_writing(self, capsys, docs, tmp_path):
+        svg = tmp_path / "huge.svg"
+        code, out, err = run(capsys, "ext", "--polytope", docs["poly_huge"], "--svg", str(svg))
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert line == "error: cannot draw the coordinate 1" + "0" * 199 + "...: it lies outside the float range"
+        assert not svg.exists()
+        # floats each, but 3.4e308 apart: the drawing scale would be 0 and every x nan
+        code, out, err = run(capsys, "ext", "--polytope", docs["poly_wide"], "--svg", str(svg))
+        assert (code, out) == (1, "")
+        assert "error: cannot draw the polytope: its extent lies outside the float range" in err.splitlines()
+        assert not svg.exists()
+
     def test_member_inside(self, capsys, docs):
         doc = report(capsys, "member", "--polytope", docs["poly"], "--point", '["-1/4", "0"]')
         assert doc["outputs"]["member"]
@@ -564,6 +582,8 @@ MALFORMED = [
     ("eval", "--measure", "@long_int", "--table", "@table"),
     ("member", "--polytope", "@poly", "--point", "%long_int_point"),
     ("member", "--polytope", "@poly", "--point", "%deep_point"),
+    ("ext", "--polytope", "@poly_huge", "--svg", "@a_directory"),
+    ("ext", "--polytope", "@poly_wide", "--svg", "@a_directory"),
 ]
 
 

@@ -147,8 +147,8 @@ class TestExtremalPoints:
 
     def test_sampled_decomposition_refutes_a_kept_redundant_generator(self, monkeypatch):
         # with pruning switched off, (0, 0) = (0, -1) oplus (-1, 0) survives,
-        # and the sampled check must catch it
-        monkeypatch.setattr(geometry, "hull_membership", lambda poly, x: None)
+        # and the sampled check must catch it; pruning asks _residuation
+        monkeypatch.setattr(geometry, "_residuation", lambda gens, x: None)
         poly = TropPolytope([v("0", "-1"), v("-1", "0"), v("0", "0")])
         with pytest.raises(TropibaryError, match="refuted"):
             extremal_points(poly, samples=20, seed=1)

@@ -1,6 +1,7 @@
 """The package's public names: `tropibary.__all__` lists each once, none
 private, and every one of them imports.  Its source: one max-plus product
-kernel, and no private helper that only tests call."""
+kernel, one place that fills a vector's row cache, and no private helper
+that only tests call."""
 
 import ast
 import pathlib
@@ -25,6 +26,31 @@ def test_max_plus_products_go_through_the_one_kernel():
         if "oplus_all(odot(" in line or "oplus_all(map(odot" in line
     ]
     assert folds == []
+
+
+def test_only_core_fills_the_row_cache():
+    # a vector's row is filled in one place, core._row_of; a module that
+    # assigned `_row` itself could cache a row that disagrees with coords
+    src = pathlib.Path(tropibary.__file__).resolve().parent
+    writes = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Attribute) and sub.attr == "_row":
+                            writes.append(f"{path.name}:{sub.lineno}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Name, ast.Attribute))
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("setattr", "__setattr__")
+                and any(isinstance(a, ast.Constant) and a.value == "_row" for a in node.args)
+            ):
+                writes.append(f"{path.name}:{node.lineno}")
+    assert writes == []
 
 
 def test_every_private_helper_has_a_caller_in_src():
