@@ -101,11 +101,13 @@ class TropPolytope:
         gens = []
         seen = set()
         for g in generators:
-            if not g.is_finite:
+            # equal vectors have equal rows, and a row of None has a -inf
+            row = _row_of(g)
+            if row is None:
                 raise BadInput("generators must have finite coordinates")
-            if g not in seen:
+            if row not in seen:
                 gens.append(g)
-                seen.add(g)
+                seen.add(row)
         if not gens:
             raise BadInput("a polytope needs at least one generator")
         dims = {g.dim for g in gens}

@@ -17,7 +17,9 @@ minItems, maxItems, oneOf, anyOf and local "#/$defs/..." $ref; $schema,
 title and $defs carry no constraint and are skipped.  Any other keyword
 in a part of a schema that checks documents raises ValueError when the
 schema is compiled, so a schema that gains one fails loudly instead of
-being checked less.
+being checked less.  Where a node's "type" is "object" beside object
+keywords, or "array" beside array keywords, the container check refuses
+the other kinds of value itself, with no separate type check.
 
 Each compiled "$defs" check keeps a verdict table: its verdict on each
 str value of at most `VERDICT_TEXT_CAP` characters, for the
@@ -25,6 +27,15 @@ str value of at most `VERDICT_TEXT_CAP` characters, for the
 verdict is the verdict; longer strings, dicts, lists and numbers are
 checked every time.  The table holds verdicts on values only, never a
 document or a result, and a rejection is still worded by jsonschema.
+
+Reports are rendered by `dump_document`, whose text is exactly that of
+`json.dumps(doc, indent=2, sort_keys=True)`: keys sorted as json sorts
+them, int, float, bool and None keys converted as json converts them,
+strings escaped to ASCII by json's C escaper, floats as json writes them
+(repr, or Infinity, -Infinity, NaN), and TypeError, in json's words, for
+any other type.  It exists because any `indent` sends `json.dumps` to
+its pure-Python encoder.  A report never holds a cycle; on one,
+`dump_document` overflows the stack where json raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ import math
 import re
 from functools import lru_cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional, Union
 
 import jsonschema
@@ -144,26 +156,31 @@ def _compile(root: dict) -> Callable[[object], bool]:
         if unknown:
             raise ValueError(f"no compiled check for keywords {sorted(unknown)}")
         checks = []
+        kind = schema.get("type")
+        is_object = bool(schema.keys() & {"properties", "required", "additionalProperties"})
+        is_array = bool(schema.keys() & {"items", "minItems", "maxItems"})
         if "type" in schema:
-            kind = schema["type"]
             if not isinstance(kind, str) or kind not in _TYPES:
                 raise ValueError(f"no compiled check for type {kind!r}")
-            checks.append(_TYPES[kind])
+            # an object or array check with keywords refuses the other kinds itself
+            if not (kind == "object" and is_object or kind == "array" and is_array):
+                checks.append(_TYPES[kind])
         if "const" in schema:
             checks.append(_const(schema["const"]))
         if "pattern" in schema:
             checks.append(_pattern(re.compile(schema["pattern"]).search))
         if "minimum" in schema:
             checks.append(_minimum(schema["minimum"]))
-        if schema.keys() & {"properties", "required", "additionalProperties"}:
+        if is_object:
             closed = "additionalProperties" in schema
             if closed and schema["additionalProperties"] is not False:
                 raise ValueError("no compiled check for additionalProperties other than false")
             props = {k: node(sub) for k, sub in schema.get("properties", {}).items()}
-            checks.append(_object(props, tuple(schema.get("required", ())), closed))
-        if schema.keys() & {"items", "minItems", "maxItems"}:
+            checks.append(_object(props, tuple(schema.get("required", ())), closed, kind == "object"))
+        if is_array:
             item = node(schema["items"]) if "items" in schema else None
-            checks.append(_array(item, schema.get("minItems", 0), schema.get("maxItems", math.inf)))
+            lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+            checks.append(_array(item, lo, hi, kind == "array"))
         if "oneOf" in schema:
             checks.append(_one_of(tuple(node(sub) for sub in schema["oneOf"])))
         if "anyOf" in schema:
@@ -240,13 +257,14 @@ def _minimum(m) -> Callable[[object], bool]:
     return lambda v: not isinstance(v, (int, float)) or isinstance(v, bool) or not v < m
 
 
-def _object(props: dict, required: tuple, closed: bool) -> Callable[[object], bool]:
+def _object(props: dict, required: tuple, closed: bool, typed: bool) -> Callable[[object], bool]:
+    """The object keywords' check; with `typed`, also "type": "object"."""
     names = props.keys()
     pairs = tuple(props.items())
 
     def check(v):
         if not isinstance(v, dict):
-            return True
+            return not typed
         for k in required:
             if k not in v:
                 return False
@@ -260,10 +278,12 @@ def _object(props: dict, required: tuple, closed: bool) -> Callable[[object], bo
     return check
 
 
-def _array(item, lo: int, hi) -> Callable[[object], bool]:
+def _array(item, lo: int, hi, typed: bool) -> Callable[[object], bool]:
+    """The array keywords' check; with `typed`, also "type": "array"."""
+
     def check(v):
         if not isinstance(v, list):
-            return True
+            return not typed
         if not lo <= len(v) <= hi:
             return False
         if item is not None:
@@ -305,9 +325,81 @@ def parse_json(text: str, name: str) -> object:
 
 
 def dump_document(doc: dict) -> str:
-    """Deterministic rendering: sorted keys; floats, where a report has
-    them, serialize via repr and so are stable too."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The text of `json.dumps(doc, indent=2, sort_keys=True)`, byte for
+    byte, without its pure-Python encoder (see the module docstring)."""
+    out: list = []
+    _render(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _render(v, nl: str, emit: Callable[[str], object]):
+    """Emit v's text, nl being the newline and indent of v's own line.
+    Types are tried in the order of `json.encoder._make_iterencode`."""
+    if isinstance(v, str):
+        emit(_quote(v))
+    elif v is None:
+        emit("null")
+    elif v is True:
+        emit("true")
+    elif v is False:
+        emit("false")
+    elif isinstance(v, int):
+        emit(int.__repr__(v))
+    elif isinstance(v, float):
+        emit(_float_text(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            emit("[]")
+            return
+        inner = nl + "  "
+        try:  # a list of plain strings, in one join
+            emit("[" + inner + ("," + inner).join(map(_quote, v)) + nl + "]")
+            return
+        except TypeError:
+            pass
+        lead = "[" + inner
+        for x in v:
+            emit(lead)
+            lead = "," + inner
+            _render(x, inner, emit)
+        emit(nl + "]")
+    elif isinstance(v, dict):
+        if not v:
+            emit("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        for k, x in sorted(v.items()):
+            emit(lead + _quote(k if isinstance(k, str) else _key_text(k)) + ": ")
+            lead = "," + inner
+            _render(x, inner, emit)
+        emit(nl + "}")
+    else:
+        raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    if isinstance(k, float):
+        return _float_text(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _float_text(f: float) -> str:
+    if f != f:
+        return "NaN"
+    if f == math.inf:
+        return "Infinity"
+    if f == -math.inf:
+        return "-Infinity"
+    return float.__repr__(f)
 
 
 # -- scalars, points, params --------------------------------------------------
@@ -326,7 +418,7 @@ def vector_to_json(v: TropVector) -> list:
 
 
 def vector_from_json(doc: list) -> TropVector:
-    return TropVector([scalar(c) for c in doc])
+    return TropVector(doc)
 
 
 def params_to_json(params: ConvexParams) -> dict:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import time
 from fractions import Fraction
 from importlib import resources
@@ -59,6 +60,20 @@ class TestScalarAndVector:
         v = TropVector([scalar("-1/2"), NEG_INF, ZERO])
         assert vector_from_json(vector_to_json(v)) == v
         assert vector_to_json(v) == ["-1/2", "-inf", "0"]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (["+inf"], "+inf cannot be stored in a vector"),
+            ([], "vectors must have at least one coordinate"),
+            ([1.5], "refusing inexact scalar input 1.5; pass int, Fraction, or 'p/q' string"),
+            (["abc"], "'abc' is not a rational or -inf"),
+        ],
+    )
+    def test_vector_refusals_keep_their_wording(self, doc, message):
+        with pytest.raises(BadInput) as caught:
+            vector_from_json(doc)
+        assert str(caught.value) == message
 
     def test_params_roundtrip(self):
         params = ConvexParams(scalar("-1/4"), ZERO)
@@ -202,6 +217,17 @@ class TestGeometryDocs:
         validate_document(doc, "polytope")
         assert polytope_from_json(doc) == poly
 
+    def test_equal_generators_decode_once_in_first_seen_order(self):
+        doc = {"generators": [["1/2", "0"], ["0", "-1"], ["2/4", "0"], ["0.5", "0"]]}
+        validate_document(doc, "polytope")
+        poly = polytope_from_json(doc)
+        assert poly.generators == (TropVector(["1/2", "0"]), TropVector(["0", "-1"]))
+
+    def test_a_minus_inf_generator_is_refused(self):
+        with pytest.raises(BadInput) as caught:
+            polytope_from_json({"generators": [["0", "0"], ["-inf", "0"]]})
+        assert str(caught.value) == "generators must have finite coordinates"
+
     def test_box_roundtrip(self):
         box = Box(TropVector([-1, -2]), TropVector([0, 0]))
         assert box_from_json(box_to_json(box)) == box
@@ -282,6 +308,45 @@ class TestValidationAndFiles:
         path.write_text("{not json")
         with pytest.raises(SchemaError, match="not JSON"):
             read_document(str(path), "measure")
+
+
+# -- the renderer against json.dumps ----------------------------------------------
+
+_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é \u2028 \U0001f600", "\ud800"]))
+_NUMBERS = st.one_of(st.integers(-(10**30), 10**30), st.floats(), st.booleans())
+_TREES = st.recursive(
+    st.one_of(_TEXT, st.none(), _NUMBERS, st.sampled_from([-0.0, 1e16, 1e-7, math.inf, -math.inf, math.nan])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_TEXT, max_size=4),
+        # one kind of key per dict: keys of different kinds do not sort
+        *(st.dictionaries(keys, inner, max_size=4) for keys in (_TEXT, _NUMBERS, st.none())),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_TREES)
+@example(doc={"b": 1, "a": {"d": [1.5, "x"], "c": None}})
+@example(doc={"a": [], "b": {}, "c": [[], {}, ()], "d": [[[]]], "e": {"f": {}}})
+@example(doc=[True, False, None, 0, -1, -(10**30), 10**30])
+@example(doc=[-0.0, 1e16, 1e-7, math.inf, -math.inf, math.nan])
+@example(doc={1: "a", 2.5: "b", True: "c", -3: "d"})
+@example(doc={None: ["x", ("y", "z")]})
+@example(doc=["", '"', "\\", "\n\t\x00", "é", "\ud800"])
+def test_dump_is_json_dumps_byte_for_byte(doc):
+    assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, object(), {"a": [1, {"b": b"x"}]}, {(1, 2): 0}])
+def test_dump_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        dump_document(value)
+    assert str(got.value) == str(want.value)
 
 
 class TestValidationEdges:
@@ -386,6 +451,12 @@ def mutated_documents(draw):
 @example(doc={"source": {"n": 1.0}, "target": {"n": 1}, "table": [0]})
 @example(doc={"atoms": [{"at": ["0", "-1"], "w": "1\n"}]})
 @example(doc={"space": {"n": 2}, "values": ["0", "-inf"]})
+# the wrong container kind where a fused object or array check stands
+@example(doc={"atoms": "x"})
+@example(doc={"atoms": [[]]})
+@example(doc={"generators": {"a": 1}})
+@example(doc={"space": [], "atoms": [{"at": "a", "w": "0"}]})
+@example(doc={"elements": "x"})
 def test_compiled_check_agrees_with_jsonschema(doc):
     for name in SCHEMAS:
         want = _validator(name).is_valid(doc)

@@ -1,7 +1,7 @@
 """The package's public names: `tropibary.__all__` lists each once, none
 private, and every one of them imports.  Its source: one max-plus product
-kernel, one place that fills a vector's row cache, and no private helper
-that only tests call."""
+kernel, one place that fills a vector's row cache, no report rendered by
+json's pure-Python encoder, and no private helper that only tests call."""
 
 import ast
 import pathlib
@@ -51,6 +51,24 @@ def test_only_core_fills_the_row_cache():
             ):
                 writes.append(f"{path.name}:{node.lineno}")
     assert writes == []
+
+
+def test_no_json_dump_in_src_passes_indent():
+    # any indent sends json.dump(s) to its pure-Python encoder; reports
+    # are rendered by io.dump_document instead
+    src = pathlib.Path(tropibary.__file__).resolve().parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and any(k.arg in ("indent", None) for k in node.keywords)
+    ]
+    assert calls == []
 
 
 def test_every_private_helper_has_a_caller_in_src():
