@@ -36,7 +36,6 @@ from .geometry import (
 )
 from .lifting import (
     BoxHost,
-    brute_force_lift_beta,
     brute_force_lift_box,
     brute_force_lift_interval,
     brute_force_lift_s,
@@ -196,18 +195,24 @@ def _cmd_lift_s(instance: dict, target_doc: dict, oracle: bool) -> dict:
     return out
 
 
+# The instance kinds `lift beta` answers on, each with its host builder.
+_BETA_HOSTS = {"barycenter-box": lambda instance: BoxHost(codecs.box_from_json(instance))}
+
+
 def _cmd_lift_beta(instance: dict, target_doc: dict, oracle: bool) -> dict:
-    box = codecs.box_from_json(instance)
+    if instance["kind"] not in _BETA_HOSTS:
+        raise BadInput("lift beta expects a barycenter-box instance")
+    host = _BETA_HOSTS[instance["kind"]](instance)
     nu = codecs.measure_from_json(instance["measure"])
     target = codecs.vector_from_json(target_doc["point"])
-    out = lift_beta(nu, target, BoxHost(box))
+    out = lift_beta(nu, target, host)
     payload = {
         "witness": codecs.measure_to_json(out),
-        "exactness": barycenter_point(out) == target,
+        "exactness": host.bary(out) == target,
         "distance": measure_dist(out, nu),
     }
     if oracle:
-        found = brute_force_lift_beta(nu, target, box, mode="best")
+        found = host.oracle(nu, target, "best")
         payload["oracle"] = {
             "witness_found": found is not None,
             "witness": codecs.measure_to_json(found) if found is not None else None,
@@ -218,12 +223,7 @@ def _cmd_lift_beta(instance: dict, target_doc: dict, oracle: bool) -> dict:
 def _cmd_lift(args) -> dict:
     instance = codecs.read_document(args.instance, "instance")
     target_doc = codecs.read_document(args.target, "target")
-    if args.map == "s":
-        payload = _cmd_lift_s(instance, target_doc, args.oracle)
-    else:
-        if instance["kind"] != "barycenter-box":
-            raise BadInput("lift beta expects a barycenter-box instance")
-        payload = _cmd_lift_beta(instance, target_doc, args.oracle)
+    payload = (_cmd_lift_s if args.map == "s" else _cmd_lift_beta)(instance, target_doc, args.oracle)
     return {
         "subcommand": f"lift {args.map}",
         "inputs_digest": _digest(args.instance, args.target),

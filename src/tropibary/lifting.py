@@ -31,6 +31,10 @@ max(t' + l, p' + r) = target; each gives only its values per coordinate,
 the rank of their solutions and its pick, and the interval oracle is the
 box oracle on a 1-D box.  The β oracle enumerates atom subsets, so it
 keeps its own search and shares only the "exists"/"best" choice.
+
+A barycenter-lift host gives `lift_beta` its `contains`, `bary` and
+`lift_s`; the barycenter suite and `lift beta` also call its `sample`,
+`near` and `oracle`, and every host's distance is `measure_dist`.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ from .measures import (
     combine,
     measure_dist,
 )
+from . import sampling
 
 
 @dataclass(frozen=True)
@@ -253,38 +258,19 @@ def _shifted(space, lam, bet, alpha, lower, higher, shift, tag) -> LiftWitness:
 # -- fibers of surjections ---------------------------------------------------
 
 
-class MergeMap:
-    """Surjection collapsing the last two source points onto the last
-    target point, identity elsewhere.  Kept only for
-    `bench/fiber_sweep.py`; the library and demos build the `SpaceMap`."""
+class MergeMap(SpaceMap):
+    """The surjection merging the last two source points.  It and the alias
+    `lift_merge_fiber` are kept only for `bench/fiber_sweep.py`."""
 
-    __slots__ = ("source", "target", "_map")
+    __slots__ = ()
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace):
         if source.n != target.n + 1:
             raise BadInput("a merge map drops exactly one point")
-        self.source = source
-        self.target = target
-        n = target.n
-        self._map = SpaceMap(source, target, list(range(n)) + [n - 1])
+        super().__init__(source, target, [*range(target.n), target.n - 1])
 
     def as_space_map(self) -> SpaceMap:
-        return self._map
-
-    def __repr__(self) -> str:
-        return f"MergeMap({self.source.n} -> {self.target.n})"
-
-
-def lift_merge_fiber(
-    nu: IdemMeasure,
-    mu: IdemMeasure,
-    a: IdemMeasure,
-    params: ConvexParams,
-    merge: MergeMap,
-) -> tuple[IdemMeasure, IdemMeasure]:
-    """The fiber lift through a merge map; see lift_fiber_surjection.
-    Kept only for `bench/fiber_sweep.py`."""
-    return lift_fiber_surjection(nu, mu, a, params, merge.as_space_map())
+        return self
 
 
 def lift_fiber_surjection(
@@ -335,6 +321,9 @@ def lift_fiber_surjection(
         "fiber witness does not push forward to (mu, a) or recombine to nu",
     )
     return _dense(f.source, lam), _dense(f.source, eta)
+
+
+lift_merge_fiber = lift_fiber_surjection
 
 
 # -- convex combinations of points in intervals and boxes --------------------
@@ -428,10 +417,20 @@ def lift_s_box(
 
 
 class BoxHost:
-    """Box compactum as a lift host: barycenters of points, box lifts."""
+    """Box compactum as a lift host: barycenters of points, box lifts,
+    and the box's sampler, near targets and oracle."""
 
     def __init__(self, box: Box):
         self.box = box
+
+    def sample(self, rng) -> IdemMeasure:
+        return sampling.random_point_measure(rng, self.box)
+
+    def near(self, point, delta) -> list:
+        return sampling.lattice_targets_near(point, self.box, delta)
+
+    def oracle(self, nu, target, mode) -> Optional[IdemMeasure]:
+        return brute_force_lift_beta(nu, target, self.box, mode)
 
     def bary(self, mu: IdemMeasure) -> TropVector:
         point = barycenter_point(mu)
@@ -477,8 +476,8 @@ def lift_beta(nu: IdemMeasure, target, host) -> IdemMeasure:
     the t of every lift above it; duplicates merge by max.  The
     witness's barycenter is certified once.
 
-    A host provides `bary`, `lift_s` and `contains`; the target and
-    every atom must be points of the host.
+    It needs only the host's `contains`, `bary` and `lift_s` (the module
+    docstring has the rest); the target and every atom must be host points.
     """
     if not host.contains(target):
         raise BadInput(f"target {capped(repr(target))} is not a point of the host")

@@ -369,10 +369,10 @@ def suite_fiber(rng, seed, knobs, tally) -> list:
 # -- suite: interval and box lifts -------------------------------------------
 
 
-def _first_accepted(point, box, delta, lift):
-    """The first of `sampling.lattice_targets_near(point, box, delta)`
-    that `lift` accepts, with its witness, or None if it refuses them all."""
-    for cand in sampling.lattice_targets_near(point, box, delta):
+def _first_accepted(candidates, lift):
+    """The first of `candidates` that `lift` accepts, with its witness,
+    or None if it refuses them all."""
+    for cand in candidates:
         try:
             return cand, lift(cand)
         except Rejection:
@@ -407,8 +407,8 @@ def suite_point_lifts(rng, seed, knobs, tally) -> list:
             first, second = coords(x), coords(y)
             last = None
             for j in range(1, knobs["lift_depth"] + 1):
-                delta = sampling.dyadic_delta(j)
-                picked = _first_accepted(image, box, delta, lambda c: lift(first, second, params, coords(c), box))
+                targets = sampling.lattice_targets_near(image, box, sampling.dyadic_delta(j))
+                picked = _first_accepted(targets, lambda c: lift(first, second, params, coords(c), box))
                 if picked is None:
                     exact.check(False, f"no target near depth {j} accepted")
                     continue
@@ -428,33 +428,29 @@ def suite_point_lifts(rng, seed, knobs, tally) -> list:
 # -- suite: barycenter lift ---------------------------------------------------
 
 
-@suite("barycenter-lift")
-def suite_barycenter_lift(rng, seed, knobs, tally) -> list:
-    box = sampling.standard_box(2)
-    host = BoxHost(box)
+def _barycenter_lift_rows(host, rng, knobs, tally) -> list:
+    """`lift_beta` at targets the host proposes near the barycenters of
+    measures it samples; witnesses are measured by `measure_dist`."""
     exact = tally("lifted-measure-hits-target")
     near = tally("near-target-accepted")
     shrink = tally("witness-distance-shrinks-to-zero")
     for _ in range(knobs["beta"]):
-        nu = sampling.random_point_measure(rng, box, k_max=4)
-        center = barycenter_point(nu)
-        picked = _first_accepted(center, box, Fraction(1, 128), lambda c: lift_beta(nu, c, host))
+        nu = host.sample(rng)
+        center = host.bary(nu)
+        picked = _first_accepted(host.near(center, Fraction(1, 128)), lambda c: lift_beta(nu, c, host))
         near.check(picked is not None, f"no target near {center!r} accepted")
         if picked is None:
             continue
         cand, out = picked
-        exact.check(barycenter_point(out) == cand, f"{barycenter_point(out)!r} != {cand!r}")
+        exact.check(host.bary(out) == cand, f"{host.bary(out)!r} != {cand!r}")
         dists = []
         for j in range(7, knobs["lift_depth"] + 1):
-            found = _first_accepted(center, box, sampling.dyadic_delta(j), lambda c: lift_beta(nu, c, host))
+            found = _first_accepted(host.near(center, Fraction(1, 2**j)), lambda c: lift_beta(nu, c, host))
             if found is None:
                 shrink.check(False, f"depth {j}: nothing accepted")
                 break
             cand_j, got = found
-            exact.check(
-                barycenter_point(got) == cand_j,
-                f"depth {j}: witness barycenter missed",
-            )
+            exact.check(host.bary(got) == cand_j, f"depth {j}: witness barycenter missed")
             dists.append(measure_dist(got, nu))
         if dists:
             shrink.check(
@@ -463,6 +459,11 @@ def suite_barycenter_lift(rng, seed, knobs, tally) -> list:
                 f"distances {dists[0]:.3g} -> {dists[-1]:.3g}",
             )
     return [near.row(), exact.row(), shrink.row()]
+
+
+@suite("barycenter-lift")
+def suite_barycenter_lift(rng, seed, knobs, tally) -> list:
+    return _barycenter_lift_rows(BoxHost(sampling.standard_box(2)), rng, knobs, tally)
 
 
 # -- suite: cover approximation ----------------------------------------------

@@ -319,12 +319,21 @@ class TestLift:
         assert outputs["exactness"] and outputs["oracle"]["witness_found"]
         assert outputs["oracle"]["witness"]["case_tag"] == "oracle"
 
-    def test_beta_lift_needs_matching_instance(self, capsys, docs):
-        code, _, err = run(
-            capsys, "lift", "beta", "--instance", docs["inst_int"], "--target", docs["tgt_beta"]
-        )
-        assert code == 1
-        assert "barycenter-box" in err
+    @pytest.mark.parametrize(
+        "lift_map, instance, message",
+        [
+            ("beta", "inst_int", "lift beta expects a barycenter-box instance"),
+            ("beta", "inst_box", "lift beta expects a barycenter-box instance"),
+            ("beta", "inst_meas", "lift beta expects a barycenter-box instance"),
+            ("s", "inst_beta", "instance kind 'barycenter-box' does not fit lift s"),
+        ],
+        ids=["beta-on-interval", "beta-on-box", "beta-on-combination-measures", "s-on-barycenter-box"],
+    )
+    def test_beta_lift_needs_matching_instance(self, capsys, docs, lift_map, instance, message):
+        # each lift refuses the other's instance kinds before it reads the target
+        code, out, err = run(capsys, "lift", lift_map, "--instance", docs[instance], "--target", docs["tgt_beta"])
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
 
 
 class TestApprox:

@@ -71,6 +71,31 @@ def test_no_json_dump_in_src_passes_indent():
     assert calls == []
 
 
+def test_only_box_host_knows_the_barycenter_host_is_a_box():
+    # the barycenter suite body and the lift beta command reach the box
+    # through the host's methods; lifting.BoxHost is the one place that
+    # samples it, proposes targets in it and runs its oracle
+    src = pathlib.Path(tropibary.__file__).resolve().parent
+
+    def names(node) -> set:
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                found.add(sub.name)
+        return found
+
+    verify_tree = ast.parse((src / "verify.py").read_text(encoding="utf-8"))
+    body = next((n for n in verify_tree.body if getattr(n, "name", None) == "_barycenter_lift_rows"), None)
+    assert body is not None, "verify._barycenter_lift_rows is gone"
+    box_names = {"sampling", "standard_box", "random_point_measure", "lattice_targets_near", "barycenter_point", "Box"}
+    assert names(body) & box_names == set()
+    assert "brute_force_lift_beta" not in names(ast.parse((src / "cli.py").read_text(encoding="utf-8")))
+
+
 def test_every_private_helper_has_a_caller_in_src():
     # a module-level private def or class that no code in src/ names (as a
     # Name, an Attribute or an import alias) is kept for tests alone

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from tropibary import lifting, verify
-from tropibary.core import NEG_INF
+from tropibary.core import NEG_INF, TropVector
+from tropibary.geometry import Box
+from tropibary.lifting import BoxHost
 from tropibary.measures import combine
+from tropibary.sampling import spawn, standard_box
 from tropibary.verify import (
     SCALES,
     SUITES,
@@ -117,3 +120,35 @@ def test_scales_expose_default_and_tiny():
     for knob, small in SCALES["tiny"].items():
         if isinstance(small, int):  # fiber_lo is a grid bound, not a count
             assert small <= SCALES["default"][knob]
+
+
+class _NothingNearHost(BoxHost):
+    """A box host that proposes no target at all."""
+
+    def near(self, point, delta):
+        return []
+
+
+def _barycenter_rows(host) -> dict:
+    rows = verify._barycenter_lift_rows(
+        host, spawn(7, "barycenter-lift"), SCALES["tiny"], lambda case: verify._Tally("barycenter-lift", case)
+    )
+    return {r.case: r for r in rows}
+
+
+@pytest.mark.parametrize(
+    "box",
+    [standard_box(1), standard_box(3), Box(TropVector(["-3/2", "-1"]), TropVector(["-1/2", "0"]))],
+    ids=["1-d", "3-d", "off-origin"],
+)
+def test_barycenter_lift_rows_run_on_any_box_host(box):
+    # the suite body reaches the box only through the host
+    rows = _barycenter_rows(BoxHost(box))
+    assert list(rows) == ["near-target-accepted", "lifted-measure-hits-target", "witness-distance-shrinks-to-zero"]
+    assert all(r.ok for r in rows.values()), [r for r in rows.values() if not r.ok]
+
+
+def test_a_host_with_no_near_target_fails_the_near_row():
+    near = _barycenter_rows(_NothingNearHost(standard_box(2)))["near-target-accepted"]
+    assert not near.ok
+    assert near.detail.split("; first: ", 1)[1].startswith("no target near")
