@@ -92,8 +92,8 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 
 def _cmd_eval(args) -> dict:
-    mu = codecs.measure_from_json(codecs.read_document(args.measure, "measure"))
-    phi = codecs.table_from_json(codecs.read_document(args.table, "table"))
+    mu = codecs.load(args.measure, "measure")
+    phi = codecs.load(args.table, "table")
     value = mu(phi)
     return {
         "subcommand": "eval",
@@ -103,8 +103,8 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_combine(args) -> dict:
-    first = codecs.measure_from_json(codecs.read_document(args.first, "measure"))
-    second = codecs.measure_from_json(codecs.read_document(args.second, "measure"))
+    first = codecs.load(args.first, "measure")
+    second = codecs.load(args.second, "measure")
     params = ConvexParams(args.t, args.p)
     out = combine(first, second, params)
     return {
@@ -115,8 +115,8 @@ def _cmd_combine(args) -> dict:
 
 
 def _cmd_pushforward(args) -> dict:
-    f = codecs.map_from_json(codecs.read_document(args.map, "map"))
-    mu = codecs.measure_from_json(codecs.read_document(args.measure, "measure"))
+    f = codecs.load(args.map, "map")
+    mu = codecs.load(args.measure, "measure")
     out = pushforward(f, mu)
     return {
         "subcommand": "pushforward",
@@ -126,12 +126,12 @@ def _cmd_pushforward(args) -> dict:
 
 
 def _cmd_barycenter(args) -> dict:
-    mu = codecs.measure_from_json(codecs.read_document(args.measure, "measure"))
+    mu = codecs.load(args.measure, "measure")
     point = barycenter_point(mu)
     outputs: dict = {"point": codecs.vector_to_json(point)}
     digests = [args.measure]
     if args.in_polytope:
-        poly = codecs.polytope_from_json(codecs.read_document(args.in_polytope, "polytope"))
+        poly = codecs.load(args.in_polytope, "polytope")
         coeffs = hull_membership(poly, point)
         outputs["membership"] = {
             "member": coeffs is not None,
@@ -155,7 +155,9 @@ def _witness_payload(kind: str, w) -> dict:
     }
 
 
-def _cmd_lift_s(instance: dict, target_doc: dict, oracle: bool) -> dict:
+def _lift_s_inputs(instance: dict, target_doc: dict) -> tuple:
+    """The kind, first, second, params, target and region of a lift s
+    request, with the lift and the search that answer it."""
     kind = instance["kind"]
     if kind == "combination-measures":
         space = codecs.space_from_json(instance["space"])
@@ -163,23 +165,26 @@ def _cmd_lift_s(instance: dict, target_doc: dict, oracle: bool) -> dict:
         second = codecs.measure_from_json(instance["second"], space)
         params = codecs.params_from_json(instance["params"])
         target = codecs.measure_from_json(target_doc["measure"], space)
-        lift, search, region = lift_s_finite, brute_force_lift_s, ()
-    elif kind == "interval":
+        return kind, first, second, params, target, (), lift_s_finite, brute_force_lift_s
+    if kind == "interval":
         bounds = tuple(codecs.scalar_from_json(v) for v in instance["bounds"])
         first = codecs.scalar_from_json(instance["x"])
         second = codecs.scalar_from_json(instance["y"])
         params = codecs.params_from_json(instance["params"])
         target = codecs.scalar_from_json(target_doc["scalar"])
-        lift, search, region = lift_s_interval, brute_force_lift_interval, (bounds,)
-    elif kind == "box":
+        return kind, first, second, params, target, (bounds,), lift_s_interval, brute_force_lift_interval
+    if kind == "box":
         box = codecs.box_from_json(instance)
         first = codecs.vector_from_json(instance["x"])
         second = codecs.vector_from_json(instance["y"])
         params = codecs.params_from_json(instance["params"])
         target = codecs.vector_from_json(target_doc["point"])
-        lift, search, region = lift_s_box, brute_force_lift_box, (box,)
-    else:
-        raise BadInput(f"instance kind {kind!r} does not fit lift s")
+        return kind, first, second, params, target, (box,), lift_s_box, brute_force_lift_box
+    raise BadInput(f"instance kind {kind!r} does not fit lift s")
+
+
+def _cmd_lift_s(inputs: tuple, oracle: bool) -> dict:
+    kind, first, second, params, target, region, lift, search = inputs
     w = lift(first, second, params, target, *region)
     out = {
         "witness": _witness_payload(kind, w),
@@ -199,12 +204,16 @@ def _cmd_lift_s(instance: dict, target_doc: dict, oracle: bool) -> dict:
 _BETA_HOSTS = {"barycenter-box": lambda instance: BoxHost(codecs.box_from_json(instance))}
 
 
-def _cmd_lift_beta(instance: dict, target_doc: dict, oracle: bool) -> dict:
+def _lift_beta_inputs(instance: dict, target_doc: dict) -> tuple:
+    """The host, measure and target of a lift beta request."""
     if instance["kind"] not in _BETA_HOSTS:
         raise BadInput("lift beta expects a barycenter-box instance")
     host = _BETA_HOSTS[instance["kind"]](instance)
-    nu = codecs.measure_from_json(instance["measure"])
-    target = codecs.vector_from_json(target_doc["point"])
+    return host, codecs.measure_from_json(instance["measure"]), codecs.vector_from_json(target_doc["point"])
+
+
+def _cmd_lift_beta(inputs: tuple, oracle: bool) -> dict:
+    host, nu, target = inputs
     out = lift_beta(nu, target, host)
     payload = {
         "witness": codecs.measure_to_json(out),
@@ -220,21 +229,34 @@ def _cmd_lift_beta(instance: dict, target_doc: dict, oracle: bool) -> dict:
     return payload
 
 
+# Each lift map: the decoder of its instance and target, and its command.
+_LIFTS = {"s": (_lift_s_inputs, _cmd_lift_s), "beta": (_lift_beta_inputs, _cmd_lift_beta)}
+
+
+def _lift_inputs(lift_map: str, instance: str, target: str) -> tuple:
+    """The decoded inputs of a lift request on the documents at these paths."""
+    decode = _LIFTS[lift_map][0]
+    docs = codecs.load(instance, "instance"), codecs.load(target, "target")
+    try:
+        return decode(*docs)
+    except BadInput:
+        # worded from the values as written: a loaded point no longer says how it was spelled
+        return decode(codecs.read_document(instance, "instance"), codecs.read_document(target, "target"))
+
+
 def _cmd_lift(args) -> dict:
-    instance = codecs.read_document(args.instance, "instance")
-    target_doc = codecs.read_document(args.target, "target")
-    payload = (_cmd_lift_s if args.map == "s" else _cmd_lift_beta)(instance, target_doc, args.oracle)
+    inputs = _lift_inputs(args.map, args.instance, args.target)
     return {
         "subcommand": f"lift {args.map}",
         "inputs_digest": _digest(args.instance, args.target),
-        "outputs": payload,
+        "outputs": _LIFTS[args.map][1](inputs, args.oracle),
     }
 
 
 def _cmd_approx(args) -> dict:
-    mu = codecs.measure_from_json(codecs.read_document(args.measure, "measure"))
+    mu = codecs.load(args.measure, "measure")
     if args.chain:
-        covers = [codecs.cover_from_json(codecs.read_document(p, "cover")) for p in args.chain]
+        covers = [codecs.load(p, "cover") for p in args.chain]
         rows = refinement_sweep(mu, covers)
         buf = _io.StringIO()
         writer = csv.writer(buf)
@@ -245,7 +267,7 @@ def _cmd_approx(args) -> dict:
         return {}
     if args.cover is None:
         raise BadInput("approx needs --cover or --chain")
-    cover = codecs.cover_from_json(codecs.read_document(args.cover, "cover"))
+    cover = codecs.load(args.cover, "cover")
     nu = cover_approximation(mu, cover)
     return {
         "subcommand": "approx",
@@ -259,7 +281,7 @@ def _cmd_approx(args) -> dict:
 
 
 def _cmd_ext(args) -> dict:
-    poly = codecs.polytope_from_json(codecs.read_document(args.polytope, "polytope"))
+    poly = codecs.load(args.polytope, "polytope")
     ext = extremal_points(poly, samples=200, seed=_resolve_seed(args.seed))
     if args.svg:
         render_polytope_svg(poly, args.svg, extremal=ext)
@@ -271,7 +293,7 @@ def _cmd_ext(args) -> dict:
 
 
 def _cmd_member(args) -> dict:
-    poly = codecs.polytope_from_json(codecs.read_document(args.polytope, "polytope"))
+    poly = codecs.load(args.polytope, "polytope")
     coords = codecs.parse_json(args.point, "--point")
     if not isinstance(coords, list):
         raise BadInput("--point must be a JSON array of coordinates")

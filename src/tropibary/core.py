@@ -512,6 +512,26 @@ def _vector(coords: tuple) -> TropVector:
     return v
 
 
+# The ids of what `_parse` gives for a text that no vector holds.
+_UNSTORED = frozenset(map(id, (None, POS_INF)))
+
+
+def _read_point(coords: list) -> Optional[TropVector]:
+    """The vector that a nonempty list of scalar strings and ints spells,
+    equal to `TropVector(coords)`, or None for any other list.  Short
+    texts are read from the parse table in one pass."""
+    try:
+        if max(map(len, coords)) <= PARSE_TEXT_CAP:
+            values = tuple(map(_parse_table, coords))
+        else:
+            values = tuple(map(_parse, coords))
+    except (TypeError, ValueError):  # a coordinate that is no string, or none at all
+        values = tuple([_parse(c) if type(c) is str else Fraction(c) if type(c) is int else None for c in coords])
+        values = values or (None,)
+    # by id: comparing a Fraction with None is slow
+    return _vector(values) if _UNSTORED.isdisjoint(map(id, values)) else None
+
+
 def _row_of(v: TropVector) -> Optional[tuple]:
     """v's row: (its coordinates as ints at den, den) for den the lcm of
     their denominators, None when a coordinate is -inf.  Computed on first

@@ -130,7 +130,8 @@ class TropPolytope:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropPolytope):
             return NotImplemented
-        return set(self.generators) == set(other.generators)
+        # equal vectors have equal rows, kept since __init__
+        return {_row_of(g) for g in self.generators} == {_row_of(g) for g in other.generators}
 
     def __repr__(self) -> str:
         return f"TropPolytope({len(self.generators)} generators, dim {self.dim})"

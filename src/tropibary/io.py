@@ -5,28 +5,26 @@ never written, so files round-trip losslessly.  Every document we emit
 carries "version": 1; on input the version is optional but, when
 present, must match.
 
-Schemas live next to this module under schema/ and are checked before
-any value is decoded.  Each schema is compiled once into a predicate of
-nested closures that accepts valid documents fast; only a document it
-rejects goes to jsonschema, which words the error and has the final say.
-So the predicate must never accept what jsonschema rejects, and every
-error message is jsonschema's.  The compiler knows the draft 2020-12
-keywords the shipped schemas use: type, const, pattern, minimum,
-properties, required, additionalProperties (false only), items,
-minItems, maxItems, oneOf, anyOf and local "#/$defs/..." $ref; $schema,
-title and $defs carry no constraint and are skipped.  Any other keyword
-in a part of a schema that checks documents raises ValueError when the
-schema is compiled, so a schema that gains one fails loudly instead of
-being checked less.  Where a node's "type" is "object" beside object
-keywords, or "array" beside array keywords, the container check refuses
-the other kinds of value itself, with no separate type check.
+Schemas live next to this module under schema/.  Each compiles once
+into a walk that checks and converts in one pass: it returns the
+document with each "scalar" and "finite" def's value in place (the
+scalar `core._parse` reads, an int as a Fraction) and each "point" def's
+TropVector, or `_REFUSED`.  It refuses more than the schema: a scalar
+string `_parse` cannot read ("1/0", "0\n") and an integral float.  `load`
+hands the converted tree to the kind's decoder; decoders take converted
+and raw values alike.  A refused document goes to jsonschema, which
+words the error; if jsonschema accepts it, or a decoder refuses the
+converted tree, the document as written is decoded, so every error line
+is that of `decoder(read_document(...))`.  The walk must never accept
+what jsonschema rejects.  jsonschema is imported only to word a refusal,
+and a schema meets its metaschema check at its first refusal.
 
-Each compiled "$defs" check keeps a verdict table: its verdict on each
-str value of at most `VERDICT_TEXT_CAP` characters, for the
-`VERDICT_TABLE_CAP` values used last.  The check is pure, so a kept
-verdict is the verdict; longer strings, dicts, lists and numbers are
-checked every time.  The table holds verdicts on values only, never a
-document or a result, and a rejection is still worded by jsonschema.
+The compiler knows the draft 2020-12 keywords the shipped schemas use:
+type, const, pattern, minimum, properties, required, additionalProperties
+(false only), items, minItems, maxItems, oneOf, anyOf and local
+"#/$defs/..." $ref; $schema, title and $defs carry no constraint.  Any
+other keyword that checks documents, or a converted def in a form other
+than the shipped one, raises ValueError when the schema is compiled.
 
 Reports are rendered by `dump_document`, whose text is exactly that of
 `json.dumps(doc, indent=2, sort_keys=True)`: keys sorted as json sorts
@@ -43,26 +41,22 @@ from __future__ import annotations
 import json
 import math
 import re
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import count
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional, Union
 
-import jsonschema
-
 from .approximation import Cover, IndexElement
-from .core import ConvexParams, Scalar, TropVector, scalar
+from .core import POS_INF, SCALAR_TEXT, ConvexParams, Scalar, TropVector, _parse, _read_point, scalar
 from .errors import BadInput, SchemaError, capped
 from .geometry import Box, Certificate, TropPolytope
 from .measures import FiniteSpace, FunctionTable, IdemMeasure, SpaceMap
 
 SCHEMA_VERSION = 1
 _MAX_SPACE_POINTS = 100_000  # the most points a space read from a document may have
-
-# The verdict table of each compiled "$defs" check: the most values it
-# keeps, and the longest str value it keeps.
-VERDICT_TABLE_CAP = 4096
-VERDICT_TEXT_CAP = 64
+_REFUSED = object()  # what a walk returns for a value its schema refuses
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +68,8 @@ def load_schema(name: str) -> dict:
 @lru_cache(maxsize=None)
 def _validator(name: str):
     """One validator per schema, the schema itself checked once."""
+    import jsonschema
+
     schema = load_schema(name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -81,29 +77,30 @@ def _validator(name: str):
 
 
 @lru_cache(maxsize=None)
-def _acceptor(name: str) -> Callable[[object], bool]:
-    """One compiled predicate per schema, built after check_schema."""
-    _validator(name)
+def _walker(name: str) -> Callable[[object], object]:
     return _compile(load_schema(name))
 
 
 def validate_document(doc: object, schema_name: str):
-    if _acceptor(schema_name)(doc):
-        return
-    # best_match picks the error jsonschema.validate would raise
+    if _walker(schema_name)(doc) is _REFUSED:
+        _word_refusal(doc, schema_name)
+
+
+def _word_refusal(doc: object, schema_name: str):
+    """Raise SchemaError in jsonschema's words (its best_match, as validate raises) if it refuses doc."""
+    from jsonschema.exceptions import best_match
+
     try:
-        exc = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+        exc = best_match(_validator(schema_name).iter_errors(doc))
     except RecursionError:  # the message quotes the value, and repr recursed
         raise SchemaError(f"{schema_name}: a value nests too deeply") from None
     if exc is not None:
         raise SchemaError(f"{schema_name}: {_capped(exc)} at {exc.json_path}")
 
 
-def _capped(exc: jsonschema.ValidationError) -> str:
-    """jsonschema's message, with the input it quotes cut by `capped`
-    so that the error line does not grow with the document: the
-    offending value, or for additionalProperties the list of unexpected
-    keys, which the message quotes instead."""
+def _capped(exc) -> str:
+    """jsonschema's message, with the input it quotes cut by `capped`: the offending value, or for
+    additionalProperties the list of unexpected keys, so the line does not grow with the document."""
     message = exc.message
     if exc.validator == "additionalProperties":
         # "Additional properties are not allowed ('a', 'b' were unexpected)"
@@ -113,201 +110,200 @@ def _capped(exc: jsonschema.ValidationError) -> str:
     return message.replace(quoted, capped(quoted))
 
 
-# -- compiled acceptance check ---------------------------------------------------
+# -- compiled walk ----------------------------------------------------------------
 #
-# Each keyword's check passes values it does not apply to, as in JSON
-# Schema: "items" constrains only arrays, "pattern" only strings, and so on.
+# A schema compiles to Python source, run once by exec: a function for
+# the root and for each oneOf or anyOf branch that is more than tests,
+# with every other node inlined.  A refusal returns R (`_REFUSED`); a node
+# that converts leaves its value in a new variable.  Each keyword passes
+# values it does not apply to, as in JSON Schema.
 
-_KEYWORDS = frozenset(
-    {
-        "type", "const", "pattern", "minimum", "properties", "required",
-        "additionalProperties", "items", "minItems", "maxItems", "oneOf", "anyOf", "$ref",
-        "$schema", "title", "$defs",  # no constraint: skipped
-    }
-)
-_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
+_KEYWORDS = frozenset(("type", "const", "pattern", "minimum", "properties", "required", "additionalProperties",
+                       "items", "minItems", "maxItems", "oneOf", "anyOf", "$ref", "$schema", "title", "$defs"))
+_TESTS = {  # "type", as a test of the value named {0}
+    "object": "isinstance({0}, dict)",
+    "array": "isinstance({0}, list)",
+    "string": "isinstance({0}, str)",
+    "boolean": "isinstance({0}, bool)",
     # an integer is any number with no fractional part, 1.0 too, but no bool
-    "integer": lambda v: (
-        v.is_integer() if isinstance(v, float) else isinstance(v, int) and not isinstance(v, bool)
-    ),
+    "integer": "({0}.is_integer() if isinstance({0}, float) else isinstance({0}, int) and not isinstance({0}, bool))",
+}
+_RATIONAL = SCALAR_TEXT.pattern.removeprefix(r"-inf|\+inf|")
+_SCALAR = ["if type({x}) is str: {y} = _parse({x})", "elif type({x}) is int: {y} = Fraction({x})", "else: return R"]
+# Each def a walk converts: its one form (a point's items need the scalar form too) and its code.
+_CONVERTED = {
+    "scalar": ({"oneOf": [{"type": "integer"}, {"type": "string", "pattern": f"^(-inf|{_RATIONAL})$"}]},
+               _SCALAR + ["if {y} is None or {y} is POS_INF: return R"]),
+    "finite": ({"oneOf": [{"type": "integer"}, {"type": "string", "pattern": f"^({_RATIONAL})$"}]},
+               _SCALAR + ["if type({y}) is not Fraction: return R"]),
+    "point": ({"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/scalar"}},
+              ["{y} = _point({x})", "if {y} is R: return R"]),
 }
 
 
-def _compile(root: dict) -> Callable[[object], bool]:
-    defs = root.get("$defs", {})
-    compiled: dict = {}
+def _point(v):
+    """The value of a "point" def: one TropVector, or `_REFUSED`."""
+    p = _read_point(v) if type(v) is list else None
+    return _REFUSED if p is None else p
 
-    def resolve(ref: str) -> Callable[[object], bool]:
+
+def _compile(root: dict) -> Callable[[object], object]:
+    defs = root.get("$defs", {})
+    env = {"R": _REFUSED, "_parse": _parse, "_point": _point, "Fraction": Fraction, "POS_INF": POS_INF}
+    functions: list = []
+    fresh = count()
+
+    def bind(value) -> str:
+        name = f"k{next(fresh)}"
+        env[name] = value
+        return name
+
+    def function(schema, name: str) -> bool:
+        lines, y, converts = block(schema, "v")
+        functions.append("\n".join([f"def {name}(v):", *_indented(lines), f"    return {y}"]))
+        return converts
+
+    def resolve(ref: str) -> str:
         name = ref.removeprefix("#/$defs/")
         if name == ref or name not in defs:
             raise ValueError(f"no compiled check for $ref {ref!r}")
-        if name not in compiled:
-            compiled[name] = _remembered(node(defs[name]))
-        return compiled[name]
+        if name in _CONVERTED and defs[name] != _CONVERTED[name][0]:
+            raise ValueError(f"no compiled check for $defs/{name} other than {_CONVERTED[name][0]}")
+        if name == "point":
+            resolve("#/$defs/scalar")
+        return name
 
-    def node(schema) -> Callable[[object], bool]:
+    def branch(schema, x: str) -> tuple:
+        """An expression for the branch's value on x or R, and whether that value is new."""
+        if isinstance(schema, dict) and schema.keys() <= {"type", "const", "pattern", "minimum"}:
+            tests = [line.removeprefix("if ").removesuffix(": return R") for line in block(schema, x)[0]]
+            return f"({x} if not ({' or '.join(tests or ['False'])}) else R)", False
+        if isinstance(schema, dict) and schema.keys() == {"$ref"} and resolve(schema["$ref"]) == "point":
+            return f"_point({x})", True
+        name = f"b{next(fresh)}"
+        return f"{name}({x})", function(schema, name)
+
+    def block(schema, x: str) -> tuple:
+        """The lines that check the value named x, the name of its value after them, and whether it is new."""
         if not isinstance(schema, dict):
             raise ValueError(f"no compiled check for schema {schema!r}")
-        unknown = schema.keys() - _KEYWORDS
-        if unknown:
-            raise ValueError(f"no compiled check for keywords {sorted(unknown)}")
-        checks = []
+        if schema.keys() - _KEYWORDS:
+            raise ValueError(f"no compiled check for keywords {sorted(schema.keys() - _KEYWORDS)}")
+        lines, values = [], []
         kind = schema.get("type")
-        is_object = bool(schema.keys() & {"properties", "required", "additionalProperties"})
-        is_array = bool(schema.keys() & {"items", "minItems", "maxItems"})
         if "type" in schema:
-            if not isinstance(kind, str) or kind not in _TYPES:
+            if not isinstance(kind, str) or kind not in _TESTS:
                 raise ValueError(f"no compiled check for type {kind!r}")
-            # an object or array check with keywords refuses the other kinds itself
-            if not (kind == "object" and is_object or kind == "array" and is_array):
-                checks.append(_TYPES[kind])
+            lines.append(f"if not {_TESTS[kind].format(x)}: return R")
         if "const" in schema:
-            checks.append(_const(schema["const"]))
+            lines.append(f"if not {_const(schema['const'], x)}: return R")
         if "pattern" in schema:
-            checks.append(_pattern(re.compile(schema["pattern"]).search))
+            search = bind(re.compile(schema["pattern"]).search)
+            lines.append(f"if isinstance({x}, str) and {search}({x}) is None: return R")
         if "minimum" in schema:
-            checks.append(_minimum(schema["minimum"]))
-        if is_object:
-            closed = "additionalProperties" in schema
-            if closed and schema["additionalProperties"] is not False:
+            m = schema["minimum"]
+            if type(m) not in (int, float):
+                raise ValueError(f"no compiled check for minimum {m!r}")
+            lines.append(f"if isinstance({x}, (int, float)) and not isinstance({x}, bool) and {x} < {m!r}: return R")
+        if schema.keys() & {"properties", "required", "additionalProperties"}:
+            if schema.get("additionalProperties", False) is not False:
                 raise ValueError("no compiled check for additionalProperties other than false")
-            props = {k: node(sub) for k, sub in schema.get("properties", {}).items()}
-            checks.append(_object(props, tuple(schema.get("required", ())), closed, kind == "object"))
-        if is_array:
-            item = node(schema["items"]) if "items" in schema else None
-            lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-            checks.append(_array(item, lo, hi, kind == "array"))
-        if "oneOf" in schema:
-            checks.append(_one_of(tuple(node(sub) for sub in schema["oneOf"])))
-        if "anyOf" in schema:
-            checks.append(_any_of(tuple(node(sub) for sub in schema["anyOf"])))
+            props, required, out = schema.get("properties", {}), schema.get("required", ()), f"o{next(fresh)}"
+            body = [f"if {' or '.join(f'{k!r} not in {x}' for k in required)}: return R"] if required else []
+            if "additionalProperties" in schema:
+                body.append(f"if not {x}.keys() <= {bind(frozenset(props))}: return R")
+            subs = []
+            for k, sub in props.items():
+                v = f"x{next(fresh)}"
+                sub_lines, y, converts = block(sub, v)
+                got = [f"{v} = {x}[{k!r}]", *sub_lines] + ([f"{out}[{k!r}] = {y}"] if converts else [])
+                subs += got if k in required else [f"if {k!r} in {x}:", *_indented(got)]
+                if converts and out not in values:
+                    values.append(out)
+                    body.append(f"{out} = dict({x})")
+            lines += _container(x, "dict", kind == "object", body + subs, out if out in values else None)
+        if schema.keys() & {"items", "minItems", "maxItems"}:
+            out = f"o{next(fresh)}"
+            bounds = [f"len({x}) {op} {schema[k]!r}" for k, op in (("minItems", "<"), ("maxItems", ">")) if k in schema]
+            body = [f"if {' or '.join(bounds)}: return R"] if bounds else []
+            if "items" in schema:
+                v = f"x{next(fresh)}"
+                sub_lines, y, converts = block(schema["items"], v)
+                if converts:
+                    values.append(out)
+                    body.append(f"{out} = []")
+                    sub_lines.append(f"{out}.append({y})")
+                body += [f"for {v} in {x}:", *_indented(sub_lines or ["pass"])]
+            lines += _container(x, "list", kind == "array", body, out if out in values else None)
+        for keyword in ("oneOf", "anyOf"):
+            if keyword in schema:
+                out = f"o{next(fresh)}"
+                lines.append(f"{out} = R")
+                for sub in schema[keyword]:
+                    call, converts = branch(sub, x)
+                    if converts and out not in values:
+                        values.append(out)
+                    if keyword == "anyOf":  # the first branch that accepts
+                        lines.append(f"if {out} is R: {out} = {call}")
+                    else:  # the one branch that accepts
+                        t = f"t{next(fresh)}"
+                        lines += [f"{t} = {call}", f"if {t} is not R and {out} is not R: return R"]
+                        lines.append(f"if {t} is not R: {out} = {t}")
+                lines.append(f"if {out} is R: return R")
         if "$ref" in schema:
-            checks.append(resolve(schema["$ref"]))
-        return _all_of(tuple(checks))
+            name, out = resolve(schema["$ref"]), f"o{next(fresh)}"
+            if name in _CONVERTED:
+                values.append(out)
+                lines += [line.format(x=x, y=out) for line in _CONVERTED[name][1]]
+            else:
+                sub_lines, y, converts = block(defs[name], x)
+                lines += sub_lines
+                values += [y] if converts else []
+        if len(values) > 1:
+            raise ValueError("no compiled check for two converting keywords in one schema")
+        return lines, values[0] if values else x, bool(values)
 
-    return node(root)
-
-
-def _remembered(check: Callable[[object], bool]) -> Callable[[object], bool]:
-    """check, with its verdict table: a str of at most `VERDICT_TEXT_CAP`
-    characters is checked once while it stays among the
-    `VERDICT_TABLE_CAP` values used last; any other value every time."""
-    table = lru_cache(maxsize=VERDICT_TABLE_CAP)(check)
-
-    def remembered(v):
-        if type(v) is str and len(v) <= VERDICT_TEXT_CAP:
-            return table(v)
-        return check(v)
-
-    remembered.cache_info = table.cache_info
-    return remembered
+    function(root, "walk")
+    exec("\n\n".join(functions), env)
+    return env["walk"]
 
 
-def _all_of(checks: tuple) -> Callable[[object], bool]:
-    if len(checks) == 1:
-        return checks[0]
-
-    def check(v):
-        for c in checks:
-            if not c(v):
-                return False
-        return True
-
-    return check
+def _indented(lines: list) -> list:
+    return ["    " + line for line in lines]
 
 
-def _one_of(branches: tuple) -> Callable[[object], bool]:
-    def check(v):
-        passed = False
-        for b in branches:
-            if b(v):
-                if passed:
-                    return False
-                passed = True
-        return passed
-
-    return check
+def _container(x: str, kind: str, typed: bool, body: list, out: Optional[str]) -> list:
+    """The object or array keywords' lines, run on a value of the kind (made sure of before them if typed)."""
+    if typed:
+        return body
+    return [f"if isinstance({x}, {kind}):", *_indented(body)] + ([f"else: {out} = {x}"] if out else [])
 
 
-def _any_of(branches: tuple) -> Callable[[object], bool]:
-    return lambda v: any(b(v) for b in branches)
-
-
-def _const(c) -> Callable[[object], bool]:
+def _const(c, x: str) -> str:
     # JSON equality: 1 == 1.0, but True is not 1
     if isinstance(c, str):
-        return lambda v: v == c
+        return f"{x} == {c!r}"
     if type(c) is int:
-        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v == c
+        return f"(isinstance({x}, (int, float)) and not isinstance({x}, bool) and {x} == {c!r})"
     raise ValueError(f"no compiled check for const {c!r}")
 
 
-def _pattern(search) -> Callable[[object], bool]:
-    # search, not fullmatch: "$" also matches before a final newline
-    return lambda v: not isinstance(v, str) or search(v) is not None
-
-
-def _minimum(m) -> Callable[[object], bool]:
-    if type(m) not in (int, float):
-        raise ValueError(f"no compiled check for minimum {m!r}")
-    return lambda v: not isinstance(v, (int, float)) or isinstance(v, bool) or not v < m
-
-
-def _object(props: dict, required: tuple, closed: bool, typed: bool) -> Callable[[object], bool]:
-    """The object keywords' check; with `typed`, also "type": "object"."""
-    names = props.keys()
-    pairs = tuple(props.items())
-
-    def check(v):
-        if not isinstance(v, dict):
-            return not typed
-        for k in required:
-            if k not in v:
-                return False
-        if closed and not names >= v.keys():
-            return False
-        for k, c in pairs:
-            if k in v and not c(v[k]):
-                return False
-        return True
-
-    return check
-
-
-def _array(item, lo: int, hi, typed: bool) -> Callable[[object], bool]:
-    """The array keywords' check; with `typed`, also "type": "array"."""
-
-    def check(v):
-        if not isinstance(v, list):
-            return not typed
-        if not lo <= len(v) <= hi:
-            return False
-        if item is not None:
-            for x in v:
-                if not item(x):
-                    return False
-        return True
-
-    return check
-
-
 def read_document(path: str, schema_name: str) -> dict:
+    doc = parse_json(_read_text(path), path)
+    validate_document(doc, schema_name)
+    return doc
+
+
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}") from None
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    doc = parse_json(text, path)
-    validate_document(doc, schema_name)
-    return doc
 
 
 def parse_json(text: str, name: str) -> object:
@@ -418,7 +414,10 @@ def vector_to_json(v: TropVector) -> list:
 
 
 def vector_from_json(doc: list) -> TropVector:
-    return TropVector(doc)
+    if type(doc) is TropVector:
+        return doc
+    v = _read_point(doc) if type(doc) is list else None
+    return v if v is not None else TropVector(doc)  # TropVector words a refusal
 
 
 def params_to_json(params: ConvexParams) -> dict:
@@ -453,11 +452,7 @@ def space_from_json(doc: dict) -> FiniteSpace:
 
 
 def table_to_json(table: FunctionTable) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "space": space_to_json(table.space),
-        "values": [str(v) for v in table.values],
-    }
+    return {"version": SCHEMA_VERSION, "space": space_to_json(table.space), "values": [str(v) for v in table.values]}
 
 
 def table_from_json(doc: dict) -> FunctionTable:
@@ -465,20 +460,12 @@ def table_from_json(doc: dict) -> FunctionTable:
 
 
 def map_to_json(f: SpaceMap) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "source": space_to_json(f.source),
-        "target": space_to_json(f.target),
-        "table": list(f.table),
-    }
+    source, target = space_to_json(f.source), space_to_json(f.target)
+    return {"version": SCHEMA_VERSION, "source": source, "target": target, "table": list(f.table)}
 
 
 def map_from_json(doc: dict) -> SpaceMap:
-    return SpaceMap(
-        space_from_json(doc["source"]),
-        space_from_json(doc["target"]),
-        doc["table"],
-    )
+    return SpaceMap(space_from_json(doc["source"]), space_from_json(doc["target"]), doc["table"])
 
 
 # -- measures ------------------------------------------------------------------
@@ -530,10 +517,7 @@ def measure_from_json(doc: dict, space: Optional[FiniteSpace] = None) -> IdemMea
 
 
 def polytope_to_json(poly: TropPolytope) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "generators": [vector_to_json(g) for g in poly.generators],
-    }
+    return {"version": SCHEMA_VERSION, "generators": [vector_to_json(g) for g in poly.generators]}
 
 
 def polytope_from_json(doc: dict) -> TropPolytope:
@@ -573,14 +557,30 @@ def cover_from_json(doc: dict) -> Cover:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "claim": cert.claim,
-        "params": cert.params,
-        "data": cert.data,
-        "verdict": cert.verdict,
-    }
+    return {"version": SCHEMA_VERSION, "claim": cert.claim, "params": cert.params, "data": cert.data,
+            "verdict": cert.verdict}
 
 
 def certificate_from_json(doc: dict) -> Certificate:
     return Certificate(doc["claim"], doc["params"], doc["data"], doc["verdict"])
+
+
+# The decoder of each kind `load` reads; a lift decodes its instance and target.
+_DECODERS = {"measure": measure_from_json, "table": table_from_json, "map": map_from_json,
+             "polytope": polytope_from_json, "cover": cover_from_json, "certificate": certificate_from_json}
+
+
+def load(path: str, kind: str):
+    """The `kind` document at path, checked and converted in one walk and built by the kind's
+    decoder: the value, or the refusal, of `decoder(read_document(path, kind))`."""
+    doc = parse_json(_read_text(path), path)
+    tree = _walker(kind)(doc)
+    decode = _DECODERS.get(kind, lambda tree: tree)
+    if tree is _REFUSED:
+        _word_refusal(doc, kind)
+    else:
+        try:
+            return decode(tree)
+        except BadInput:
+            pass  # worded below from the values as written
+    return decode(doc)

@@ -157,6 +157,20 @@ DOCUMENTS = {
         "params": {"t": "0", "p": "0"},
     },
     "tgt_meas_800": {"measure": atoms(*((str(i), str(Fraction(-i, 801))) for i in range(800)))},
+    # refusal order: the whole document meets its schema before any value is read
+    "m_zero_den_then_bad": {"space": SPACE, **atoms(("a", "1/0"), ("b", "oops"))},
+    "m_zero_den_then_newline": {"space": SPACE, **atoms(("a", "1/0"), ("b", "0\n"))},
+    "m_float_weight": {"space": SPACE, **atoms(("a", 2.0))},
+    # a coordinate atom that is no embedded point is quoted as written
+    "m_unembedded": {"space": {"points": [["0", "-1"], ["-1", "0"]]}, **atoms(([7, "-2/4"], "0"))},
+    "inst_embedded": {
+        "kind": "combination-measures",
+        "space": {"points": [["0", "-1"], ["-1", "0"]]},
+        "first": atoms((["0", "-1"], "0")),
+        "second": atoms((["-1", "0"], "0")),
+        "params": {"t": "0", "p": "0"},
+    },
+    "tgt_unembedded": {"measure": atoms(([7, "-2/4"], "0"))},
 }
 
 
@@ -593,6 +607,11 @@ MALFORMED = [
     ("member", "--polytope", "@poly", "--point", "%deep_point"),
     ("ext", "--polytope", "@poly_huge", "--svg", "@a_directory"),
     ("ext", "--polytope", "@poly_wide", "--svg", "@a_directory"),
+    ("eval", "--measure", "@m_zero_den_then_bad", "--table", "@table"),
+    ("eval", "--measure", "@m_zero_den_then_newline", "--table", "@table"),
+    ("eval", "--measure", "@m_float_weight", "--table", "@table"),
+    ("barycenter", "@m_unembedded"),
+    ("lift", "s", "--instance", "@inst_embedded", "--target", "@tgt_unembedded"),
 ]
 
 
@@ -716,6 +735,29 @@ class TestFailures:
         assert "Traceback" not in err
         (line,) = [line for line in err.splitlines() if line.startswith("error:")]
         assert "oracle viewed more than 20 candidates" in line
+
+
+def test_jsonschema_is_imported_only_to_word_a_refusal(docs, child_env):
+    """A valid request never imports jsonschema; a refused document is
+    still refused in jsonschema's words."""
+    script = (
+        "import sys; from tropibary.cli import main; code = main(sys.argv[1:]); "
+        "print('jsonschema' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    golden = json.loads((GOLDEN / "malformed.json").read_text())
+    for argv, code, imported in (
+        (GOLDEN_REQUESTS["eval"], 0, "False"),
+        (("eval", "--measure", "@m_bad_weight", "--table", "@table"), 1, "True"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *resolve(argv, docs)], capture_output=True, text=True, env=child_env
+        )
+        lines = proc.stderr.splitlines()
+        assert (proc.returncode, lines[-1]) == (code, imported), proc.stderr
+        if code:
+            assert error_line(proc.stderr, pathlib.Path(docs["m"]).parent) == golden[" ".join(argv)]
+        else:
+            assert proc.stdout.encode() == (GOLDEN / "eval.out").read_bytes()
 
 
 def test_console_script(docs, child_env):

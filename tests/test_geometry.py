@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropibary import geometry
 from tropibary.core import NEG_INF, ZERO, ConvexParams, TropVector, _combination, odot, oplus, s_point, scalar
@@ -88,6 +90,25 @@ class TestPolytope:
     def test_contains_dimension(self):
         with pytest.raises(DimensionMismatch):
             TropPolytope([v("0", "0")]).contains(v("0"))
+
+
+lattice_point = st.lists(st.integers(-3, 0), min_size=2, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(lattice_point, min_size=1, max_size=6), st.data())
+@example([[0, 0], [-1, -2]], None)
+def test_polytope_equality_is_equality_of_generator_sets(first, data):
+    """Rows decide polytope equality as the generator sets do: reordered
+    and repeated generators, spelled as other Fractions, too."""
+    if data is None:
+        second = [[-1, -2], [0, 0], [0, 0]]
+    else:
+        reordered = st.permutations(first + first[:1])
+        second = data.draw(st.one_of(reordered, st.lists(lattice_point, min_size=1, max_size=6)))
+    a = TropPolytope([TropVector(p) for p in first])
+    b = TropPolytope([TropVector([f"{2 * c}/2" for c in p]) for p in second])
+    assert (a == b) == (set(a.generators) == set(b.generators)) == (b == a)
 
 
 class TestHullMembership:

@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import os
+import tempfile
 import time
 from fractions import Fraction
 from importlib import resources
@@ -13,20 +15,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropibary.approximation import Cover, IndexElement
+from tropibary import cli, core
 from tropibary.core import NEG_INF, SCALAR_TEXT, ZERO, ConvexParams, TropVector, scalar
 from tropibary.errors import QUOTE_CAP, BadInput, SchemaError
 from tropibary.geometry import Box, TropPolytope, certify_id_oplus_not_open
 from tropibary import io as io_module
 from tropibary.io import (
-    _acceptor,
+    _DECODERS,
+    _REFUSED,
     _compile,
     _validator,
+    _walker,
     box_from_json,
     box_to_json,
     certificate_to_json,
     cover_from_json,
     cover_to_json,
     dump_document,
+    load,
     load_schema,
     map_from_json,
     map_to_json,
@@ -47,6 +53,7 @@ from tropibary.io import (
     vector_from_json,
     vector_to_json,
 )
+from tropibary.lifting import BoxHost
 from tropibary.measures import FiniteSpace, FunctionTable, IdemMeasure, SpaceMap
 
 
@@ -55,6 +62,16 @@ class TestScalarAndVector:
         for text in ("-1/3", "0", "-inf", "2"):
             assert scalar_to_json(scalar_from_json(text)) == str(scalar(text))
         assert type(scalar_from_json(-2)) is Fraction and scalar_from_json(-2) == scalar("-2")
+
+    @given(st.lists(st.one_of(st.sampled_from(["0", "-1/2", "2/4", "-inf", "+inf", "1/0", "0\n", ".5", "x", "1" * 70]),
+                              st.integers(-3, 3), st.booleans(), st.floats(-2, 2), st.lists(st.just("0"))), max_size=4))
+    def test_vector_from_json_is_tropvector(self, doc):
+        """Through the point reader or not, the vector or the refusal of TropVector(doc)."""
+        assert _outcome(lambda: vector_from_json(doc)) == _outcome(lambda: TropVector(doc))
+
+    def test_a_decoded_vector_passes_through(self):
+        v = TropVector(["-1/2", "0"])
+        assert vector_from_json(v) is v and scalar_from_json(v[0]) is v[0]
 
     def test_vector_roundtrip(self):
         v = TropVector([scalar("-1/2"), NEG_INF, ZERO])
@@ -457,36 +474,106 @@ def mutated_documents(draw):
 @example(doc={"generators": {"a": 1}})
 @example(doc={"space": [], "atoms": [{"at": "a", "w": "0"}]})
 @example(doc={"elements": "x"})
+# +inf, which _parse reads but no schema admits
+@example(doc={"atoms": [{"at": "a", "w": "+inf"}]})
+@example(doc={"generators": [["+inf", "0"]]})
 def test_compiled_check_agrees_with_jsonschema(doc):
+    """The walk never accepts what jsonschema rejects.  It refuses more
+    (an unreadable scalar string, an integral float); those documents go
+    to jsonschema and the decoders, as test_load_is_decoder_of_read_document
+    checks."""
     for name in SCHEMAS:
-        want = _validator(name).is_valid(doc)
-        assert _acceptor(name)(doc) == want, name
-        # again, with the verdict on each short string from the tables
-        assert _acceptor(name)(doc) == want, name
+        if _walker(name)(doc) is not _REFUSED:
+            assert _validator(name).is_valid(doc), name
 
 
-def test_overfilled_verdict_table_still_refuses_in_jsonschema_words():
-    cap, text_cap = io_module.VERDICT_TABLE_CAP, io_module.VERDICT_TEXT_CAP
-    # a schema of one $ref compiles to the check of that def, table and all
-    check = _compile({"$defs": {"scalar": load_schema("measure")["$defs"]["scalar"]}, "$ref": "#/$defs/scalar"})
-    for k in range(cap + 100):
-        assert check(f"-{k}/9")
-        assert check.cache_info().currsize <= cap
-    assert check.cache_info().currsize == cap
-    looked_up = check.cache_info().hits + check.cache_info().misses
+def test_overfilled_parse_table_still_refuses_in_jsonschema_words():
+    cap, text_cap = core.PARSE_TABLE_CAP, core.PARSE_TEXT_CAP
+    table = core._parse_table
+    # the measure schema's scalars are read through the parse table, filled past its cap
+    validate_document({"atoms": [{"at": "a", "w": f"-{k}/9"} for k in range(cap + 100)]}, "measure")
+    assert table.cache_info().currsize == cap
+    looked_up = table.cache_info().hits + table.cache_info().misses
     long_text = "-" + "1" * text_cap
-    assert check(long_text) and not check(long_text + "x") and not check(long_text + "x")
-    assert check.cache_info().hits + check.cache_info().misses == looked_up
-    assert check.cache_info().currsize == cap
+    validate_document({"atoms": [{"at": "a", "w": long_text}]}, "measure")
+    with pytest.raises(SchemaError):
+        validate_document({"atoms": [{"at": "a", "w": long_text + "x"}]}, "measure")
+    assert table.cache_info().hits + table.cache_info().misses == looked_up
+    assert table.cache_info().currsize == cap
 
-    # the measure schema's own scalar table, filled past its cap
-    validate_document({"atoms": [{"at": ["0"], "w": f"-{k}/9"} for k in range(cap + 100)]}, "measure")
-    bad = {"atoms": [{"at": ["0"], "w": "0"}, {"at": ["0"], "w": "oops"}]}
+    bad = {"atoms": [{"at": "a", "w": "0"}, {"at": "a", "w": "oops"}]}
     exc = jsonschema.exceptions.best_match(_validator("measure").iter_errors(bad))
-    for _ in range(2):  # the second time, "oops" has its verdict in the table
+    for _ in range(2):  # the second time, "oops" has its parse in the table
         with pytest.raises(SchemaError) as info:
             validate_document(bad, "measure")
         assert str(info.value) == f"measure: {exc.message} at {exc.json_path}"
+
+
+def test_every_shipped_schema_meets_its_metaschema():
+    # the library checks a schema against its metaschema only at its first refusal
+    assert len(SCHEMAS) == 8
+    for name in SCHEMAS:
+        schema = load_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+ENCODERS = {
+    "measure": measure_to_json, "table": table_to_json, "map": map_to_json, "polytope": polytope_to_json,
+    "cover": cover_to_json, "certificate": certificate_to_json,
+}
+
+
+def _outcome(read):
+    """What read() gives: its value, or the error's class and words."""
+    try:
+        return "value", read()
+    except Exception as exc:  # the same class and words are wanted on both sides
+        return type(exc).__name__, str(exc)
+
+
+# Each lift target beside True, each lift instance beside False.
+PARTNERS = [(doc, "kind" not in doc) for doc in VALID[-7:]]
+
+
+def _comparable(inputs: tuple) -> list:
+    return [x.box if isinstance(x, BoxHost) else x for x in inputs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=mutated_documents())
+@example(doc={"space": {"labels": ["a", "b"]}, "atoms": [{"at": "a", "w": "1/0"}, {"at": "b", "w": "0\n"}]})
+@example(doc={"space": {"labels": ["a"]}, "atoms": [{"at": "a", "w": 2.0}]})
+@example(doc={"space": {"points": [["0", "-1"]]}, "atoms": [{"at": [0, "-2/4"], "w": "0"}]})
+@example(doc={"generators": [["1/2", "0"], ["2/4", 0]]})
+@example(doc={
+    "kind": "combination-measures", "space": {"points": [["0", "-1"]]}, "params": {"t": "0", "p": "0"},
+    "first": {"atoms": [{"at": ["0", "-1"], "w": "0"}]}, "second": {"atoms": [{"at": [5, "-2/4"], "w": "0"}]},
+})
+def test_load_is_decoder_of_read_document(doc):
+    """io.load gives what decoder(read_document(...)) gives: an equal
+    value, or the same error in the same words."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for kind, decode in _DECODERS.items():
+            want = _outcome(lambda: ENCODERS[kind](decode(read_document(path, kind))))
+            assert _outcome(lambda: ENCODERS[kind](load(path, kind))) == want, kind
+        # a lift decodes the doc as instance or as target beside a valid partner
+        other = os.path.join(tmp, "other.json")
+        for lift_map, (decode, _) in cli._LIFTS.items():
+            for partner, doc_is_instance in PARTNERS:
+                with open(other, "w", encoding="utf-8") as fh:
+                    json.dump(partner, fh)
+                paths = (path, other) if doc_is_instance else (other, path)
+                want = _outcome(lambda: _comparable(decode(*map(read_document, paths, ("instance", "target")))))
+                assert _outcome(lambda: _comparable(cli._lift_inputs(lift_map, *paths))) == want, lift_map
+
+
+def test_every_codec_document_is_accepted():
+    assert len(SCHEMAS) == 8
+    for doc in VALID:
+        assert any(_walker(name)(doc) is not _REFUSED for name in SCHEMAS), doc
 
 
 def test_schemas_spell_scalars_as_the_library_does():
@@ -509,12 +596,6 @@ def test_schemas_spell_scalars_as_the_library_does():
     assert patterns == {f"^(-inf|{rational})$", f"^({rational})$"}
 
 
-def test_every_codec_document_is_accepted():
-    assert len(SCHEMAS) == 8
-    for doc in VALID:
-        assert any(_acceptor(name)(doc) for name in SCHEMAS), doc
-
-
 @pytest.mark.parametrize(
     "schema",
     [
@@ -527,6 +608,9 @@ def test_every_codec_document_is_accepted():
         {"additionalProperties": {"type": "string"}},
         {"const": [1]},
         {"items": True},
+        # a converted def in another form than the shipped one
+        {"$ref": "#/$defs/scalar", "$defs": {"scalar": {"type": "string"}}},
+        {"$ref": "#/$defs/point", "$defs": {"point": {"type": "array"}, "scalar": {"type": "integer"}}},
     ],
 )
 def test_compiler_refuses_what_it_does_not_know(schema):

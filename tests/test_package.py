@@ -1,7 +1,8 @@
 """The package's public names: `tropibary.__all__` lists each once, none
 private, and every one of them imports.  Its source: one max-plus product
 kernel, one place that fills a vector's row cache, no report rendered by
-json's pure-Python encoder, and no private helper that only tests call."""
+json's pure-Python encoder, no private helper that only tests call, and
+no CLI input checked and decoded in two walks."""
 
 import ast
 import pathlib
@@ -146,3 +147,23 @@ def test_no_environment_variable_is_read_but_the_seed():
                 key = up.left
             reads.add(key.value if isinstance(key, ast.Constant) else f"{path.name}:{node.lineno}")
     assert reads == {"TROPIBARY_SEED"}
+
+
+def test_every_cli_document_is_loaded_in_one_walk():
+    # cli reads each input with io.load; no decoder is handed the result
+    # of read_document, which would check and decode in two walks
+    src = pathlib.Path(tropibary.__file__).resolve().parent
+    tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+
+    def name(call) -> str:
+        return getattr(call.func, "attr", getattr(call.func, "id", ""))
+
+    pairs = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name(node).endswith("_from_json")
+        and any(isinstance(a, ast.Call) and name(a) == "read_document" for a in ast.walk(node) if a is not node)
+    ]
+    assert pairs == []
+    assert any(isinstance(n, ast.Call) and name(n) == "load" for n in ast.walk(tree))
