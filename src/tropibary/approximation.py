@@ -14,22 +14,31 @@ dirac at their conditional barycenter, weighted by the heaviest of
 them; on an embedded space that barycenter must be one of the space's
 points.  So the approximation never has more atoms than the measure,
 and its barycenter equals the barycenter of the input exactly.  Every
-call checks both that and the rebuilt measure through
-`errors.certify`, which raises `InexactWitness` on a mismatch, also
-under `python -O`.
+call checks that, that the pieces hold each atom once, and the rebuilt
+measure through `errors.certify`, which raises `InexactWitness` on a
+mismatch, also under `python -O`.
+
+Each exact step is done once.  Placement resolves every element's
+membership test once per call and reads each atom's point once; a box
+compares the point's row with the bound rows it keeps (`Box.bounds`).
+The atoms of a piece are a subsequence of the measure's canonical
+atoms, so its conditional is cut from them, shifted by their top
+weight, with no second sort or merge (`measures._conditional`), and a
+piece of one atom is its own barycenter.  A refinement sweep reads the
+measure's barycenter and distance values once for the whole chain.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .barycenter import barycenter_point, embedding
 from .core import Scalar, TropVector, odot, oplus_all
-from .errors import BadInput, NonConvexElement, UncoveredAtom, certify
+from .errors import BadInput, DimensionMismatch, NonConvexElement, UncoveredAtom, certify
 from .geometry import Box, TropPolytope
-from .measures import IdemMeasure, measure_dist
+from .measures import IdemMeasure, _conditional, _dist_to
 
 
 class IndexElement:
@@ -123,12 +132,12 @@ class CoverPiece:
     point: TropVector
 
 
-def _holds(element: CoverElement, atom, point: TropVector) -> bool:
-    """An index element holds the atom's index, a box or polytope its
-    point (the atom itself, or where an embedded space puts it)."""
+def _membership(element: CoverElement):
+    """The element's membership test, on an atom for an index element
+    (its index) and on a point for a box or polytope."""
     if isinstance(element, IndexElement):
-        return atom in element.indices
-    return element.contains(point)
+        return element.indices.__contains__
+    return element.contains
 
 
 def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
@@ -145,6 +154,7 @@ def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
     space is BadInput up front.
     """
     space = mu.space
+    tests = [_membership(e) for e in cover.elements]
     if space is not None:
         points = embedding(space)
         for k, element in enumerate(cover.elements):
@@ -152,23 +162,33 @@ def cover_pieces(mu: IdemMeasure, cover: Cover) -> list[CoverPiece]:
                 raise BadInput(
                     f"cover element {k} names index {max(element.indices)}, but the space has {space.n} points"
                 )
+    by_index = isinstance(cover.elements[0], IndexElement)
     groups: dict[int, list] = {}
-    for atom, weight in mu.atoms:
-        point = atom if space is None else points[atom]
-        for k, element in enumerate(cover.elements):
-            if _holds(element, atom, point):
-                groups.setdefault(k, []).append((atom, weight))
+    for pair in mu.atoms:
+        atom = pair[0]
+        key = atom if by_index or space is None else points[atom]
+        for k, holds in enumerate(tests):
+            if holds(key):
                 break
         else:
             raise UncoveredAtom(f"atom {atom!r} lies in no cover element")
+        if k in groups:
+            groups[k].append(pair)
+        else:
+            groups[k] = [pair]
     pieces = []
     for k in sorted(groups):
         inside = groups[k]
-        conditional = IdemMeasure(inside, space=space, renormalize=True)
-        point = barycenter_point(conditional)
-        atom = point if space is None else space.index_of_point(point)
-        if atom is None or not _holds(cover.elements[k], atom, point):
-            raise NonConvexElement(f"barycenter {point!r} escaped element {k} of the cover")
+        conditional = _conditional(inside, space)
+        if len(inside) == 1:
+            # a dirac's barycenter is its atom, which the element holds
+            atom = inside[0][0]
+            point = atom if space is None else points[atom]
+        else:
+            point = barycenter_point(conditional)
+            atom = point if space is None else space.index_of_point(point)
+            if atom is None or not tests[k](atom if by_index else point):
+                raise NonConvexElement(f"barycenter {point!r} escaped element {k} of the cover")
         pieces.append(CoverPiece(k, oplus_all(w for _, w in inside), conditional, atom, point))
     return pieces
 
@@ -189,39 +209,65 @@ def cover_approximation(mu: IdemMeasure, cover: Cover) -> IdemMeasure:
     element only (see cover_pieces), so the result never has more atoms
     than mu.
     """
+    return _approximation(mu, cover)
+
+
+def _approximation(mu: IdemMeasure, cover: Cover, beta: Optional[TropVector] = None) -> IdemMeasure:
+    """cover_approximation, certified against beta, mu's barycenter (read
+    here when None).  The pieces must hold mu's atoms once each and
+    rebuild mu, and the approximation must keep beta."""
     pieces = cover_pieces(mu, cover)
     pairs = [(piece.atom, piece.weight) for piece in pieces]
     nu = IdemMeasure(pairs, space=mu.space)
+    certify(sum(len(piece.conditional.atoms) for piece in pieces) == len(mu.atoms), "cover pieces share an atom")
     certify(cover_reconstruction(pieces) == mu, "cover pieces do not rebuild the measure")
-    certify(barycenter_point(nu) == barycenter_point(mu), "cover approximation moved the barycenter")
+    if beta is None:
+        beta = barycenter_point(mu)
+    certify(barycenter_point(nu) == beta, "cover approximation moved the barycenter")
     return nu
 
 
 def _inside(small: CoverElement, big: CoverElement) -> bool:
     """small is a subset of big.  Index sets nest by inclusion and never
-    with geometric elements.  A box inside a box compares bounds; a box
-    inside a polytope is checked at its corners, and a polytope inside
-    either at its generators, which suffices since big is convex."""
+    with geometric elements.  A box inside a box compares bound rows; a
+    box inside a polytope is checked at its corners, and a polytope
+    inside either at its generators, which suffices since big is
+    convex."""
     if isinstance(small, IndexElement) or isinstance(big, IndexElement):
         both = isinstance(small, IndexElement) and isinstance(big, IndexElement)
         return both and small.indices <= big.indices
     if isinstance(small, Box):
         if isinstance(big, Box):
-            return big.low.leq(small.low) and small.high.leq(big.high)
+            lows, ld, highs, hd = big.bounds
+            slows, sld, shighs, shd = small.bounds
+            if len(slows) != len(lows):
+                raise DimensionMismatch(f"dim {len(lows)} vs {len(slows)}")
+            for lo, slo, shi, hi in zip(lows, slows, shighs, highs):
+                if lo * sld > slo * ld or shi * hd > hi * shd:
+                    return False
+            return True
         small = small.corners_polytope()
-    return all(big.contains(g) for g in small.generators)
+    return all(map(big.contains, small.generators))
 
 
 def refines(fine: Cover, coarse: Cover) -> bool:
     """Every element of the fine cover sits inside some coarse element."""
-    return all(any(_inside(e, big) for big in coarse.elements) for e in fine.elements)
+    for small in fine.elements:
+        for big in coarse.elements:
+            if _inside(small, big):
+                break
+        else:
+            return False
+    return True
 
 
 def refinement_sweep(mu: IdemMeasure, chain: Sequence[Cover]) -> list[tuple[int, float]]:
     """Approximation distances along a strictly refining chain of covers.
 
     Returns (cover index, measure_dist(approximation, mu)) rows.  The
-    distance hits 0 exactly when a cover isolates every atom.
+    distance hits 0 exactly when a cover isolates every atom.  mu's
+    barycenter and distance values are read once for the whole chain;
+    each approximation is certified against that barycenter.
     """
     chain = list(chain)
     if not chain:
@@ -229,8 +275,6 @@ def refinement_sweep(mu: IdemMeasure, chain: Sequence[Cover]) -> list[tuple[int,
     for k in range(1, len(chain)):
         if chain[k] == chain[k - 1] or not refines(chain[k], chain[k - 1]):
             raise BadInput(f"cover {k} does not strictly refine cover {k - 1}")
-    rows = []
-    for k, cover in enumerate(chain):
-        nu = cover_approximation(mu, cover)
-        rows.append((k, measure_dist(nu, mu)))
-    return rows
+    beta = barycenter_point(mu)
+    dist = _dist_to(mu)
+    return [(k, dist(_approximation(mu, cover, beta))) for k, cover in enumerate(chain)]

@@ -10,9 +10,10 @@ suite checks exactly.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
-from .core import TropVector, _combination, odot
+from .core import TropVector, _dot, _vector, odot
 from .errors import BadInput, SpaceMismatch
 from .measures import FiniteSpace, IdemMeasure
 
@@ -38,9 +39,12 @@ def _point_atoms(mu: IdemMeasure) -> list:
 
 
 def barycenter_point(mu: IdemMeasure) -> TropVector:
-    """Barycenter point of a measure over (embedded) points."""
+    """Barycenter point of a measure over (embedded) points: each
+    coordinate is one `_dot` of the weights, valid scalars already, with
+    the atoms' coordinates."""
     pairs = _point_atoms(mu)
-    return _combination([p for p, _ in pairs], [w for _, w in pairs])
+    weights = [w for _, w in pairs]
+    return _vector(tuple(map(_dot, repeat(weights), zip(*[p.coords for p, _ in pairs]))))
 
 
 def barycenter_of_measures(big: IdemMeasure, space: Optional[FiniteSpace] = None) -> IdemMeasure:

@@ -155,6 +155,15 @@ def _witness_payload(kind: str, w) -> dict:
     }
 
 
+def _target(target_doc: dict, key: str, kind: str):
+    """The target document's value under `key`, the one kind of target a
+    `kind` instance takes; BadInput names the kind it holds instead."""
+    if key not in target_doc:
+        given = next(k for k in target_doc if k != "version")
+        raise BadInput(f"the {kind} instance takes a {key} target, not a {given}")
+    return target_doc[key]
+
+
 def _lift_s_inputs(instance: dict, target_doc: dict) -> tuple:
     """The kind, first, second, params, target and region of a lift s
     request, with the lift and the search that answer it."""
@@ -164,21 +173,21 @@ def _lift_s_inputs(instance: dict, target_doc: dict) -> tuple:
         first = codecs.measure_from_json(instance["first"], space)
         second = codecs.measure_from_json(instance["second"], space)
         params = codecs.params_from_json(instance["params"])
-        target = codecs.measure_from_json(target_doc["measure"], space)
+        target = codecs.measure_from_json(_target(target_doc, "measure", kind), space)
         return kind, first, second, params, target, (), lift_s_finite, brute_force_lift_s
     if kind == "interval":
         bounds = tuple(codecs.scalar_from_json(v) for v in instance["bounds"])
         first = codecs.scalar_from_json(instance["x"])
         second = codecs.scalar_from_json(instance["y"])
         params = codecs.params_from_json(instance["params"])
-        target = codecs.scalar_from_json(target_doc["scalar"])
+        target = codecs.scalar_from_json(_target(target_doc, "scalar", kind))
         return kind, first, second, params, target, (bounds,), lift_s_interval, brute_force_lift_interval
     if kind == "box":
         box = codecs.box_from_json(instance)
         first = codecs.vector_from_json(instance["x"])
         second = codecs.vector_from_json(instance["y"])
         params = codecs.params_from_json(instance["params"])
-        target = codecs.vector_from_json(target_doc["point"])
+        target = codecs.vector_from_json(_target(target_doc, "point", kind))
         return kind, first, second, params, target, (box,), lift_s_box, brute_force_lift_box
     raise BadInput(f"instance kind {kind!r} does not fit lift s")
 
@@ -206,10 +215,12 @@ _BETA_HOSTS = {"barycenter-box": lambda instance: BoxHost(codecs.box_from_json(i
 
 def _lift_beta_inputs(instance: dict, target_doc: dict) -> tuple:
     """The host, measure and target of a lift beta request."""
-    if instance["kind"] not in _BETA_HOSTS:
+    kind = instance["kind"]
+    if kind not in _BETA_HOSTS:
         raise BadInput("lift beta expects a barycenter-box instance")
-    host = _BETA_HOSTS[instance["kind"]](instance)
-    return host, codecs.measure_from_json(instance["measure"]), codecs.vector_from_json(target_doc["point"])
+    host = _BETA_HOSTS[kind](instance)
+    target = codecs.vector_from_json(_target(target_doc, "point", kind))
+    return host, codecs.measure_from_json(instance["measure"]), target
 
 
 def _cmd_lift_beta(inputs: tuple, oracle: bool) -> dict:

@@ -40,9 +40,14 @@ from .measures import FiniteSpace, FunctionTable, IdemMeasure, combine
 
 
 class Box:
-    """Axis box [low_1, high_1] x ... x [low_d, high_d] with finite bounds."""
+    """Axis box [low_1, high_1] x ... x [low_d, high_d] with finite bounds.
 
-    __slots__ = ("low", "high")
+    `bounds` holds the rows of low and high, (lows, low den, highs, high
+    den), read once here: membership and box-in-box tests cross-multiply
+    them with no further `_row_of`.
+    """
+
+    __slots__ = ("low", "high", "bounds")
 
     def __init__(self, low: TropVector, high: TropVector):
         if low.dim != high.dim:
@@ -53,6 +58,7 @@ class Box:
             raise BadInput("box lower bound exceeds upper bound")
         self.low = low
         self.high = high
+        self.bounds = (*_row_of(low), *_row_of(high))
 
     @property
     def dim(self) -> int:
@@ -60,14 +66,13 @@ class Box:
 
     def contains(self, p: TropVector) -> bool:
         """low <= p <= high coordinatewise, cross-multiplied over rows."""
-        if p.dim != self.dim:
+        lows, ld, highs, hd = self.bounds
+        if len(p.coords) != len(lows):
             raise DimensionMismatch("point dimension does not match the box")
         row = _row_of(p)
         if row is None:  # a -inf coordinate is below every low bound
             return False
         xs, xd = row
-        lows, ld = _row_of(self.low)
-        highs, hd = _row_of(self.high)
         for lo, x, hi in zip(lows, xs, highs):
             if lo * xd > x * ld or x * hd > hi * xd:
                 return False
@@ -125,7 +130,10 @@ class TropPolytope:
         return _combination(self.generators, coeffs)
 
     def contains(self, x: TropVector) -> bool:
-        return _residuation(self.generators, x) is not None
+        gens = self.generators
+        if len(gens) == 1 and len(x.coords) == len(gens[0].coords):
+            return x == gens[0]  # the hull of one point is that point
+        return _residuation(gens, x) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropPolytope):

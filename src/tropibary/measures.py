@@ -9,7 +9,8 @@ constructor on index pairs each build that tuple in one pass and hand it
 to one checked constructor, `_dense`, which refuses +inf, an all -inf
 tuple and a maximum other than 0.  `atoms` is the index-ordered view of
 the tuple: its (index, weight) pairs above -inf.  `density()` is the
-tuple itself.
+tuple itself.  `_conditional` cuts a measure's conditional on some of
+its atoms, on a space or over points, from those atoms as they stand.
 
 Without a space, atoms are points (`TropVector`) or measures themselves
 (for spaces of measures).  Such measures are kept in canonical form:
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
     NEG_INF,
@@ -227,18 +228,20 @@ class IdemMeasure:
         checked = []
         dims = set()
         for atom, weight in pairs:
-            weight = scalar(weight)
-            if weight is POS_INF:
-                raise BadInput("+inf cannot be a weight")
+            if type(weight) is not Fraction:
+                weight = scalar(weight)
+                if weight is POS_INF:
+                    raise BadInput("+inf cannot be a weight")
             if isinstance(atom, int):
                 if space is None:
                     raise BadInput("index atoms need a space")
                 if not 0 <= atom < space.n:
                     raise BadInput(f"atom index {atom} outside space of size {space.n}")
             elif isinstance(atom, TropVector):
-                if atom.is_finite is False:
-                    raise BadInput("point atoms must have finite coordinates")
-                dims.add(atom.dim)
+                for c in atom.coords:
+                    if c is NEG_INF:
+                        raise BadInput("point atoms must have finite coordinates")
+                dims.add(len(atom.coords))
             elif not isinstance(atom, IdemMeasure):
                 raise BadInput(f"unsupported atom {capped(repr(atom))}")
             checked.append((atom, weight))
@@ -378,6 +381,8 @@ def _merged_points(pairs: list) -> list:
     """(point, weight) pairs over finite points of one dimension, sorted by
     `_point_key`, with equal points merged by max into the first seen: one
     sort, then one pass over neighbours, and no hashing."""
+    if len(pairs) == 1:
+        return pairs
     key = _point_key([a for a, _ in pairs])
     keyed = sorted([(key(a), k) for k, (a, _) in enumerate(pairs)])
     merged = []
@@ -400,6 +405,32 @@ def _dense(space: FiniteSpace, weights: tuple) -> IdemMeasure:
     """
     mu = object.__new__(IdemMeasure)
     mu._fill(space, weights)
+    return mu
+
+
+def _conditional(pairs: list, space: Optional[FiniteSpace]) -> IdemMeasure:
+    """The conditional of a measure on some of its atoms: `pairs`, a
+    subsequence of that measure's `atoms`, each weight shifted by their
+    top weight.
+
+    Like `_dense`, only for atoms the library made: a subsequence of
+    canonical atoms is sorted, merged and above -inf already, so nothing
+    is sorted, merged or checked again.
+    """
+    top = oplus_all(w for _, w in pairs)
+    if _sign(top):
+        shift = -top
+        pairs = [(a, odot(w, shift)) for a, w in pairs]
+    mu = object.__new__(IdemMeasure)
+    mu.space = space
+    mu.atoms = tuple(pairs)
+    if space is None:
+        mu._weights = None
+    else:
+        weights = [NEG_INF] * space.n
+        for i, w in pairs:
+            weights[i] = w
+        mu._weights = tuple(weights)
     return mu
 
 
@@ -552,12 +583,30 @@ def measure_dist(mu: IdemMeasure, nu: IdemMeasure) -> float:
     above the float range raises BadInput (see `core.rho`); the point
     values reach it through `core._rho_ratios`, which gives rho's floats.
     """
-    if mu.space is not None and mu.space == nu.space:
-        return max(map(rho, _space_values(mu), _space_values(nu)))
-    if mu.space is not None or nu.space is not None:
-        raise SpaceMismatch("no default test family across different spaces")
-    if not all(isinstance(m.atoms[0][0], TropVector) for m in (mu, nu)):
-        raise BadInput("measures over measures have no default test family")
-    if mu.atoms[0][0].dim != nu.atoms[0][0].dim:
-        raise DimensionMismatch("point measures of mixed dimension")
-    return max(map(_rho_ratios, _point_values(mu), _point_values(nu)))
+    return _dist_to(nu)(mu)
+
+
+def _dist_to(nu: IdemMeasure) -> Callable[[IdemMeasure], float]:
+    """The function mu -> measure_dist(mu, nu).  It reads nu's values on
+    its first call and keeps them, so a refinement sweep reads its
+    measure once for all of its approximations.  The kind of values is
+    nu's: those of its space, or of its points."""
+    theirs = None
+
+    def dist(mu: IdemMeasure) -> float:
+        nonlocal theirs
+        if mu.space is not None and mu.space == nu.space:
+            values, pair = _space_values, rho
+        else:
+            if mu.space is not None or nu.space is not None:
+                raise SpaceMismatch("no default test family across different spaces")
+            if not all(isinstance(m.atoms[0][0], TropVector) for m in (mu, nu)):
+                raise BadInput("measures over measures have no default test family")
+            if mu.atoms[0][0].dim != nu.atoms[0][0].dim:
+                raise DimensionMismatch("point measures of mixed dimension")
+            values, pair = _point_values, _rho_ratios
+        if theirs is None:
+            theirs = values(nu)
+        return max(map(pair, values(mu), theirs))
+
+    return dist

@@ -612,6 +612,10 @@ MALFORMED = [
     ("eval", "--measure", "@m_float_weight", "--table", "@table"),
     ("barycenter", "@m_unembedded"),
     ("lift", "s", "--instance", "@inst_embedded", "--target", "@tgt_unembedded"),
+    ("lift", "s", "--instance", "@inst_box", "--target", "@tgt_int"),
+    ("lift", "s", "--instance", "@inst_int", "--target", "@tgt_box"),
+    ("lift", "s", "--instance", "@inst_meas", "--target", "@tgt_box"),
+    ("lift", "beta", "--instance", "@inst_beta", "--target", "@tgt_int"),
 ]
 
 

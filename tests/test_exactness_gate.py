@@ -66,6 +66,36 @@ class NudgedWitness(IdemMeasure):
         super().__init__([(point.shift(NUDGE), w) for point, w in pairs])
 
 
+# The measure of the cover_approximation cases: one atom in each of two
+# grid cells, the second below 0.
+COVER_MU = IdemMeasure([(TropVector(["-2", "-1"]), ZERO), (TropVector(["-1/2", "-1/2"]), scalar("-1/2"))])
+
+
+def unshifted_conditionals(mp):
+    """The conditional constructor drops its shift: each conditional keeps
+    the weights its atoms have in the measure."""
+    cut = approximation._conditional
+
+    def wrong(pairs, space):
+        conditional = cut(pairs, space)
+        conditional.atoms = tuple(pairs)
+        return conditional
+
+    mp.setattr(approximation, "_conditional", wrong)
+
+
+def conditionals_with_next_atom(mp):
+    """Each conditional also keeps the atom of COVER_MU after its last
+    one, which the next piece holds."""
+    cut = approximation._conditional
+
+    def wrong(pairs, space):
+        atoms = list(COVER_MU.atoms)
+        return cut(list(pairs) + atoms[atoms.index(pairs[-1]) + 1 :][:1], space)
+
+    mp.setattr(approximation, "_conditional", wrong)
+
+
 # name -> (sabotage of one construction step, call that is exact without it)
 CASES = {
     "lift_s_finite": (
@@ -127,6 +157,14 @@ CASES = {
             ),
             Cover.grid(BOX, 2),
         ),
+    ),
+    "cover_approximation/unshifted": (
+        unshifted_conditionals,
+        lambda: cover_approximation(COVER_MU, Cover.grid(BOX, 2)),
+    ),
+    "cover_approximation/next_atom": (
+        conditionals_with_next_atom,
+        lambda: cover_approximation(COVER_MU, Cover.grid(BOX, 2)),
     ),
 }
 
