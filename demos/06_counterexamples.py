@@ -38,7 +38,7 @@ def main():
 
     section("Barycenter over the hook hull")
     hull = y_polytope()
-    ext = extremal_points(hull, samples=50, seed=7)
+    ext = extremal_points(hull)
     print("generators:", [tuple(map(str, g.coords)) for g in hull.generators])
     print("extremal:  ", [tuple(map(str, g.coords)) for g in ext])
     print("Diagonal targets (-1+1/i, -1+1/i) approach the barycenter (-1,-1) of")

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import io as codecs
-from .approximation import cover_approximation, refinement_sweep
+from .approximation import _approximation, refinement_sweep
 from .barycenter import barycenter_point
 from .core import ConvexParams
 from .errors import BadInput, Rejection, TropibaryError, capped
@@ -279,13 +279,14 @@ def _cmd_approx(args) -> dict:
     if args.cover is None:
         raise BadInput("approx needs --cover or --chain")
     cover = codecs.load(args.cover, "cover")
-    nu = cover_approximation(mu, cover)
+    beta = barycenter_point(mu)
+    nu = _approximation(mu, cover, beta)
     return {
         "subcommand": "approx",
         "inputs_digest": _digest(args.measure, args.cover),
         "outputs": {
             "measure": codecs.measure_to_json(nu),
-            "beta_preserved": barycenter_point(nu) == barycenter_point(mu),
+            "beta_preserved": barycenter_point(nu) == beta,
             "dist": measure_dist(nu, mu),
         },
     }
@@ -293,7 +294,7 @@ def _cmd_approx(args) -> dict:
 
 def _cmd_ext(args) -> dict:
     poly = codecs.load(args.polytope, "polytope")
-    ext = extremal_points(poly, samples=200, seed=_resolve_seed(args.seed))
+    ext = extremal_points(poly)
     if args.svg:
         render_polytope_svg(poly, args.svg, extremal=ext)
     return {
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ext", help="extremal points of a tropical polytope")
     p.add_argument("--polytope", required=True)
     p.add_argument("--svg", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="accepted and unused: extremality is decided exactly")
 
     p = sub.add_parser("member", help="hull membership via residuated coefficients")
     p.add_argument("--polytope", required=True)

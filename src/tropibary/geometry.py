@@ -202,14 +202,29 @@ def extremal_points(
     """Extremal points of the hull: the irredundant generators.
 
     A generator is dropped when it lies in the hull of the remaining
-    ones.  With samples > 0, every survivor is additionally tested
-    against the decomposition definition on sampled combinations; a
-    refutation would indicate an internal inconsistency and raises.
-    A sample draws coefficient vectors a and b for y and z and a
-    parameter pair (t, p) on the 1/8 grid, all over integers at
-    D = lcm(8, every survivor coordinate's denominator), with -inf as
-    None.  `_s_reaches` compares s(y, z) with the survivor a coordinate
-    at a time, and y and z are built only when it equals the survivor.
+    ones, which leaves the hull as it was; a dropped generator is a
+    normalized combination of the others, so it is not extremal.  Each
+    survivor g_k lies outside the hull of the other survivors, and that
+    makes it extremal (the max-plus Minkowski theorem: Gaubert & Katz,
+    "The Minkowski theorem for max-plus convex sets", Linear Algebra
+    Appl. 421, 2007):
+    1. Say v = g_k = y oplus p odot z with p <= 0 (a convex pair has one
+       parameter 0; name its side y), and write y = oplus_i a_i odot g_i
+       and z = oplus_i b_i odot g_i over the survivors.
+    2. Then v = oplus_i c_i odot g_i with c_i = max(a_i, p + b_i) and
+       max c = 0.
+    3. If c_k < 0, the other terms reach v in every coordinate, so g_k
+       lies in the hull of the others.  That is a contradiction.
+    4. So a_k = 0, which forces y = v (y >= g_k = v >= y), or
+       p = b_k = 0, which forces z = v likewise.
+    So the pruning alone decides extremality.  `samples > 0` is kept
+    only for the benchmark's explicit call: it tests every survivor on
+    that many sampled decompositions, which by the proof cannot refute
+    it, and raises if one does.  It and `_s_reaches` go once the
+    benchmark stops passing it.  A sample draws coefficient vectors a
+    and b for y and z and a parameter pair (t, p) on the 1/8 grid, over
+    integers at D = lcm(8, every survivor coordinate's denominator),
+    with -inf as None.
     """
     survivors = list(poly.generators)
     k = 0

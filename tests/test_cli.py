@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropibary import ConvexParams, FiniteSpace, cli, combine, lifting, sampling
+from tropibary import ConvexParams, FiniteSpace, cli, combine, geometry, lifting, sampling
 from tropibary.cli import main
+from tropibary.verify import run_suite
 
 SPACE = {"labels": ["a", "b"]}
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -491,11 +492,10 @@ class TestCounterexampleAndSeeds:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("ext", "--polytope", "@poly"),
             ("counterexample", "y-beta", "--i", "2", "--samples", "5"),
             ("verify", "--suite", "measures", "--scale", "tiny"),
         ],
-        ids=["ext", "counterexample", "verify"],
+        ids=["counterexample", "verify"],
     )
     def test_non_integer_env_seed_is_one_error_line(self, capsys, monkeypatch, docs, argv):
         argv = resolve(argv, docs)
@@ -507,6 +507,29 @@ class TestCounterexampleAndSeeds:
         # --seed wins, and then the variable is not read
         code, _, err = run(capsys, *argv, "--seed", "3")
         assert code == 0, err
+
+    def test_ext_reads_no_env_seed(self, capsys, monkeypatch, docs):
+        monkeypatch.setenv("TROPIBARY_SEED", "abc")
+        code, out, err = run(capsys, "ext", "--polytope", docs["poly"])
+        assert code == 0, err
+        assert out.encode() == (GOLDEN / "ext.out").read_bytes()
+
+    def test_ext_output_does_not_depend_on_the_seed(self, capsys, docs):
+        golden = (GOLDEN / "ext.out").read_bytes()
+        for seed in (("--seed", "1"), ("--seed", "2"), ()):
+            assert run(capsys, "ext", "--polytope", docs["poly"], *seed)[:2] == (0, golden.decode()), seed
+
+    def test_ext_and_the_hook_suite_never_sample(self, capsys, monkeypatch, docs):
+        # extremality is decided exactly: the sampled check is never asked
+        def sampled(*args):
+            raise AssertionError("extremality was sampled")
+
+        monkeypatch.setattr(geometry, "_s_reaches", sampled)
+        code, out, err = run(capsys, "ext", "--polytope", docs["poly"], "--seed", "7")
+        assert code == 0, err
+        assert out.encode() == (GOLDEN / "ext.out").read_bytes()
+        rows = run_suite("counterexample-bary", scale="tiny").rows
+        assert rows and all(r.ok for r in rows)
 
     def test_long_env_seed_is_quoted_to_the_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("TROPIBARY_SEED", "x" * 1000)

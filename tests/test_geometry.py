@@ -1,5 +1,6 @@
 """Boxes, finitely generated hulls, extremal points, and the hook hull."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -166,6 +167,38 @@ class TestExtremalPoints:
     def test_single_generator(self):
         assert extremal_points(TropPolytope([v("0", "0")])) == (v("0", "0"),)
 
+    def test_no_lattice_decomposition_refutes_a_survivor(self):
+        # the conclusion of extremal_points' proof, checked exhaustively:
+        # every polytope of 2-3 generators on {-1, -1/2, 0}^2, every pair
+        # y, z of its hull's combinations with coefficients in LATTICE and
+        # every convex pair over LATTICE; a survivor v = s(y, z) is y or z
+        pairs = [ConvexParams(ZERO, p) for p in LATTICE] + [ConvexParams(t, ZERO) for t in LATTICE[:-1]]
+        decompositions = reached = 0
+        for poly in lattice_polytopes(2, (2, 3)):
+            ext = extremal_points(poly)
+            points = lattice_combinations(poly.generators)
+            for y in points:
+                for z in points:
+                    for params in pairs:
+                        s = s_point(y, z, params)
+                        for survivor in ext:
+                            decompositions += 1
+                            if s == survivor:
+                                reached += 1
+                                assert survivor in (y, z), (poly, y, z, params)
+        assert decompositions == 39_340
+        assert reached == 7_740
+
+    def test_survivors_are_the_generators_no_lattice_combination_of_the_others_reaches(self):
+        assert_irredundant_by_brute_force()
+
+    def test_brute_force_catches_a_kept_redundant_generator(self, monkeypatch):
+        # with pruning switched off, (0, 0) = (0, -1) oplus (-1, 0) survives;
+        # pruning asks _residuation, the brute force never does
+        monkeypatch.setattr(geometry, "_residuation", lambda gens, x: None)
+        with pytest.raises(AssertionError):
+            assert_irredundant_by_brute_force()
+
     def test_sampled_decomposition_refutes_a_kept_redundant_generator(self, monkeypatch):
         # with pruning switched off, (0, 0) = (0, -1) oplus (-1, 0) survives,
         # and the sampled check must catch it; pruning asks _residuation
@@ -229,6 +262,37 @@ class TestExtremalPoints:
         hits = integer_extremal_hits(monkeypatch, poly, 200, 7)
         assert hits == reference_extremal_hits(ext, 200, 7)
         assert any(hits)
+
+
+# Coefficients of the lattice checks.  Every coordinate lies in {-1, -1/2, 0},
+# so each residual coefficient min(0, min_j (x_j - g_j)) of a point of the
+# hull lies in LATTICE: a lattice combination reaches every hull point.
+LATTICE = (NEG_INF, Fraction(-1), Fraction(-1, 2), ZERO)
+
+
+def lattice_polytopes(dim: int, sizes) -> list:
+    """Every polytope whose generators are distinct points of {-1, -1/2, 0}^dim,
+    with a generator count in sizes."""
+    grid = [TropVector(c) for c in itertools.product(LATTICE[1:], repeat=dim)]
+    return [TropPolytope(gens) for k in sizes for gens in itertools.combinations(grid, k)]
+
+
+def lattice_combinations(gens) -> set:
+    """Every normalized combination of gens with coefficients in LATTICE."""
+    return {_combination(gens, c) for c in itertools.product(LATTICE, repeat=len(gens)) if max(c) == ZERO}
+
+
+def assert_irredundant_by_brute_force():
+    """extremal_points keeps exactly the generators that no lattice
+    combination of the other generators reaches, on every polytope of 2-4
+    generators on {-1, -1/2, 0}^2 and of 2-3 generators on {-1, -1/2, 0}^3."""
+    polytopes = lattice_polytopes(2, (2, 3, 4))
+    rng = random.Random(34)
+    polytopes += rng.sample(lattice_polytopes(3, (2, 3)), 400)
+    for poly in polytopes:
+        gens = poly.generators
+        irredundant = [g for k, g in enumerate(gens) if g not in lattice_combinations(gens[:k] + gens[k + 1 :])]
+        assert list(extremal_points(poly)) == irredundant, poly
 
 
 def at_den(values, den: int) -> list:

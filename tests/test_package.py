@@ -1,8 +1,9 @@
 """The package's public names: `tropibary.__all__` lists each once, none
 private, and every one of them imports.  Its source: one max-plus product
 kernel, one place that fills a vector's row cache, no report rendered by
-json's pure-Python encoder, no private helper that only tests call, and
-no CLI input checked and decoded in two walks."""
+json's pure-Python encoder, no private helper that only tests call, no
+CLI input checked and decoded in two walks, and no product path that
+samples extremality."""
 
 import ast
 import pathlib
@@ -147,6 +148,25 @@ def test_no_environment_variable_is_read_but_the_seed():
                 key = up.left
             reads.add(key.value if isinstance(key, ast.Constant) else f"{path.name}:{node.lineno}")
     assert reads == {"TROPIBARY_SEED"}
+
+
+def test_no_product_path_samples_extremality():
+    # extremal_points decides extremality exactly; a call under src/ or
+    # demos/ that passes samples or seed (by keyword or position) would
+    # run the sampled check the max-plus Minkowski theorem rules out
+    src = pathlib.Path(tropibary.__file__).resolve().parent
+    demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
+    calls, sampled = 0, []
+    for path in [*sorted(src.glob("*.py")), *sorted(demos.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "attr", getattr(node.func, "id", "")) == "extremal_points":
+                calls += 1
+                if len(node.args) > 1 or any(k.arg in ("samples", "seed", None) for k in node.keywords):
+                    sampled.append(f"{path.name}:{node.lineno}")
+    assert sampled == []
+    assert calls >= 4  # cli, verify, the hook certificate and the demo
 
 
 def test_every_cli_document_is_loaded_in_one_walk():
