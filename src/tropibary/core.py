@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import exp, expm1, gcd, inf, lcm, log
-from typing import Callable, Iterable, NoReturn, Optional, Sequence, Union
+from typing import Iterable, NoReturn, Optional, Sequence, Union
 
 from .errors import BadInput, DimensionMismatch, capped
 
@@ -219,14 +219,6 @@ def _cmp(a: Scalar, b: Scalar) -> int:
         return 1
     x, y = a._numerator * b._denominator, b._numerator * a._denominator
     return (x > y) - (x < y)
-
-
-def _point_key(points: Iterable[TropVector]) -> Callable[[TropVector], tuple]:
-    """A sort key that orders these vectors, all of them finite, as their
-    coordinate tuples order, by comparing integers: each coordinate's
-    numerator at the common denominator of all of them."""
-    scale = lcm(*{c._denominator for p in points for c in p.coords})
-    return lambda p: tuple([c._numerator * (scale // c._denominator) for c in p.coords])
 
 
 def _sign(q: Fraction) -> int:

@@ -8,16 +8,14 @@ exactly and stays close to the input.  Every constructor is partial: far
 targets are refused with `OutsideValidityRegion` naming the inequality
 that failed.
 
-The lifts share one scheme.  Each construction is written for params
-(t, 0); params with p < 0 go through the mirror rule `_oriented`, which
-lifts the swapped inputs and reads the witness back.  The finite
-combination lift is one function: each of its branches chooses a shift,
-and all end in one build step, `_shifted`, which checks the target
-against the weights the witness keeps.  The fiber split is
-one closed form, symmetric in the two sides, so it needs no mirror; it
-checks, splits and certifies on the weight tuples of the measures, and
-builds measures only for its result.  Every accepted witness passes one
-exactness gate: `errors.certify` raises `InexactWitness` unless the
+The combination lifts are written for params (t, 0); params with p < 0
+lift the swapped inputs and read the witness back, decided once per
+call.  The finite lift's branches each choose a shift and end in one
+build step, `_shifted`.  The interval and box lifts are one rule per
+coordinate, `_lift_points`, run in one pass that builds no witness until
+the end.  The fiber split is one closed form on weight tuples, symmetric
+in the two sides, so it needs no mirror.  Every accepted witness passes
+one exactness gate: `errors.certify` raises `InexactWitness` unless the
 witness maps back to its target exactly, as `recombine` recomputes it
 or, for the fiber split, as its three identities are recomputed on
 tuples.  The gate is a function call, not an `assert`, so it also runs
@@ -27,10 +25,10 @@ under `python -O`.
 witnesses over value-adapted grids and keep whatever recombines exactly,
 never consulting the constructive branch logic.  The finite, interval and
 box oracles are one engine, `_grid_search`, over the coordinate equation
-max(t' + l, p' + r) = target; each gives only its values per coordinate,
-the rank of their solutions and its pick, and the interval oracle is the
-box oracle on a 1-D box.  The β oracle enumerates atom subsets, so it
-keeps its own search and shares only the "exists"/"best" choice.
+max(t' + l, p' + r) = target; each gives only its values per coordinate
+with their rank terms, and its pick, and the interval oracle is the box
+oracle on a 1-D box.  The β oracle enumerates atom subsets, so it keeps
+its own search and shares only the "exists"/"best" choice.
 
 A barycenter-lift host gives `lift_beta` its `contains`, `bary` and
 `lift_s`; the barycenter suite and `lift beta` also call its `sample`,
@@ -40,6 +38,7 @@ A barycenter-lift host gives `lift_beta` its `contains`, `bary` and
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -128,14 +127,6 @@ def _mirrored(witness: LiftWitness) -> LiftWitness:
     )
 
 
-def _oriented(lift, first, second, params: ConvexParams, *rest) -> LiftWitness:
-    """The mirror rule: constructions are written for params (t, 0), so
-    params with p < 0 lift the swapped inputs and mirror the witness."""
-    if _cmp(params.p, ZERO) < 0:
-        return _mirrored(lift(second, first, params.swapped(), *rest))
-    return lift(first, second, params, *rest)
-
-
 def witness_distance(witness: LiftWitness, first, second, params: ConvexParams) -> float:
     """Distance from a witness back to the lifted inputs."""
     parts = [witness.params.dist(params)]
@@ -169,12 +160,15 @@ def lift_s_finite(
     """
     if first.space is None or first.space != second.space or first.space != target.space:
         raise SpaceMismatch("lift inputs must share one finite space")
-    return _exact(_oriented(_lift_finite, first, second, params, target), target)
+    return _exact(_lift_finite(first, second, params, target), target)
 
 
 def _lift_finite(first, second, params, target) -> LiftWitness:
-    """The construction for params (t, 0).  Each branch chooses a shift
+    """The construction for params (t, 0); params with p < 0 lift the
+    swapped inputs and mirror the witness.  Each branch chooses a shift
     and a tag; `_shifted` then checks the target and builds the witness."""
+    if _cmp(params.p, ZERO) < 0:
+        return _mirrored(_lift_finite(second, first, params.swapped(), target))
     t = params.t
     if t is NEG_INF:
         return LiftWitness(first, target, ConvexParams(NEG_INF, 0), "t<p/t=-inf")
@@ -329,18 +323,6 @@ lift_merge_fiber = lift_fiber_surjection
 # -- convex combinations of points in intervals and boxes --------------------
 
 
-def _lift_coordinate(x, y, params, target, bounds) -> LiftWitness:
-    """The point-lift core: one coordinate, on an interval [lo, hi].
-
-    The parameters are never moved; only the point pair does.
-    """
-    lo, hi = bounds
-    if not (type(lo) is Fraction and type(hi) is Fraction and _cmp(lo, hi) <= 0):
-        raise BadInput("interval bounds must be finite and ordered")
-    _inside(x, y, target, lo, hi)
-    return _oriented(_lift_scalar, x, y, params, target, lo, hi)
-
-
 def _inside(x, y, target, lo: Fraction, hi: Fraction) -> None:
     """Refuse a first point, second point or target that is not a finite
     scalar in [lo, hi]."""
@@ -351,23 +333,38 @@ def _inside(x, y, target, lo: Fraction, hi: Fraction) -> None:
             raise BadInput(f"{name} {value} outside [{lo}, {hi}]")
 
 
-def _lift_scalar(x, y, params, target, lo, hi) -> LiftWitness:
-    """Params (t, 0): the dominated side absorbs the target, and ties
-    move both components."""
-    alpha = params.t
-    ax = odot(alpha, x)
-    if _cmp(ax, y) < 0:
-        if _cmp(target, ax) <= 0:
-            raise OutsideValidityRegion(f"target {target} does not exceed the shifted first point {ax}")
-        return LiftWitness(x, target, params, "s=second")
-    if _cmp(ax, y) > 0 and _cmp(target, y) <= 0:
-        raise OutsideValidityRegion(f"target {target} does not exceed the second point {y}")
-    moved = residual(target, alpha)
-    if _cmp(moved, lo) < 0 or _cmp(moved, hi) > 0:
-        raise OutsideValidityRegion(f"lifted first point {moved} leaves [{lo}, {hi}]")
-    if _cmp(ax, y) > 0:
-        return LiftWitness(moved, y, params, "s=first")
-    return LiftWitness(moved, target, params, "s=tied")
+def _lift_points(xs, ys, params, targets, lows, highs) -> list[tuple]:
+    """The point-lift rule on each coordinate j, on [lows[j], highs[j]],
+    under one parameter pair: (lifted first, lifted second, tag) per j.
+
+    For params (t, 0) the dominated side absorbs the target, and ties
+    move both components; params with p < 0 swap the sides of every
+    coordinate, and each tag ends in "/swapped".  The parameters never
+    move.  Each coordinate is tested by `_inside`, then lifted, so the
+    first coordinate that fails names the refusal.
+    """
+    swap = _cmp(params.p, ZERO) < 0
+    alpha, suffix = (params.p, "/swapped") if swap else (params.t, "")
+    out = []
+    for x, y, target, lo, hi in zip(xs, ys, targets, lows, highs):
+        _inside(x, y, target, lo, hi)
+        if swap:
+            x, y = y, x
+        ax = odot(alpha, x)
+        side = _cmp(ax, y)
+        if side < 0:
+            if _cmp(target, ax) <= 0:
+                raise OutsideValidityRegion(f"target {target} does not exceed the shifted first point {ax}")
+            first, second, tag = x, target, "s=second"
+        else:
+            if side > 0 and _cmp(target, y) <= 0:
+                raise OutsideValidityRegion(f"target {target} does not exceed the second point {y}")
+            first = residual(target, alpha)
+            if _cmp(first, lo) < 0 or _cmp(first, hi) > 0:
+                raise OutsideValidityRegion(f"lifted first point {first} leaves [{lo}, {hi}]")
+            second, tag = (y, "s=first") if side > 0 else (target, "s=tied")
+        out.append((second, first, tag + suffix) if swap else (first, second, tag))
+    return out
 
 
 def lift_s_interval(
@@ -377,13 +374,14 @@ def lift_s_interval(
     target: Scalar,
     bounds: tuple[Scalar, Scalar],
 ) -> LiftWitness:
-    """Lift the two-point convex combination on an interval [lo, hi].
-
-    The returned parameters are always the input parameters; only the
-    point pair moves.  The dominated side absorbs the target, and ties
-    shift both components by the same amount.
-    """
-    return _exact(_lift_coordinate(x, y, params, target, bounds), target)
+    """Lift the two-point convex combination on an interval [lo, hi]:
+    `_lift_points` on one coordinate.  The returned parameters are always
+    the input parameters; only the point pair moves."""
+    lo, hi = bounds
+    if not (type(lo) is Fraction and type(hi) is Fraction and _cmp(lo, hi) <= 0):
+        raise BadInput("interval bounds must be finite and ordered")
+    ((first, second, tag),) = _lift_points((x,), (y,), params, (target,), (lo,), (hi,))
+    return _exact(LiftWitness(first, second, params, tag), target)
 
 
 def lift_s_box(
@@ -397,20 +395,15 @@ def lift_s_box(
 
     The interval construction never moves the parameters, which is what
     makes the shared pair sound: every coordinate succeeds or the whole
-    call is refused.
+    call is refused.  One pass of `_lift_points` decides the mirror once
+    and builds only the two lifted points, which pass one exactness gate.
     """
     if not (x.dim == y.dim == target.dim == box.dim):
         raise BadInput("box lift inputs of mixed dimension")
-    parts = [
-        _lift_coordinate(x[j], y[j], params, target[j], box.interval(j)) for j in range(box.dim)
-    ]
-    witness = LiftWitness(
-        _vector(tuple([w.lifted_first for w in parts])),
-        _vector(tuple([w.lifted_second for w in parts])),
-        params,
-        ";".join(f"{j}:{w.case_tag}" for j, w in enumerate(parts)),
-    )
-    return _exact(witness, target)
+    lifted = _lift_points(x.coords, y.coords, params, target.coords, box.low.coords, box.high.coords)
+    firsts, seconds, tags = zip(*lifted)
+    case_tag = ";".join([f"{j}:{tag}" for j, tag in enumerate(tags)])
+    return _exact(LiftWitness(_vector(firsts), _vector(seconds), params, case_tag), target)
 
 
 # -- barycenter lift ---------------------------------------------------------
@@ -487,13 +480,14 @@ def lift_beta(nu: IdemMeasure, target, host) -> IdemMeasure:
     atoms = list(nu.atoms)
     z = next(k for k, (_, w) in enumerate(atoms) if _cmp(w, ZERO) == 0)
     atoms.insert(0, atoms.pop(z))
+    steps = [(x, ConvexParams(ZERO, w)) for x, w in atoms[1:]]
     prefix = [atoms[0][0]]
-    for x, w in atoms[1:-1]:
-        prefix.append(recombine(prefix[-1], x, ConvexParams(ZERO, w)))
+    for x, params in steps[:-1]:
+        prefix.append(recombine(prefix[-1], x, params))
     pairs = []
     above, shift = target, ZERO
-    for (x, w), below in zip(reversed(atoms[1:]), reversed(prefix)):
-        lift = host.lift_s(below, x, ConvexParams(ZERO, w), above)
+    for (x, params), below in zip(reversed(steps), reversed(prefix)):
+        lift = host.lift_s(below, x, params, above)
         pairs.append((lift.lifted_second, odot(lift.params.p, shift)))
         above, shift = lift.lifted_first, odot(lift.params.t, shift)
     pairs.append((above, shift))
@@ -527,7 +521,7 @@ def _ranked(scalars: Iterable[Scalar]) -> list[Scalar]:
     """The distinct scalars in increasing order, -inf first, with no
     Fraction hash or comparison: finite ones are told apart by numerator
     and denominator and ordered by their numerators at the common
-    denominator, as `core._point_key` orders points."""
+    denominator."""
     finite = {}
     bottom = []
     for q in scalars:
@@ -584,10 +578,11 @@ def _grid_search(pool, params, target, columns, pick, build) -> Iterator[LiftWit
     """The oracle engine: exact witnesses of max(t' + l, p' + r) = target,
     coordinate by coordinate, for each pair (t', p') of `_param_candidates`.
 
-    `columns(cand)` gives each coordinate's goal, the values l and r may
-    take and a rank key.  Every pair (l, r) that solves the coordinate's
-    equation is an option, one `_tick` per pair viewed; a coordinate with
-    none drops the candidate.  `pick` chooses one ranked option per
+    `columns(cand)` gives each coordinate's goal, the (value, term) pairs
+    l and r may take and a `rank` of two terms.  Every pair (l, r) that
+    solves the coordinate's equation is an option, one `_tick` per pair
+    viewed, and options rank by (rank of their terms, l, r); a coordinate
+    with none drops the candidate.  `pick` chooses one ranked option per
     coordinate, `build` makes each side of the witness from its picks, and
     the witness passes `_exact` before it is yielded.
     """
@@ -596,18 +591,17 @@ def _grid_search(pool, params, target, columns, pick, build) -> Iterator[LiftWit
         ranked = []
         for goal, lefts, rights, rank in columns(cand):
             # max(t' + l, p' + r) = goal: no side above the goal, one side on it
-            rights = [(r, _cmp(odot(cand.p, r), goal)) for r in rights]
+            rights = [(r, tr, _cmp(odot(cand.p, r), goal)) for r, tr in rights]
             options = []
-            for l in lefts:
+            for l, tl in lefts:
                 left = _cmp(odot(cand.t, l), goal)
-                for r, right in rights:
+                for r, tr, right in rights:
                     viewed = _tick(viewed)
                     if max(left, right) == 0:
-                        options.append((l, r))
+                        options.append((l, tl, r, tr))
             if not options:
                 break
-            options.sort(key=rank)
-            ranked.append(options)
+            ranked.append([(l, r) for _, l, r in sorted([(rank(tl, tr), l, r) for l, tl, r, tr in options])])
         else:
             picked, viewed = pick(ranked, viewed)
             if picked is not None:
@@ -643,15 +637,22 @@ def brute_force_lift_s(
     bet = second.density()
     alpha = target.density()
     pool = _finite_values(*lam, *bet, *alpha, params.t, params.p)
-    ranks = [lambda o, l=l, b=b: (rho(o[0], l) + rho(o[1], b), o[0], o[1]) for l, b in zip(lam, bet)]
 
-    def side(weight, goal, tau):
-        r = residual(goal, tau)
-        return {weight, ZERO, NEG_INF, r} if _cmp(r, ZERO) <= 0 else {weight, ZERO, NEG_INF}
+    def plus(values: list, v, weight) -> list:
+        # the values and v with its rank term, if v is <= 0 and new: a set union
+        if _cmp(v, ZERO) <= 0:
+            for u, _ in values:
+                if not _cmp(v, u):
+                    return values
+            return values + [(v, rho(v, weight))]
+        return values
+
+    # each coordinate's values other than goal - τ, found once per call
+    fixed = [[plus(plus([(w, rho(w, w))], ZERO, w), NEG_INF, w) for w in pair] for pair in zip(lam, bet)]
 
     def columns(cand):
-        for i, a in enumerate(alpha):
-            yield a, side(lam[i], a, cand.t), side(bet[i], a, cand.p), ranks[i]
+        for a, l, b, (lefts, rights) in zip(alpha, lam, bet, fixed):
+            yield a, plus(lefts, residual(a, cand.t), l), plus(rights, residual(a, cand.p), b), operator.add
 
     found = _grid_search(
         pool, params, target, columns, _search_assignment, lambda w: IdemMeasure.from_weights(space, w)
@@ -752,16 +753,14 @@ def brute_force_lift_box(
     refuses them."""
     if not (x.dim == y.dim == target.dim == box.dim):
         raise BadInput("box lift inputs of mixed dimension")
-    for j in range(box.dim):
-        _inside(x[j], y[j], target[j], *box.interval(j))
-    pool = _finite_values(*x.coords, *y.coords, *target.coords, params.t, params.p)
     grids = []
     for j in range(box.dim):
         lo, hi = box.interval(j)
+        _inside(x[j], y[j], target[j], lo, hi)
         grids.append((lo, hi, set(_lattice(lo, hi, 8)) | {x[j], y[j], target[j]}))
-    ranks = [
-        lambda o, a=a, b=b: (max(rho(o[0], a), rho(o[1], b)), o[0], o[1]) for a, b in zip(x.coords, y.coords)
-    ]
+    pool = _finite_values(*x.coords, *y.coords, *target.coords, params.t, params.p)
+    # a value is its own term: only options found get a distance, which may refuse
+    ranks = [lambda l, r, a=a, b=b: max(rho(l, a), rho(r, b)) for a, b in zip(x.coords, y.coords)]
 
     def columns(cand):
         for j, (lo, hi, grid) in enumerate(grids):
@@ -770,6 +769,7 @@ def brute_force_lift_box(
                 r = residual(target[j], tau)
                 if type(r) is Fraction and _cmp(lo, r) <= 0 <= _cmp(hi, r):
                     values.add(r)
+            values = [(v, v) for v in values]
             yield target[j], values, values, ranks[j]
 
     found = _grid_search(pool, params, target, columns, _first_pick, TropVector)

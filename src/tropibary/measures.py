@@ -15,10 +15,11 @@ its atoms, on a space or over points, from those atoms as they stand.
 Without a space, atoms are points (`TropVector`) or measures themselves
 (for spaces of measures).  Such measures are kept in canonical form:
 duplicate atoms merged by max, -inf weights dropped, atoms sorted
-deterministically.  Point atoms get it from one sort on `core._point_key`
-(integer tuples) and one pass that merges equal neighbours into the
-first-seen atom object, with no hashing; measure atoms merge in a dict
-and sort by `_atom_key`.
+deterministically.  Point atoms get it from one sort by coordinates
+(`_point_order`: integer tuples at a capped common denominator, else
+exact float-first tuples) and one pass that merges equal neighbours into
+the first-seen atom object, with no hashing; measure atoms merge in a
+dict and sort by `_atom_key`.
 
 The functional view is `mu(phi)` = max over atoms of weight + phi(atom),
 which satisfies the three defining laws checked in the test suite:
@@ -33,7 +34,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import lcm
+from math import inf, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -47,7 +48,6 @@ from .core import (
     _cmp,
     _dot,
     _parse,
-    _point_key,
     _rho_ratios,
     _row_of,
     _sign,
@@ -213,7 +213,7 @@ class IdemMeasure:
     point (`density()`), and `atoms` is the index-ordered view of its
     (index, weight) pairs above -inf.  Over points or measures, `atoms`
     is the canonical form itself: duplicates merged by max into the first
-    seen, -inf dropped, sorted by `_atom_key` (points by `_point_key`,
+    seen, -inf dropped, sorted by `_atom_key` (points by `_point_order`,
     which orders them the same way).
     """
 
@@ -377,13 +377,47 @@ class IdemMeasure:
         return f"IdemMeasure({{{inner}}})"
 
 
+# The largest common denominator at which `_point_order` compares points
+# as integers.  Past it the lcm of an input's denominators would grow with
+# their number, and with it every key.
+POINT_SCALE_CAP = 2**64
+
+
+def _point_order(points: list) -> Callable[[TropVector], tuple]:
+    """A sort key that orders these finite vectors as their coordinate
+    tuples.  While the lcm of their denominators is at most
+    POINT_SCALE_CAP, as on any lattice, a key is the numerators at that
+    lcm; past it, the key is `_exact_key`, so no key outgrows its point."""
+    scale = 1
+    for d in {c._denominator for p in points for c in p.coords}:
+        scale = lcm(scale, d)
+        if scale > POINT_SCALE_CAP:
+            return _exact_key
+    return lambda p: tuple([c._numerator * (scale // c._denominator) for c in p.coords])
+
+
+def _exact_key(p: TropVector) -> tuple:
+    """p's coordinates as a flat tuple of (float, Fraction) pairs.  int
+    true division rounds correctly, so the floats order as the values do
+    and the Fraction decides only between equal floats; ±inf stand in
+    beyond the float range."""
+    key = []
+    for c in p.coords:
+        try:
+            key.append(c._numerator / c._denominator)
+        except OverflowError:
+            key.append(inf if c._numerator > 0 else -inf)
+        key.append(c)
+    return tuple(key)
+
+
 def _merged_points(pairs: list) -> list:
     """(point, weight) pairs over finite points of one dimension, sorted by
-    `_point_key`, with equal points merged by max into the first seen: one
-    sort, then one pass over neighbours, and no hashing."""
+    `_point_order`, with equal points merged by max into the first seen:
+    one sort, then one pass over neighbours, and no hashing."""
     if len(pairs) == 1:
         return pairs
-    key = _point_key([a for a, _ in pairs])
+    key = _point_order([a for a, _ in pairs])
     keyed = sorted([(key(a), k) for k, (a, _) in enumerate(pairs)])
     merged = []
     last = None

@@ -96,6 +96,16 @@ def conditionals_with_next_atom(mp):
     mp.setattr(approximation, "_conditional", wrong)
 
 
+# Three atoms, so `lift_beta` runs two box steps on the way to its target.
+BETA_NU = IdemMeasure(
+    [
+        (TropVector(["-1/2", "-3/2"]), ZERO),
+        (TropVector(["-1", "-1/4"]), scalar("-1/2")),
+        (TropVector(["-3/2", "-1"]), scalar("-1/4")),
+    ]
+)
+BETA_TARGET = TropVector(["-3/8", "-5/8"])
+
 # name -> (sabotage of one construction step, call that is exact without it)
 CASES = {
     "lift_s_finite": (
@@ -146,6 +156,10 @@ CASES = {
         lambda mp: mp.setattr(lifting, "IdemMeasure", NudgedWitness),
         lambda: lift_beta(IdemMeasure.dirac(TropVector(["-1/2", "-3/2"])), TropVector([-1, -1]), BoxHost(BOX)),
     ),
+    "lift_beta/step": (
+        sabotage_residual,
+        lambda: lift_beta(BETA_NU, BETA_TARGET, BoxHost(BOX)),
+    ),
     "cover_approximation": (
         lambda mp: mp.setattr(approximation, "oplus_all", nudged(approximation.oplus_all)),
         lambda: cover_approximation(
@@ -176,6 +190,13 @@ def test_sabotaged_step_raises_inexact_witness(monkeypatch, name):
     sabotage(monkeypatch)
     with pytest.raises(InexactWitness):
         call()
+
+
+def test_a_beta_step_gate_catches_a_wrong_step(monkeypatch):
+    # the box step's own gate, before lift_beta's final certificate
+    sabotage_residual(monkeypatch)
+    with pytest.raises(InexactWitness, match="^0:s=second/swapped;1:s=first/swapped witness does not recombine"):
+        lift_beta(BETA_NU, BETA_TARGET, BoxHost(BOX))
 
 
 def outcomes() -> list:

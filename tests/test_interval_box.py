@@ -3,18 +3,42 @@
 The load-bearing invariant: these lifts never change the parameter
 pair.  That is what lets the box version run one interval lift per
 coordinate under a single shared pair.
+
+Both lifts run one coordinate rule in one pass.  The per-coordinate
+path through the mirror rule is kept at the end as a reference, and
+witnesses and refusals must match it exactly.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropibary.core import NEG_INF, POS_INF, ConvexParams, TropVector, odot, oplus, s_point, scalar
-from tropibary.errors import BadInput, OutsideValidityRegion
+from tropibary import lifting
+from tropibary.core import (
+    NEG_INF,
+    POS_INF,
+    ZERO,
+    ConvexParams,
+    TropVector,
+    _cmp,
+    _vector,
+    odot,
+    oplus,
+    residual,
+    s_point,
+    scalar,
+)
+from tropibary.errors import BadInput, OutsideValidityRegion, TropibaryError
 from tropibary.geometry import Box
-from tropibary.lifting import brute_force_lift_box, brute_force_lift_interval, lift_s_box, lift_s_interval
+from tropibary.lifting import (
+    LiftWitness,
+    brute_force_lift_box,
+    brute_force_lift_interval,
+    lift_s_box,
+    lift_s_interval,
+)
 from tropibary.sampling import random_box, random_params, random_point, spawn
 
 BOUNDS = (scalar("-2"), scalar("0"))
@@ -277,3 +301,158 @@ class TestBoxLift:
         found = brute_force_lift_box(x, y, params, target, BOX, mode="exists")
         assert found is not None
         assert s_point(found.lifted_first, found.lifted_second, found.params) == target
+
+
+# -- the coordinate path as it was, kept as a reference -----------------------
+
+
+def _reference_oriented(lift, first, second, params, *rest):
+    if _cmp(params.p, ZERO) < 0:
+        return lifting._mirrored(lift(second, first, params.swapped(), *rest))
+    return lift(first, second, params, *rest)
+
+
+def _reference_coordinate(x, y, params, target, bounds):
+    lo, hi = bounds
+    if not (type(lo) is Fraction and type(hi) is Fraction and _cmp(lo, hi) <= 0):
+        raise BadInput("interval bounds must be finite and ordered")
+    _reference_inside(x, y, target, lo, hi)
+    return _reference_oriented(_reference_scalar, x, y, params, target, lo, hi)
+
+
+def _reference_inside(x, y, target, lo, hi):
+    for value, name in ((x, "first point"), (y, "second point"), (target, "target")):
+        if type(value) is not Fraction:
+            raise BadInput(f"{name} must be finite")
+        if _cmp(value, lo) < 0 or _cmp(value, hi) > 0:
+            raise BadInput(f"{name} {value} outside [{lo}, {hi}]")
+
+
+def _reference_scalar(x, y, params, target, lo, hi):
+    alpha = params.t
+    ax = odot(alpha, x)
+    if _cmp(ax, y) < 0:
+        if _cmp(target, ax) <= 0:
+            raise OutsideValidityRegion(f"target {target} does not exceed the shifted first point {ax}")
+        return LiftWitness(x, target, params, "s=second")
+    if _cmp(ax, y) > 0 and _cmp(target, y) <= 0:
+        raise OutsideValidityRegion(f"target {target} does not exceed the second point {y}")
+    moved = residual(target, alpha)
+    if _cmp(moved, lo) < 0 or _cmp(moved, hi) > 0:
+        raise OutsideValidityRegion(f"lifted first point {moved} leaves [{lo}, {hi}]")
+    if _cmp(ax, y) > 0:
+        return LiftWitness(moved, y, params, "s=first")
+    return LiftWitness(moved, target, params, "s=tied")
+
+
+def reference_lift_interval(x, y, params, target, bounds):
+    """`lift_s_interval` as it was written before the interval and box
+    lifts shared one coordinate rule: a witness per coordinate through
+    the mirror rule, each coordinate's bounds and points checked first."""
+    return lifting._exact(_reference_coordinate(x, y, params, target, bounds), target)
+
+
+def reference_lift_box(x, y, params, target, box):
+    """`lift_s_box` as it was: `_reference_coordinate` on each coordinate,
+    then one witness from the per-coordinate witnesses."""
+    if not (x.dim == y.dim == target.dim == box.dim):
+        raise BadInput("box lift inputs of mixed dimension")
+    parts = [_reference_coordinate(x[j], y[j], params, target[j], box.interval(j)) for j in range(box.dim)]
+    witness = LiftWitness(
+        _vector(tuple([w.lifted_first for w in parts])),
+        _vector(tuple([w.lifted_second for w in parts])),
+        params,
+        ";".join(f"{j}:{w.case_tag}" for j, w in enumerate(parts)),
+    )
+    return lifting._exact(witness, target)
+
+
+def _exactly(value):
+    """A scalar or vector as (type, numerator, denominator) per coordinate."""
+    coords = value.coords if isinstance(value, TropVector) else (value,)
+    return tuple((type(c).__name__, c.numerator, c.denominator) if type(c) is Fraction else repr(c) for c in coords)
+
+
+def outcome(lift, *args):
+    """The witness, exactly, or the refusal's class and message."""
+    try:
+        w = lift(*args)
+    except TropibaryError as exc:
+        return type(exc), str(exc)
+    params = (_exactly(w.params.t), _exactly(w.params.p))
+    return _exactly(w.lifted_first), _exactly(w.lifted_second), params, w.case_tag
+
+
+sixteenths = st.integers(-40, 8).map(lambda k: Fraction(k, 16))
+lift_params = st.one_of(
+    st.sampled_from([ConvexParams(0, 0), ConvexParams(NEG_INF, 0), ConvexParams(0, NEG_INF)]),
+    st.integers(-32, -1).map(lambda k: ConvexParams(Fraction(k, 16), 0)),
+    st.integers(-32, -1).map(lambda k: ConvexParams(0, Fraction(k, 16))),
+)
+
+
+@st.composite
+def box_lift_cases(draw):
+    """(x, y, params, target, box) in dimension 1-3: coordinates mostly in
+    the box and often on a face, a few outside it or -inf; a target
+    coordinate is mostly the image's, moved down by up to 3/4 or up by up
+    to 1/4 and kept in the box."""
+    dim = draw(st.integers(1, 3))
+    params = draw(lift_params)
+    lows, highs, xs, ys, targets = [], [], [], [], []
+    for _ in range(dim):
+        a = draw(st.integers(-32, 0))
+        b = draw(st.integers(a, 0))
+        lo, hi = Fraction(a, 16), Fraction(b, 16)
+        kinds = {
+            "inside": st.integers(a, b).map(lambda k: Fraction(k, 16)),
+            "face": st.sampled_from([lo, hi]),
+            "anywhere": sixteenths,
+            "-inf": st.just(NEG_INF),
+        }
+        point = st.sampled_from(["inside"] * 8 + ["face"] * 4 + ["anywhere", "-inf"]).flatmap(kinds.get)
+        x, y = draw(point), draw(point)
+        image = oplus(odot(params.t, x), odot(params.p, y))
+        moved = st.integers(-12, 4).map(lambda k: min(max(odot(image, Fraction(k, 16)), lo), hi))
+        lows.append(lo)
+        highs.append(hi)
+        xs.append(x)
+        ys.append(y)
+        targets.append(draw(st.one_of(moved, moved, point)))
+    return TropVector(xs), TropVector(ys), params, TropVector(targets), Box(TropVector(lows), TropVector(highs))
+
+
+# the first coordinate is refused by the lift, the second is outside the box
+EARLY_LIFT_LATE_OUTSIDE = (
+    TropVector(["-1", "-1"]),
+    TropVector(["-9/20", "-3"]),
+    ConvexParams("-1/10", 0),
+    TropVector(["-3/2", "-1"]),
+    BOX,
+)
+
+
+class TestAgainstTheCoordinatePath:
+    @given(box_lift_cases())
+    @settings(max_examples=400, deadline=None)
+    @example(EARLY_LIFT_LATE_OUTSIDE)
+    # the first coordinate is outside the box, the second is refused by the lift
+    @example((TropVector(["1/4", "-1"]), TropVector(["-1", "-9/20"]), ConvexParams("-1/10", 0), TropVector(["-1", "-3/2"]), BOX))
+    # mirrored params, every point on a face of the box
+    @example((TropVector(["0", "-2"]), TropVector(["-2", "0"]), ConvexParams(0, "-1/2"), TropVector(["0", "-1/2"]), BOX))
+    def test_box_lift_matches_the_reference(self, case):
+        assert outcome(lift_s_box, *case) == outcome(reference_lift_box, *case)
+
+    @given(box_lift_cases(), st.sampled_from(["box", "reversed", "low -inf", "high +inf"]))
+    @settings(max_examples=200, deadline=None)
+    def test_interval_lift_matches_the_reference(self, case, bounds_kind):
+        x, y, params, target, box = case
+        lo, hi = box.interval(0)
+        bounds = {"box": (lo, hi), "reversed": (hi, lo), "low -inf": (NEG_INF, hi), "high +inf": (lo, POS_INF)}
+        args = (x[0], y[0], params, target[0], bounds[bounds_kind])
+        assert outcome(lift_s_interval, *args) == outcome(reference_lift_interval, *args)
+
+    def test_an_earlier_lift_refusal_beats_a_later_point_outside(self):
+        got = outcome(lift_s_box, *EARLY_LIFT_LATE_OUTSIDE)
+        assert got == outcome(reference_lift_box, *EARLY_LIFT_LATE_OUTSIDE)
+        assert got[0] is OutsideValidityRegion

@@ -269,9 +269,12 @@ class TestOracleBudget:
 def reference_lift_finite(first, second, params, target):
     """`lift_s_finite` as it was written before its branches shared one
     build step: params (0, 0) went through `_reference_equal_params` and
-    `_reference_pivot`, finite t < 0 through `_reference_strict_params`."""
+    `_reference_pivot`, finite t < 0 through `_reference_strict_params`;
+    params with p < 0 lift the swapped inputs and mirror the witness."""
 
     def branches(first, second, params, target):
+        if _cmp(params.p, ZERO) < 0:
+            return lifting._mirrored(branches(second, first, params.swapped(), target))
         space = first.space
         lam, bet, alpha = first.density(), second.density(), target.density()
         t = params.t
@@ -281,7 +284,7 @@ def reference_lift_finite(first, second, params, target):
             return LiftWitness(first, target, ConvexParams(NEG_INF, 0), "t<p/t=-inf")
         return _reference_strict_params(space, lam, bet, alpha, t)
 
-    return lifting._exact(lifting._oriented(branches, first, second, params, target), target)
+    return lifting._exact(branches(first, second, params, target), target)
 
 
 def _reference_equal_params(space, lam, bet, alpha):

@@ -15,7 +15,6 @@ from tropibary.core import (
     ZERO,
     ConvexParams,
     TropVector,
-    _point_key,
     odot,
     oplus,
     oplus_all,
@@ -342,7 +341,7 @@ def reference_dict_merge(pairs, renormalize):
     """A point measure's canonical atoms as a dict merge builds them: equal
     points merged by max into the first-seen atom (the dict key), the
     mixed-dimension, all -inf and maximum checks, -inf dropped, then a sort
-    by `_point_key`."""
+    by the coordinate tuples, as Fractions."""
     merged = {}
     for atom, weight in pairs:
         weight = scalar(weight)
@@ -359,29 +358,59 @@ def reference_dict_merge(pairs, renormalize):
             raise NotNormalized(f"max weight is {top}, expected 0")
         merged = {a: odot(w, -top) for a, w in merged.items()}
     kept = [(a, w) for a, w in merged.items() if w is not NEG_INF]
-    key = _point_key([a for a, _ in kept])
-    return sorted(kept, key=lambda aw: key(aw[0]))
+    return sorted(kept, key=lambda aw: aw[0].coords)
+
+
+# Coordinates whose common denominator passes measures.POINT_SCALE_CAP (two
+# large primes), lie beyond the float range either way, or round to the
+# same float as a neighbour.
+P31, P61 = 2**31 - 1, 2**61 - 1
+wide_coordinate = st.sampled_from(
+    [
+        Fraction(0),
+        Fraction(-1, 3),
+        Fraction(1, P31),
+        Fraction(-1, P61),
+        Fraction(2**61, P61),
+        Fraction(1),
+        Fraction(10**400),
+        Fraction(10**400 + 1, P31),
+        Fraction(-(10**400)),
+        Fraction(1, 10**400),
+        Fraction(-1, 10**400),
+    ]
+)
 
 
 @st.composite
-def shuffled_point_pairs(draw):
+def shuffled_point_pairs(draw, coordinate=point_coordinate):
     """Up to 8 (point, weight) pairs, then again some of them with a copy
     of the point and another weight, all shuffled; one draw in five lets
     the dimension vary."""
     dim = draw(st.integers(1, 3))
     dims = st.just(dim) if draw(st.integers(0, 4)) else st.integers(1, 3)
-    point = dims.flatmap(lambda d: st.lists(point_coordinate, min_size=d, max_size=d)).map(TropVector)
+    point = dims.flatmap(lambda d: st.lists(coordinate, min_size=d, max_size=d)).map(TropVector)
     pairs = draw(st.lists(st.tuples(point, grid_weight), max_size=8))
     pairs += [(TropVector(p.coords), draw(grid_weight)) for p, _ in pairs if draw(st.booleans())]
     return draw(st.permutations(pairs))
 
 
 class TestPointAtoms:
-    @given(shuffled_point_pairs(), st.booleans())
+    @given(st.one_of(shuffled_point_pairs(), shuffled_point_pairs(wide_coordinate)), st.booleans())
     @example([(TropVector([0]), NEG_INF), (TropVector([0]), ZERO)], False)
     @example([(TropVector([0]), NEG_INF), (TropVector([-1]), NEG_INF)], True)
     @example([(TropVector([0]), ZERO), (TropVector([0, 0]), ZERO)], False)
     @example([(TropVector(["-1/3"]), scalar("-1")), (TropVector([0]), "-1/2"), (TropVector(["-1/3"]), "-1/4")], True)
+    # past the cap: one float for two values, -10^400 and +10^400, a repeat
+    @example(
+        [
+            (TropVector([Fraction(2**61, P61), Fraction(1, P31)]), ZERO),
+            (TropVector([1, Fraction(1, P31)]), "-1/2"),
+            (TropVector([Fraction(10**400), Fraction(-(10**400))]), "-1/4"),
+            (TropVector([Fraction(2**61, P61), Fraction(1, P31)]), "-1/8"),
+        ],
+        False,
+    )
     def test_sort_and_merge_matches_the_dict_merge(self, pairs, renormalize):
         want = outcome(lambda: reference_dict_merge(pairs, renormalize))
         got = outcome(lambda: IdemMeasure(pairs, renormalize=renormalize))
@@ -406,6 +435,34 @@ class TestPointAtoms:
         assert [(a.coords, w) for a, w in got.atoms] == list(want)
         assert repr(got) == "IdemMeasure({" + ", ".join(f"{TropVector(c)!r}: {w}" for c, w in want) + "})"
         assert got == IdemMeasure(list(reversed(got.atoms)))
+
+
+def test_point_measures_sort_without_an_input_wide_lcm():
+    # 8,000 atoms in dimension 4 over the first 32,000 primes as
+    # denominators build within 3x of the same atoms on the 1/8 lattice
+    # (one lcm over the primes took seconds at 4,000 atoms)
+    sieve = bytearray([1]) * 380_000
+    sieve[:2] = b"\0\0"
+    for n in range(2, 617):
+        if sieve[n]:
+            sieve[n * n :: n] = bytearray(len(sieve[n * n :: n]))
+    primes = [n for n in range(len(sieve)) if sieve[n]][:32_000]
+    assert len(primes) == 32_000
+    rng = random.Random(0)
+    weights = [ZERO] + [Fraction(-rng.randrange(16), 8) for _ in range(7_999)]
+    lattice = [[Fraction(rng.randrange(-16, 1), 8) for _ in range(4)] for _ in range(8_000)]
+    prime = [[Fraction(rng.randrange(-100, 1), q) for q in primes[4 * k : 4 * k + 4]] for k in range(8_000)]
+    best = {}
+    for name, coords in (("lattice", lattice), ("prime", prime)):
+        pairs = [(TropVector(c), w) for c, w in zip(coords, weights)]
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            mu = IdemMeasure(pairs)
+            times.append(time.perf_counter() - started)
+        best[name] = min(times)
+        assert [a.coords for a, _ in mu.atoms] == sorted({tuple(c) for c in coords})
+    assert best["prime"] < 3 * best["lattice"], best
 
 
 class TestDensePath:
