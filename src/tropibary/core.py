@@ -297,7 +297,7 @@ def odot(a: Scalar, b: Scalar) -> Scalar:
 
     Because odot distributes over oplus, a measure applied to a max-plus
     affine function equals that function at the measure's barycenter
-    (see `measures._point_values`, which relies on this).
+    (see `measures._point_values`, whose distance values rest on this).
     """
     if a is NEG_INF or b is NEG_INF:
         return NEG_INF
@@ -524,14 +524,19 @@ def _read_point(coords: list) -> Optional[TropVector]:
     return _vector(values) if _UNSTORED.isdisjoint(map(id, values)) else None
 
 
+# What `_row_of` reads from a vector whose row is not computed yet.
+_NO_ROW = object()
+
+
 def _row_of(v: TropVector) -> Optional[tuple]:
     """v's row: (its coordinates as ints at den, den) for den the lcm of
     their denominators, None when a coordinate is -inf.  Computed on first
-    use and kept in `v._row`, the one place that slot is filled."""
-    try:
-        return v._row
-    except AttributeError:
-        pass
+    use and kept in `v._row`, the one place that slot is filled.  The slot
+    is read with a default: on a new vector, raising and catching
+    AttributeError costs twice as much."""
+    row = getattr(v, "_row", _NO_ROW)
+    if row is not _NO_ROW:
+        return row
     try:
         den = lcm(*[c._denominator for c in v.coords])
     except AttributeError:

@@ -30,9 +30,7 @@ values `measure_dist` compares.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from math import inf, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -49,9 +47,7 @@ from .core import (
     _dot,
     _parse,
     _rho_ratios,
-    _row_of,
     _sign,
-    _vector,
     odot,
     oplus,
     oplus_all,
@@ -541,22 +537,6 @@ def pushforward(f: SpaceMap, mu: IdemMeasure) -> IdemMeasure:
 # -- distance ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _affine_tests(dim: int) -> tuple:
-    """32 max-plus affine functions phi(x) = const oplus max_j (c_j odot
-    x_j) on R_max^dim, as columns of ints times 8: the 32 constants, then
-    the 32 c_j for each j.  Coefficients and constants lie on the grid
-    -2, -15/8, ..., 0 and are drawn from `random.Random(0)`, each test's
-    coefficients before its constant."""
-    grid = list(range(-16, 1))
-    rng = random.Random(0)
-    tests = []
-    for _ in range(32):
-        coeffs = [rng.choice(grid) for _ in range(dim)]
-        tests.append((rng.choice(grid), *coeffs))
-    return tuple(zip(*tests))
-
-
 def _space_values(mu: IdemMeasure) -> tuple:
     """The values `measure_dist` compares for a measure on a finite space:
     its weight tuple, then, when the space is embedded, its value on each
@@ -571,33 +551,23 @@ def _space_values(mu: IdemMeasure) -> tuple:
 
 def _point_values(mu: IdemMeasure) -> list:
     """The values `measure_dist` compares for a measure over points, each
-    an int pair (numerator, denominator) that `core._rho_ratios` reads.
+    an int pair (numerator, denominator) that `core._rho_ratios` reads:
+    the barycenter's coordinates (mu on each projection), then mu on
+    min(x_i, x_j) for each i < j, one `_dot` of the weights each.
 
-    In order: the barycenter's coordinates (mu on each projection), mu on
-    min(x_i, x_j) for each i < j, and each of `_affine_tests` at the
-    barycenter, over ints at the lcm of 8 and the denominator of the
-    barycenter's row.  For max-plus affine phi, mu(phi) = phi(beta(mu))
-    holds exactly, because odot distributes over oplus and the weights of
-    mu peak at 0, so an affine value costs O(dim) instead of
-    O(atoms * dim).
+    No max-plus affine phi(x) = c_0 oplus max_j (c_j odot x_j) with every
+    c <= 0 adds to these: mu(phi) = phi(beta(mu)), and |e^phi(beta) -
+    e^phi(beta')| <= max_j e^c_j |e^beta_j - e^beta'_j| <= max_j
+    rho(beta_j, beta'_j), which the barycenter's coordinates already give.
     """
     weights = [w for _, w in mu.atoms]
     columns = list(zip(*[p.coords for p, _ in mu.atoms]))
-    beta, den = _row_of(_vector(tuple([_dot(weights, col) for col in columns])))
-    values = [(b, den) for b in beta]
+    values = [_dot(weights, col) for col in columns]
     dim = len(columns)
     for i in range(dim):
         for j in range(i + 1, dim):
-            low = _dot(weights, map(trop_min, columns[i], columns[j]))
-            values.append((low._numerator, low._denominator))
-    scale = lcm(8, den)
-    consts, *coeffs = _affine_tests(dim)
-    if scale != 8:
-        consts = [c * (scale // 8) for c in consts]
-        coeffs = [[c * (scale // 8) for c in col] for col in coeffs]
-    at = [b * (scale // den) for b in beta]
-    values += zip(map(max, consts, *[[c + b for c in col] for col, b in zip(coeffs, at)]), repeat(scale))
-    return values
+            values.append(_dot(weights, map(trop_min, columns[i], columns[j])))
+    return [(v._numerator, v._denominator) for v in values]
 
 
 def measure_dist(mu: IdemMeasure, nu: IdemMeasure) -> float:
@@ -607,9 +577,11 @@ def measure_dist(mu: IdemMeasure, nu: IdemMeasure) -> float:
     On a common finite space the values are the weights (`_space_values`),
     so the distance dominates weight-wise convergence, plus the coordinate
     projections when the space is embedded.  For measures over points of
-    one dimension they are the barycenter, the pairwise minima and 32
-    fixed affine tests (`_point_values`), so the distance tracks atom
-    motion.  Both cost one pass over the atoms per value kind.
+    one dimension they are the barycenter and the pairwise coordinate
+    minima (`_point_values`).  There it is only a pseudometric: measures
+    with the same barycenter and pairwise minima are at distance 0.0, so
+    measure_dist(delta_(0), delta_(0) oplus delta_(-1)) = 0.0.  Both kinds
+    cost one pass over the atoms per value.
 
     The float separates what e^a separates: `exp` underflows to 0.0 below
     about -745, so weights or values that low read exactly like -inf, and

@@ -96,6 +96,20 @@ def conditionals_with_next_atom(mp):
     mp.setattr(approximation, "_conditional", wrong)
 
 
+def conditionals_with_swapped_atom(mp):
+    """A conditional holds the atom of COVER_MU after its last one in
+    place of that last one, so the first piece holds the second piece's
+    atom and the atom count stays the same."""
+    cut = approximation._conditional
+
+    def wrong(pairs, space):
+        atoms = list(COVER_MU.atoms)
+        after = atoms[atoms.index(pairs[-1]) + 1 :][:1]
+        return cut(list(pairs[:-1]) + after if after else pairs, space)
+
+    mp.setattr(approximation, "_conditional", wrong)
+
+
 # Three atoms, so `lift_beta` runs two box steps on the way to its target.
 BETA_NU = IdemMeasure(
     [
@@ -178,6 +192,10 @@ CASES = {
     ),
     "cover_approximation/next_atom": (
         conditionals_with_next_atom,
+        lambda: cover_approximation(COVER_MU, Cover.grid(BOX, 2)),
+    ),
+    "cover_approximation/swapped_atom": (
+        conditionals_with_swapped_atom,
         lambda: cover_approximation(COVER_MU, Cover.grid(BOX, 2)),
     ),
 }
